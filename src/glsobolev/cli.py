@@ -3,14 +3,14 @@
 Every subcommand parses its arguments, calls one library entry point, and
 serializes the result; no numerics happen here.  Exit codes: 0 success,
 1 an inequality check failed, 2 bad input, 3 the numerics could not
-certify an answer (unconverged quadrature or a divergent norm).
+certify an answer (unconverged quadrature or a divergent norm).  A grand
+norm with a divergent slice is the certified value inf and exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -19,14 +19,12 @@ from .constants import sharp_constant, sharp_constant_p1, talenti_constant, trac
 from .errors import DivergentIntegralError, DomainError, InputError, QuadratureError
 from .exponents import as_exponent_tuple, sobolev_exponent, trace_exponent
 from .grand import (
-    constant_psi,
+    _psi_from_spec,
     fundamental_function,
     gls_gradient_norm,
     gls_norm,
     morrey_bound,
     modulus_of_continuity,
-    power_endpoint_psi,
-    tabulated_psi,
     zeta_transform,
 )
 from .norms import weighted_gradient_norm, weighted_lp_norm
@@ -64,17 +62,15 @@ def _parse_psi(text: str):
     name, _, raw = text.partition(":")
     if name == "constant":
         params = _parse_floats(raw)
-        if len(params) == 1:
-            return constant_psi(params[0], math.inf)
-        if len(params) == 2:
-            return constant_psi(params[0], params[1])
-        raise InputError("constant psi takes a[,b]")
-    if name == "power":
+        if len(params) not in (1, 2):
+            raise InputError("constant psi takes a[,b]")
+        spec = dict(zip(("a", "b"), params), family="constant")
+    elif name == "power":
         params = _parse_floats(raw)
         if len(params) != 4:
             raise InputError("power psi takes a,b,alpha,beta")
-        return power_endpoint_psi(*params)
-    if name == "table":
+        spec = dict(zip(("a", "b", "alpha", "beta"), params), family="power-endpoint")
+    elif name == "table":
         nodes, values = [], []
         for pair in raw.split(","):
             try:
@@ -83,8 +79,10 @@ def _parse_psi(text: str):
                 values.append(float(v_str))
             except ValueError:
                 raise InputError(f"bad table entry '{pair}', expected p=value") from None
-        return tabulated_psi(nodes, values)
-    raise InputError(f"unknown psi spec '{text}'; use constant:, power:, or table:")
+        spec = {"family": "tabulated", "nodes": nodes, "values": values}
+    else:
+        raise InputError(f"unknown psi spec '{text}'; use constant:, power:, or table:")
+    return _psi_from_spec(spec)
 
 
 def _flatten(obj, prefix: str = "") -> dict:
@@ -223,8 +221,9 @@ def _cmd_gls_norm(args) -> tuple:
         "argmax": res.argmax,
         "at-boundary": res.at_boundary,
         "diverged": res.diverged,
+        "diagnostics": res.quadrature.to_dict(),
     }
-    return payload, 0
+    return payload, 0 if res.diverged or res.quadrature.converged else 3
 
 
 def _cmd_fundamental(args) -> tuple:
@@ -258,19 +257,27 @@ def _cmd_morrey(args) -> tuple:
     A = _parse_floats(args.A)
     payload = []
     for delta in _parse_floats(args.delta):
-        bound = morrey_bound(u, psi, A, delta, c2=args.c2)
-        entry = {"delta": delta, "bound": bound, "c2": args.c2}
+        bound, info = morrey_bound(
+            u, psi, A, delta, c2=args.c2, rel_tol=args.rel_tol, details=True
+        )
+        entry = {
+            "delta": delta,
+            "bound": bound,
+            "c2": args.c2,
+            "diagnostics": info["quadrature"].to_dict(),
+        }
         if args.measure:
             entry["modulus"] = modulus_of_continuity(u, delta)
         payload.append(entry)
-    return payload, 0
+    converged = all(entry["diagnostics"]["converged"] for entry in payload)
+    return payload, 0 if converged else 3
 
 
 def _cmd_scaling(args) -> tuple:
     u = _parse_profile(args.profile)
     A = _parse_floats(args.A)
     B = _parse_floats(args.B) if args.B is not None else A
-    fit = fit_scaling_exponents(u, A, B, args.p, args.q)
+    fit = fit_scaling_exponents(u, A, B, args.p, args.q, rel_tol=args.rel_tol)
     payload = {
         "profile": u.name,
         "A": A,
@@ -283,15 +290,18 @@ def _cmd_scaling(args) -> tuple:
         "residual-lhs": fit.residual_lhs,
         "residual-rhs": fit.residual_rhs,
         "max-deviation": fit.max_deviation,
+        "diagnostics": fit.quadrature.to_dict(),
     }
-    return payload, 0
+    return payload, 0 if fit.quadrature.converged else 3
 
 
 def _cmd_trace(args) -> tuple:
     g = _parse_profile(args.profile)
     A = _parse_floats(args.A)
     B = _parse_floats(args.B)
-    report = check_trace_radial(g, A, B, args.r, args.p, slack=args.slack)
+    report = check_trace_radial(
+        g, A, B, args.r, args.p, slack=args.slack, rel_tol=args.rel_tol
+    )
     return report.to_dict(), exit_status([report])
 
 

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, InputError
-from .exponents import ENDPOINT_GUARD, as_exponent_tuple, trace_exponent
+from .exponents import _guard_open_endpoint, as_exponent_tuple, trace_exponent
 from .gammafn import log_gamma
 
 _VARIANTS = ("corrected", "literal")
@@ -38,16 +38,6 @@ def _check_variant(variant: str) -> str:
     if variant not in _VARIANTS:
         raise InputError(f"unknown constant variant {variant!r}; use one of {_VARIANTS}")
     return variant
-
-
-def _guard_open_endpoint(p: float, lo: float, hi: float):
-    """Reject p outside (lo, hi) or within ENDPOINT_GUARD of either endpoint."""
-    if not math.isfinite(p):
-        raise DomainError(f"p must be finite, got {p}")
-    if p - lo < ENDPOINT_GUARD:
-        raise DomainError(f"p = {p} at or within {ENDPOINT_GUARD} of endpoint {lo}")
-    if hi - p < ENDPOINT_GUARD:
-        raise DomainError(f"p = {p} at or within {ENDPOINT_GUARD} of endpoint {hi}")
 
 
 def talenti_constant(m: int, p: float) -> float:
@@ -64,8 +54,6 @@ def talenti_constant(m: int, p: float) -> float:
     p = float(p)
     if p != 1.0:
         _guard_open_endpoint(p, 1.0, float(m))
-    if p < 1.0:
-        raise DomainError(f"p = {p} must be >= 1")
     if p == 1.0:
         log_mid = 0.0
     else:

@@ -120,17 +120,14 @@ def monomial_weight(A, x) -> np.ndarray | float:
     return float(out[0]) if single else out
 
 
-def _check_p_interior(p: float, lo: float, hi: float) -> float:
-    p = float(p)
+def _guard_open_endpoint(p: float, lo: float, hi: float):
+    """Reject p outside (lo, hi) or within ENDPOINT_GUARD of either endpoint."""
     if not math.isfinite(p):
-        raise DomainError(f"exponent p must be finite, got {p}")
-    if p < lo - ENDPOINT_GUARD or p > hi + ENDPOINT_GUARD:
-        raise DomainError(f"p = {p} outside [{lo}, {hi}]")
-    if abs(p - lo) < ENDPOINT_GUARD and p != lo:
-        raise DomainError(f"p = {p} within {ENDPOINT_GUARD} of endpoint {lo}")
+        raise DomainError(f"p must be finite, got {p}")
+    if p - lo < ENDPOINT_GUARD:
+        raise DomainError(f"p = {p} at or within {ENDPOINT_GUARD} of endpoint {lo}")
     if hi - p < ENDPOINT_GUARD:
-        raise DomainError(f"p = {p} within {ENDPOINT_GUARD} of endpoint {hi}")
-    return p
+        raise DomainError(f"p = {p} at or within {ENDPOINT_GUARD} of endpoint {hi}")
 
 
 def sobolev_exponent(A, B, p: float) -> float:
@@ -146,9 +143,9 @@ def sobolev_exponent(A, B, p: float) -> float:
     DB = B.effective_dimension
     if DA <= 1.0:
         raise DomainError(f"effective dimension D(A) = {DA} must exceed 1")
-    p = _check_p_interior(p, 1.0, DA)
-    if p < 1.0:
-        raise DomainError(f"p = {p} must be >= 1")
+    p = float(p)
+    if p != 1.0:
+        _guard_open_endpoint(p, 1.0, DA)
     return DB * p / (DA - p)
 
 
@@ -190,7 +187,9 @@ def trace_exponent(A, B, r: int, p: float) -> float:
     DA = A.effective_dimension
     if DA <= 1.0:
         raise DomainError(f"effective dimension D(A) = {DA} must exceed 1")
-    p = _check_p_interior(p, 1.0, DA)
+    p = float(p)
+    if p != 1.0:
+        _guard_open_endpoint(p, 1.0, DA)
     return B.effective_dimension * p / (DA - p)
 
 

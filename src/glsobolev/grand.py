@@ -21,7 +21,7 @@ c2 * p / (p - D) * psi(p) used for the continuity-modulus bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -32,7 +32,7 @@ from .errors import DivergentIntegralError, DomainError, InputError, QuadratureE
 from .exponents import as_exponent_tuple
 from .norms import weighted_gradient_norm, weighted_lp_norm
 from .profiles import Compact, RadialProfile
-from .quadrature import DEFAULT_REL_TOL
+from .quadrature import DEFAULT_REL_TOL, QuadratureDiagnostics
 from .reports import VerificationReport
 
 SUP_GRID_POINTS = 64
@@ -140,6 +140,18 @@ def tabulated_psi(exponents, values) -> PsiFunction:
     )
 
 
+def _psi_from_spec(spec: dict) -> PsiFunction:
+    """Build a psi weight from its config dict, keyed by ``family``."""
+    family = spec.get("family", "constant")
+    if family == "constant":
+        return constant_psi(spec["a"], spec.get("b", math.inf))
+    if family == "power-endpoint":
+        return power_endpoint_psi(spec["a"], spec["b"], spec["alpha"], spec["beta"])
+    if family == "tabulated":
+        return tabulated_psi(spec["nodes"], spec["values"])
+    raise InputError(f"unknown psi family '{family}'")
+
+
 def _safe_log(x: float) -> float:
     if x <= 0.0:
         raise InputError(f"expected a positive quantity, got {x}")
@@ -168,6 +180,7 @@ class SupremumResult:
     at_boundary: bool
     n_evals: int
     diverged: bool = False
+    quadrature: QuadratureDiagnostics = field(default_factory=QuadratureDiagnostics)
 
 
 def _scan_sup(
@@ -248,26 +261,24 @@ def _scan_sup(
     )
 
 
-class _QuadTally:
-    """Accumulates quadrature diagnostics across the slices of a scan."""
+def _slice_norm(diag: QuadratureDiagnostics, norm_fn, u, A, p: float, rel_tol: float):
+    """Slice norm norm_fn(u, A, p) with its diagnostics merged into ``diag``."""
+    value, slice_diag = norm_fn(u, A, p, rel_tol=rel_tol, details=True)
+    diag.merge(slice_diag)
+    return value
 
-    def __init__(self):
-        self.panels = 0
-        self.neval = 0
-        self.converged = True
 
-    def wrap(self, norm_fn, u, A, psi, rel_tol):
-        def objective(p: float) -> float:
-            value, diag = norm_fn(u, A, p, rel_tol=rel_tol, details=True)
-            self.panels += diag.panels
-            self.neval += diag.neval
-            self.converged = self.converged and diag.converged
-            return value / psi(p)
-
-        return objective
-
-    def to_dict(self) -> dict:
-        return {"panels": self.panels, "neval": self.neval, "converged": self.converged}
+def _gls(norm_fn, u, psi: PsiFunction, A, rel_tol: float, details: bool):
+    """sup_p norm_fn(u, A, p) / psi(p): the body of gls_norm and gls_gradient_norm."""
+    A = as_exponent_tuple(A)
+    if psi.a < 1.0:
+        raise InputError(f"psi support must start at p >= 1, got {psi.a}")
+    diag = QuadratureDiagnostics()
+    res = _scan_sup(
+        lambda p: _slice_norm(diag, norm_fn, u, A, p, rel_tol) / psi(p), psi.a, psi.b
+    )
+    res = replace(res, quadrature=diag)
+    return (res.value, res) if details else res.value
 
 
 def gls_norm(
@@ -281,15 +292,10 @@ def gls_norm(
     """Grand norm sup_p ||u||_{p, A} / psi(p) over the support of psi.
 
     Returns +inf (flagged in the SupremumResult) when some slice norm
-    diverges.
+    diverges.  With ``details`` the SupremumResult carries the quadrature
+    diagnostics merged over every slice.
     """
-    A = as_exponent_tuple(A)
-    if psi.a < 1.0:
-        raise InputError(f"psi support must start at p >= 1, got {psi.a}")
-    tally = _QuadTally()
-    objective = tally.wrap(weighted_lp_norm, u, A, psi, rel_tol)
-    res = _scan_sup(objective, psi.a, psi.b)
-    return (res.value, res) if details else res.value
+    return _gls(weighted_lp_norm, u, psi, A, rel_tol, details)
 
 
 def gls_gradient_norm(
@@ -301,13 +307,7 @@ def gls_gradient_norm(
     details: bool = False,
 ):
     """Grand norm of |grad u|: sup_p || |u'| ||_{p, A} / psi(p)."""
-    A = as_exponent_tuple(A)
-    if psi.a < 1.0:
-        raise InputError(f"psi support must start at p >= 1, got {psi.a}")
-    tally = _QuadTally()
-    objective = tally.wrap(weighted_gradient_norm, u, A, psi, rel_tol)
-    res = _scan_sup(objective, psi.a, psi.b)
-    return (res.value, res) if details else res.value
+    return _gls(weighted_gradient_norm, u, psi, A, rel_tol, details)
 
 
 def fundamental_function(
@@ -416,19 +416,22 @@ def morrey_bound(
     delta: float,
     *,
     c2: float = 1.0,
+    rel_tol: float = DEFAULT_REL_TOL,
     details: bool = False,
 ):
     """Upper bound on the two-point modulus |u(x) - u(y)| for |x - y| <= delta.
 
     bound = ||grad u||_{G(psi)} * delta / phi_{G(psi_D)}(delta^D), where
-    psi_D is the morrey transform with calibration constant c2.
+    psi_D is the morrey transform with calibration constant c2.  With
+    ``details`` the info dict also holds, under ``quadrature``, the
+    QuadratureDiagnostics of the gradient norm's slices.
     """
     A = as_exponent_tuple(A)
     D = A.effective_dimension
     if not (delta > 0.0 and math.isfinite(delta)):
         raise DomainError(f"delta must be positive and finite, got {delta}")
     psi_d = morrey_transform(psi, A, c2)
-    grad, grad_res = gls_gradient_norm(u, psi, A, details=True)
+    grad, grad_res = gls_gradient_norm(u, psi, A, rel_tol=rel_tol, details=True)
     phi, phi_res = fundamental_function(psi_d, delta**D, details=True)
     bound = grad * delta / phi
     if details:
@@ -437,6 +440,7 @@ def morrey_bound(
             "gradient-argmax": grad_res.argmax,
             "fundamental-value": phi,
             "fundamental-argmax": phi_res.argmax,
+            "quadrature": grad_res.quadrature,
         }
     return bound
 
@@ -515,44 +519,36 @@ def verify_gls_sobolev(
     D = A.effective_dimension
     zeta = zeta_transform(psi, A, variant=variant)
 
-    rhs_tally = _QuadTally()
-    rhs_obj = rhs_tally.wrap(weighted_gradient_norm, u, A, psi, rel_tol)
-    rhs_res = _scan_sup(rhs_obj, psi.a, psi.b)
+    rhs, rhs_res = _gls(weighted_gradient_norm, u, psi, A, rel_tol, True)
+    lhs, lhs_res = _gls(weighted_lp_norm, u, zeta, A, rel_tol, True)
 
-    lhs_tally = _QuadTally()
-    lhs_obj = lhs_tally.wrap(weighted_lp_norm, u, A, zeta, rel_tol)
-    lhs_res = _scan_sup(lhs_obj, zeta.a, zeta.b)
-
-    slice_tally = _QuadTally()
+    slice_diag = QuadratureDiagnostics()
 
     def slice_objective(p: float) -> float:
-        num, ndiag = weighted_lp_norm(u, A, _q_of_p(p, D), rel_tol=rel_tol, details=True)
-        den, ddiag = weighted_gradient_norm(u, A, p, rel_tol=rel_tol, details=True)
-        for diag in (ndiag, ddiag):
-            slice_tally.panels += diag.panels
-            slice_tally.neval += diag.neval
-            slice_tally.converged = slice_tally.converged and diag.converged
+        num = _slice_norm(slice_diag, weighted_lp_norm, u, A, _q_of_p(p, D), rel_tol)
+        den = _slice_norm(slice_diag, weighted_gradient_norm, u, A, p, rel_tol)
         c = sharp_constant(A, p, variant=variant)
         return num / (c * den) if den > 0.0 else math.nan
 
     slice_res = _scan_sup(slice_objective, psi.a, min(psi.b, D))
 
+    lhs_diag, rhs_diag = lhs_res.quadrature, rhs_res.quadrature
     quad = {
-        "lhs": lhs_tally.to_dict(),
-        "rhs": rhs_tally.to_dict(),
-        "slice": slice_tally.to_dict(),
+        "lhs": lhs_diag.to_dict(),
+        "rhs": rhs_diag.to_dict(),
+        "slice": slice_diag.to_dict(),
         "converged": (
-            lhs_tally.converged
-            and rhs_tally.converged
-            and slice_tally.converged
+            lhs_diag.converged
+            and rhs_diag.converged
+            and slice_diag.converged
             and not lhs_res.diverged
             and not rhs_res.diverged
         ),
     }
     return VerificationReport(
         inequality_id="gls-5.6",
-        lhs=lhs_res.value,
-        rhs=rhs_res.value,
+        lhs=lhs,
+        rhs=rhs,
         constant=1.0,
         inputs={
             "check": "gls-embedding",

@@ -180,6 +180,14 @@ def _norm_from_values(
     return math.exp(log_norm), diag
 
 
+def _norm(values_fn, u: RadialProfile, A, p: float, rel_tol: float, details: bool):
+    A = as_exponent_tuple(A)
+    if not (p >= 1.0 and math.isfinite(p)):
+        raise DomainError(f"norm exponent p must satisfy 1 <= p < inf, got {p}")
+    value, diag = _norm_from_values(values_fn, u, A, p, rel_tol)
+    return (value, diag) if details else value
+
+
 def weighted_lp_norm(
     u: RadialProfile,
     A,
@@ -214,11 +222,7 @@ def weighted_lp_norm(
     QuadratureError
         If the requested tolerance cannot be certified.
     """
-    A = as_exponent_tuple(A)
-    if not (p >= 1.0 and math.isfinite(p)):
-        raise DomainError(f"norm exponent p must satisfy 1 <= p < inf, got {p}")
-    value, diag = _norm_from_values(u.value, u, A, p, rel_tol)
-    return (value, diag) if details else value
+    return _norm(u.value, u, A, p, rel_tol, details)
 
 
 def weighted_gradient_norm(
@@ -230,11 +234,7 @@ def weighted_gradient_norm(
     details: bool = False,
 ):
     """|| |grad u| ||_{p, A}; for radial u this is the norm of |u'(rho)|."""
-    A = as_exponent_tuple(A)
-    if not (p >= 1.0 and math.isfinite(p)):
-        raise DomainError(f"norm exponent p must satisfy 1 <= p < inf, got {p}")
-    value, diag = _norm_from_values(u.derivative, u, A, p, rel_tol)
-    return (value, diag) if details else value
+    return _norm(u.derivative, u, A, p, rel_tol, details)
 
 
 def sup_norm(u: RadialProfile) -> float:

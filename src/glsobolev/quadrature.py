@@ -84,6 +84,7 @@ class QuadratureDiagnostics:
         self.panels += other.panels
         self.neval += other.neval
         self.error_estimate += other.error_estimate
+        self.rel_error = max(self.rel_error, other.rel_error)
         self.converged = self.converged and other.converged
         if other.truncation_radius is not None:
             prev = self.truncation_radius

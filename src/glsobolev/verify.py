@@ -19,16 +19,15 @@ from .errors import DomainError, InputError
 from .exponents import as_exponent_tuple, sobolev_exponent, trace_exponent
 from .grand import (
     PsiFunction,
+    _psi_from_spec,
     calibrate_morrey_constant,
-    constant_psi,
     modulus_of_continuity,
     morrey_bound,
-    power_endpoint_psi,
     verify_gls_sobolev,
 )
 from .norms import radial_integral, weighted_gradient_norm, weighted_lp_norm
 from .profiles import Decaying, RadialProfile, _as_radial, make_profile
-from .quadrature import DEFAULT_REL_TOL
+from .quadrature import DEFAULT_REL_TOL, QuadratureDiagnostics
 from .reports import VerificationReport, sort_reports, write_csv, write_jsonl
 
 
@@ -105,7 +104,10 @@ def check_sobolev(
 
 @dataclass(frozen=True)
 class ScalingFit:
-    """Least-squares slopes of log norm against log dilation factor."""
+    """Least-squares slopes of log norm against log dilation factor.
+
+    ``quadrature`` merges the diagnostics of every norm behind the fit.
+    """
 
     slope_lhs: float
     slope_rhs: float
@@ -113,6 +115,7 @@ class ScalingFit:
     expected_rhs: float
     residual_lhs: float
     residual_rhs: float
+    quadrature: QuadratureDiagnostics = field(default_factory=QuadratureDiagnostics)
 
     @property
     def max_deviation(self) -> float:
@@ -150,10 +153,15 @@ def fit_scaling_exponents(
     log_l = np.log(lambdas)
     log_lhs = np.empty_like(log_l)
     log_rhs = np.empty_like(log_l)
+    diag = QuadratureDiagnostics()
     for i, lam in enumerate(lambdas):
         v = u.dilated(float(lam))
-        log_lhs[i] = math.log(weighted_lp_norm(v, B, q, rel_tol=rel_tol))
-        log_rhs[i] = math.log(weighted_gradient_norm(v, A, p, rel_tol=rel_tol))
+        lhs, ldiag = weighted_lp_norm(v, B, q, rel_tol=rel_tol, details=True)
+        rhs, rdiag = weighted_gradient_norm(v, A, p, rel_tol=rel_tol, details=True)
+        diag.merge(ldiag)
+        diag.merge(rdiag)
+        log_lhs[i] = math.log(lhs)
+        log_rhs[i] = math.log(rhs)
     fit_l = np.polyfit(log_l, log_lhs, 1)
     fit_r = np.polyfit(log_l, log_rhs, 1)
     res_l = float(np.max(np.abs(np.polyval(fit_l, log_l) - log_lhs)))
@@ -165,6 +173,7 @@ def fit_scaling_exponents(
         expected_rhs=1.0 - A.effective_dimension / p,
         residual_lhs=res_l,
         residual_rhs=res_r,
+        quadrature=diag,
     )
 
 
@@ -195,7 +204,7 @@ def check_scaling(
             "tol": tol,
         },
         tolerances={"slope-tol": tol, "quad-rel-tol": rel_tol},
-        quadrature={"converged": True},
+        quadrature=fit.quadrature.to_dict(),
         extra={
             "slope-lhs": fit.slope_lhs,
             "slope-rhs": fit.slope_rhs,
@@ -281,7 +290,8 @@ def check_morrey(
     """Sampled modulus of continuity against the grand Morrey bound."""
     A = as_exponent_tuple(A)
     omega = modulus_of_continuity(u, delta)
-    bound, info = morrey_bound(u, psi, A, delta, c2=c2, details=True)
+    bound, info = morrey_bound(u, psi, A, delta, c2=c2, rel_tol=rel_tol, details=True)
+    diag = info.pop("quadrature")
     return VerificationReport(
         inequality_id="morrey-7.8",
         lhs=omega,
@@ -297,7 +307,7 @@ def check_morrey(
             "slack": slack,
         },
         tolerances={"slack": slack, "quad-rel-tol": rel_tol},
-        quadrature={"converged": True},
+        quadrature=diag.to_dict(),
         extra=info,
         slack=slack,
     )
@@ -407,19 +417,6 @@ def default_campaign_config() -> dict:
     }
 
 
-def _psi_from_config(spec: dict) -> PsiFunction:
-    family = spec.get("family", "constant")
-    if family == "constant":
-        return constant_psi(spec["a"], spec.get("b", math.inf))
-    if family == "power-endpoint":
-        return power_endpoint_psi(spec["a"], spec["b"], spec["alpha"], spec["beta"])
-    if family == "tabulated":
-        from .grand import tabulated_psi
-
-        return tabulated_psi(spec["nodes"], spec["values"])
-    raise InputError(f"unknown psi family '{family}'")
-
-
 def _family_from_config(spec: dict, seed: int) -> ProfileFamily:
     return ProfileFamily(
         generator=spec["generator"],
@@ -453,7 +450,7 @@ def run_campaign(config: dict | None = None, *, jsonl_path=None, csv_path=None) 
                             check_sobolev(u, check["A"], p, variant=variant, slack=slack)
                         )
             elif kind == "gls":
-                psi = _psi_from_config(check["psi"])
+                psi = _psi_from_spec(check["psi"])
                 for u in profiles:
                     reports.append(
                         verify_gls_sobolev(u, psi, check["A"], variant=variant, slack=slack)
@@ -467,7 +464,7 @@ def run_campaign(config: dict | None = None, *, jsonl_path=None, csv_path=None) 
                             )
                         )
             elif kind == "morrey":
-                psi = _psi_from_config(check["psi"])
+                psi = _psi_from_spec(check["psi"])
                 deltas = check["deltas"]
                 c2 = check.get("c2")
                 if c2 is None:

@@ -1,0 +1,36 @@
+"""The benchmark's tracer (bench/tracing.py) measures the library by
+replacing functions at the module attributes their callers look up.  These
+tests fail when a refactor renames one of those attributes or routes the
+grand layer or the checkers around them."""
+
+from pathlib import Path
+
+import glsobolev.grand as ggrand
+import glsobolev.verify as gverify
+from glsobolev.profiles import bump
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+
+
+def test_wrap_points_exist_and_see_library_calls(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    import tracing
+
+    missing = [
+        f"{module.__name__}.{attr}"
+        for module, attr, _ in tracing.WRAP_POINTS
+        if not hasattr(module, attr)
+    ]
+    assert missing == []
+    tracer = tracing.Tracer(keep_spans=False)
+    tracer.install()
+    try:
+        u = tracer.profile(bump(1.0, 1.0))
+        ggrand.gls_norm(u, ggrand.constant_psi(1.5, 2.5), (1.0, 2.0))
+        gverify.check_sobolev(u, (1.0, 2.0), 2.0)
+    finally:
+        tracer.uninstall()
+    m = tracer.metrics()
+    assert m["grand.slices"] > 0
+    assert m["grand.sups"] == 1
+    assert m["quadrature.neval"] == m["quadrature.evals"] > 0

@@ -173,6 +173,35 @@ class TestScalingCommand:
         assert payload["max-deviation"] < 1e-8
 
 
+class TestUnconvergedExitCodes:
+    def test_gls_norm(self, capsys, force_unconverged):
+        force_unconverged("glsobolev.grand.weighted_lp_norm")
+        code, payload = run_json(
+            capsys,
+            ["gls-norm", "--profile", "bump:1,1", "--psi", "constant:1.5,2.5", "--A", "1,2"],
+        )
+        assert code == 3
+        assert payload["diagnostics"]["converged"] is False
+
+    def test_morrey(self, capsys, force_unconverged):
+        force_unconverged("glsobolev.grand.weighted_gradient_norm")
+        code, payload = run_json(
+            capsys,
+            ["morrey", "--profile", "tent:1.5", "--psi", "constant:5,9", "--A", "1,1",
+             "--delta", "0.25,0.5"],
+        )
+        assert code == 3
+        assert [entry["diagnostics"]["converged"] for entry in payload] == [False, False]
+
+    def test_scaling(self, capsys, force_unconverged):
+        force_unconverged("glsobolev.verify.weighted_gradient_norm")
+        code, payload = run_json(
+            capsys, ["scaling", "--profile", "bump:1,1", "--A", "1,2", "--p", "2"]
+        )
+        assert code == 3
+        assert payload["diagnostics"]["converged"] is False
+
+
 class TestTraceCommand:
     def test_pass_exit_zero(self, capsys):
         code, payload = run_json(

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from glsobolev.errors import DivergentIntegralError, QuadratureError
 from glsobolev.quadrature import (
+    QuadratureDiagnostics,
     adaptive_quadrature,
     extend_tail,
     integrate_power_weighted,
@@ -160,3 +161,25 @@ class TestTailExtension:
     def test_bad_start(self):
         with pytest.raises(QuadratureError):
             extend_tail(lambda t: t**-3.0, 0.0)
+
+
+class TestDiagnosticsMerge:
+    def test_sums_work_and_keeps_the_worst_error(self):
+        diag = QuadratureDiagnostics(panels=2, neval=30, error_estimate=1e-12, rel_error=1e-13)
+        diag.merge(
+            QuadratureDiagnostics(
+                panels=3,
+                neval=45,
+                error_estimate=2e-12,
+                rel_error=5e-11,
+                truncation_radius=4.0,
+                converged=False,
+            )
+        )
+        assert (diag.panels, diag.neval) == (5, 75)
+        assert diag.error_estimate == pytest.approx(3e-12, rel=1e-15)
+        assert diag.rel_error == 5e-11
+        assert diag.truncation_radius == 4.0
+        assert not diag.converged
+        diag.merge(QuadratureDiagnostics(rel_error=1e-14))
+        assert diag.rel_error == 5e-11

@@ -8,6 +8,7 @@ from glsobolev.constants import trace_bounds
 from glsobolev.errors import DomainError, InputError
 from glsobolev.exponents import trace_exponent
 from glsobolev.grand import constant_psi
+from glsobolev.norms import weighted_gradient_norm
 from glsobolev.profiles import bump, gaussian, tent
 from glsobolev.reports import INEQUALITY_IDS, exit_status
 from glsobolev.verify import (
@@ -59,6 +60,14 @@ class TestCheckSobolev:
         assert report.passed
         assert report.ratio < 1.0
         assert report.inequality_id == "sobolev-1.6a"
+
+    def test_rel_error_covers_the_gradient_side(self):
+        # the gradient side is the less accurate one here; the report's
+        # rel-error must not hide it behind the lhs figure
+        u, A, p = bump(1.0, 1.0), [1.0, 2.0], 1.5
+        report = check_sobolev(u, A, p)
+        _, diag = weighted_gradient_norm(u, A, p, details=True)
+        assert report.quadrature["rel-error"] >= diag.rel_error > 0.0
 
     def test_unweighted_constant_logged(self):
         report = check_sobolev(bump(1.0, 1.0), [0.0, 0.0, 0.0], 2.0)
@@ -140,6 +149,27 @@ class TestMorreyCheck:
         assert report.constant == 1.0
         if report.passed:
             assert report.lhs <= report.rhs * (1.0 + 1e-6)
+
+    def test_rel_tol_reaches_the_quadrature(self):
+        args = (bump(1.0, 1.0), constant_psi(5.0, 9.0), [1.0, 1.0], 0.4)
+        loose = check_morrey(*args, c2=2.0, rel_tol=1e-6)
+        tight = check_morrey(*args, c2=2.0)
+        assert loose.quadrature["converged"] and tight.quadrature["converged"]
+        assert loose.quadrature["neval"] < tight.quadrature["neval"]
+
+
+class TestForcedNonConvergence:
+    def test_morrey_inconclusive(self, force_unconverged):
+        force_unconverged("glsobolev.grand.weighted_gradient_norm")
+        report = check_morrey(tent(1.5), constant_psi(5.0, 9.0), [1.0, 1.0], 0.4, c2=2.0)
+        assert report.quadrature["converged"] is False
+        assert report.status == "inconclusive"
+
+    def test_scaling_inconclusive(self, force_unconverged):
+        force_unconverged("glsobolev.verify.weighted_gradient_norm")
+        report = check_scaling(gaussian(1.0), [1.0, 1.0], [1.0, 1.0], 1.8)
+        assert report.quadrature["converged"] is False
+        assert report.status == "inconclusive"
 
 
 class TestRdSequence:
