@@ -29,6 +29,7 @@ from .grand import (
 )
 from .norms import weighted_gradient_norm, weighted_lp_norm
 from .profiles import make_profile
+from .quadrature import DEFAULT_REL_TOL
 from .reports import dumps, exit_status, format_float
 from .verify import (
     check_trace_radial,
@@ -342,12 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, rel_tol: bool):
         p.add_argument("--output", choices=("json", "csv", "pretty"), default="json")
-        p.add_argument("--rel-tol", type=float, default=1e-10)
+        if rel_tol:
+            p.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL)
 
     p = sub.add_parser("constants", help="sharp constants and exponent laws")
-    add_common(p)
+    add_common(p, rel_tol=False)
     p.add_argument("--A", required=True, help="comma-separated weight exponents")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--B", help="trace-side exponents (with --r)")
@@ -355,33 +357,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=("corrected", "literal"), default="corrected")
 
     p = sub.add_parser("norm", help="weighted Lp norm of a radial profile")
-    add_common(p)
+    add_common(p, rel_tol=True)
     p.add_argument("--profile", required=True, help="e.g. bump:1.0,2.0")
     p.add_argument("--A", required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--gradient", action="store_true")
 
     p = sub.add_parser("gls-norm", help="grand Lebesgue norm")
-    add_common(p)
+    add_common(p, rel_tol=True)
     p.add_argument("--profile", required=True)
     p.add_argument("--psi", required=True, help="constant:a[,b] | power:a,b,alpha,beta | table:p=v,...")
     p.add_argument("--A", required=True)
     p.add_argument("--gradient", action="store_true")
 
     p = sub.add_parser("fundamental", help="fundamental function of a grand space")
-    add_common(p)
+    add_common(p, rel_tol=False)
     p.add_argument("--psi", required=True)
     p.add_argument("--delta", required=True, help="comma-separated measures")
 
     p = sub.add_parser("zeta", help="exponent-law transform of a weight")
-    add_common(p)
+    add_common(p, rel_tol=False)
     p.add_argument("--psi", required=True)
     p.add_argument("--A", required=True)
     p.add_argument("--q", required=True, help="comma-separated evaluation points")
     p.add_argument("--variant", choices=("corrected", "literal"), default="corrected")
 
     p = sub.add_parser("morrey", help="continuity-modulus bound")
-    add_common(p)
+    add_common(p, rel_tol=True)
     p.add_argument("--profile", required=True)
     p.add_argument("--psi", required=True)
     p.add_argument("--A", required=True)
@@ -390,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", action="store_true", help="also sample the modulus")
 
     p = sub.add_parser("scaling", help="dilation exponents of both sides")
-    add_common(p)
+    add_common(p, rel_tol=True)
     p.add_argument("--profile", required=True)
     p.add_argument("--A", required=True)
     p.add_argument("--B")
@@ -398,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float)
 
     p = sub.add_parser("trace", help="radial trace inequality check")
-    add_common(p)
+    add_common(p, rel_tol=True)
     p.add_argument("--profile", required=True)
     p.add_argument("--A", required=True)
     p.add_argument("--B", required=True)
@@ -407,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slack", type=float, default=1e-6)
 
     p = sub.add_parser("campaign", help="run a battery of inequality checks")
-    add_common(p)
+    add_common(p, rel_tol=False)
     p.add_argument("--config", help=f"JSON config (relative paths use ${CONFIG_DIR_ENV})")
     p.add_argument("--seed", type=int)
     p.add_argument("--jsonl", help="write full reports here")

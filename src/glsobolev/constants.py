@@ -71,22 +71,6 @@ def _log_gamma_product(A) -> float:
     return sum(log_gamma((a + 1.0) / 2.0) for a in A.entries)
 
 
-def _sharp_constant_p1_relaxed(A, variant: str = "corrected") -> float:
-    """C1 without the D > 1 guard (admits D >= 1, for boundary inspection)."""
-    A = as_exponent_tuple(A)
-    _check_variant(variant)
-    D = A.effective_dimension
-    if D < 1.0:
-        raise DomainError(f"effective dimension D = {D} must be >= 1")
-    lgp = _log_gamma_product(A)
-    if variant == "corrected":
-        return math.exp(-math.log(D) + (log_gamma(1.0 + D / 2.0) - lgp) / D)
-    k = A.positive_count
-    return math.exp(
-        math.log(D) + (lgp - k * math.log(2.0) - log_gamma((1.0 + D) / 2.0)) / D
-    )
-
-
 def sharp_constant_p1(A, variant: str = "corrected") -> float:
     """The p -> 1+ limit constant C1 of the monomial Sobolev inequality.
 
@@ -95,11 +79,17 @@ def sharp_constant_p1(A, variant: str = "corrected") -> float:
     attains it in the p = 1 inequality.
     """
     A = as_exponent_tuple(A)
-    if A.effective_dimension <= 1.0:
-        raise DomainError(
-            f"effective dimension D = {A.effective_dimension} must exceed 1"
-        )
-    return _sharp_constant_p1_relaxed(A, variant)
+    D = A.effective_dimension
+    if D <= 1.0:
+        raise DomainError(f"effective dimension D = {D} must exceed 1")
+    _check_variant(variant)
+    lgp = _log_gamma_product(A)
+    if variant == "corrected":
+        return math.exp(-math.log(D) + (log_gamma(1.0 + D / 2.0) - lgp) / D)
+    k = A.positive_count
+    return math.exp(
+        math.log(D) + (lgp - k * math.log(2.0) - log_gamma((1.0 + D) / 2.0)) / D
+    )
 
 
 def sharp_constant(A, p: float, variant: str = "corrected") -> float:
@@ -126,7 +116,7 @@ def sharp_constant(A, p: float, variant: str = "corrected") -> float:
     p = float(p)
     _guard_open_endpoint(p, 1.0, D)
     pprime = p / (p - 1.0)
-    c1 = _sharp_constant_p1_relaxed(A, variant)
+    c1 = sharp_constant_p1(A, variant)
     if variant == "corrected":
         d_exp = 1.0 - 1.0 / D - 1.0 / p
     else:

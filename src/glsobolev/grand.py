@@ -87,7 +87,10 @@ def constant_psi(a: float, b: float) -> PsiFunction:
 
 
 def power_endpoint_psi(a: float, b: float, alpha: float, beta: float) -> PsiFunction:
-    """psi blowing up like (p - a)^-alpha and (b - p)^-beta, normalized to min 1."""
+    """psi blowing up like (p - a)^-alpha and (b - p)^-beta, normalized to min 1.
+
+    With one exponent 0 the infimum 1 is approached at that open end.
+    """
     a, b = float(a), float(b)
     alpha, beta = float(alpha), float(beta)
     if not math.isfinite(b):
@@ -97,7 +100,11 @@ def power_endpoint_psi(a: float, b: float, alpha: float, beta: float) -> PsiFunc
     if alpha == 0.0 and beta == 0.0:
         return constant_psi(a, b)
     p_star = (alpha * b + beta * a) / (alpha + beta)
-    log_min = -alpha * _safe_log(p_star - a) - beta * _safe_log(b - p_star)
+    log_min = 0.0
+    if alpha > 0.0:
+        log_min -= alpha * math.log(p_star - a)
+    if beta > 0.0:
+        log_min -= beta * math.log(b - p_star)
 
     def func(p):
         p = np.asarray(p, dtype=float)
@@ -152,12 +159,6 @@ def _psi_from_spec(spec: dict) -> PsiFunction:
     raise InputError(f"unknown psi family '{family}'")
 
 
-def _safe_log(x: float) -> float:
-    if x <= 0.0:
-        raise InputError(f"expected a positive quantity, got {x}")
-    return math.log(x)
-
-
 def _exponent_grid(a: float, b: float, n: int) -> np.ndarray:
     """Geometric probe grid strictly inside (a, b); 1/p spacing when b = inf."""
     if math.isinf(b):
@@ -183,14 +184,7 @@ class SupremumResult:
     quadrature: QuadratureDiagnostics = field(default_factory=QuadratureDiagnostics)
 
 
-def _scan_sup(
-    objective,
-    a: float,
-    b: float,
-    *,
-    n_grid: int = SUP_GRID_POINTS,
-    rel_tol: float = SUP_REL_TOL,
-) -> SupremumResult:
+def _scan_sup(objective, a: float, b: float) -> SupremumResult:
     """Grid scan plus golden-section refinement of sup objective(p).
 
     DivergentIntegralError from a slice makes the supremum +inf.  A slice
@@ -214,7 +208,7 @@ def _scan_sup(
             return -math.inf
         return v if not math.isnan(v) else -math.inf
 
-    grid = _exponent_grid(a, b, n_grid)
+    grid = _exponent_grid(a, b, SUP_GRID_POINTS)
     vals = np.array([safe(p) for p in grid])
     i = int(np.argmax(vals))
     if math.isinf(vals[i]) and vals[i] > 0:
@@ -238,7 +232,7 @@ def _scan_sup(
                 return SupremumResult(math.inf, x, False, evals, diverged=True)
             if v > best_v:
                 best_x, best_v = x, v
-        if hi - lo <= rel_tol * max(abs(lo), abs(hi)):
+        if hi - lo <= SUP_REL_TOL * max(abs(lo), abs(hi)):
             break
         if f1 >= f2:
             hi, x2, f2 = x2, x1, f1
@@ -445,17 +439,12 @@ def morrey_bound(
     return bound
 
 
-def modulus_of_continuity(
-    u: RadialProfile,
-    delta: float,
-    *,
-    n_grid: int = 4096,
-    n_offsets: int = 16,
-) -> float:
+def modulus_of_continuity(u: RadialProfile, delta: float) -> float:
     """Sampled two-point modulus sup {|u(x) - u(y)| : |x - y| <= delta}.
 
     For radial u every achievable value pair occurs along a single ray, so
-    the scan runs over a dense radial grid shifted by offsets up to delta.
+    the scan runs over a 4096-point radial grid shifted by the 16 offsets
+    delta * j / 16, j = 1, ..., 16.
     """
     if not (delta > 0.0 and math.isfinite(delta)):
         raise DomainError(f"delta must be positive and finite, got {delta}")
@@ -463,11 +452,11 @@ def modulus_of_continuity(
         r_hi = u.support.radius + delta
     else:
         r_hi = 32.0 * u.support.radius + delta
-    grid = np.linspace(0.0, r_hi, n_grid)
+    grid = np.linspace(0.0, r_hi, 4096)
     base = np.asarray(u.value(grid), dtype=float)
     best = 0.0
-    for j in range(1, n_offsets + 1):
-        h = delta * j / n_offsets
+    for j in range(1, 17):
+        h = delta * j / 16
         shifted = np.asarray(u.value(grid + h), dtype=float)
         best = max(best, float(np.max(np.abs(shifted - base))))
     return best
@@ -483,13 +472,19 @@ def calibrate_morrey_constant(
 
     Returns max over the battery of omega(u, delta) / bound(c2 = 1),
     rounded up by one ulp so the certified comparisons hold under
-    floating-point rounding.
+    floating-point rounding.  Raises QuadratureError when a gradient
+    slice behind some unit bound is not certified.
     """
     worst = 0.0
     for u in profiles:
         for delta in deltas:
             omega = modulus_of_continuity(u, delta)
-            unit = morrey_bound(u, psi, A, delta, c2=1.0)
+            unit, info = morrey_bound(u, psi, A, delta, c2=1.0, details=True)
+            if not info["quadrature"].converged:
+                raise QuadratureError(
+                    f"unit bound for profile '{u.name}' at delta = {delta} "
+                    f"rests on an unconverged gradient slice"
+                )
             if unit <= 0.0 or not math.isfinite(unit):
                 raise InputError(
                     f"degenerate unit bound {unit} for profile '{u.name}'"

@@ -149,21 +149,19 @@ def radial_integral(
     return head + tail, diag
 
 
-def _norm_from_values(
-    values_fn,
-    profile: RadialProfile,
-    A: ExponentTuple,
-    p: float,
-    rel_tol: float,
-) -> tuple[float, QuadratureDiagnostics]:
+def _norm(values_fn, u: RadialProfile, A, p: float, rel_tol: float, details: bool):
+    """||values_fn||_{p, A}: the body of weighted_lp_norm and weighted_gradient_norm."""
+    A = as_exponent_tuple(A)
+    if not (p >= 1.0 and math.isfinite(p)):
+        raise DomainError(f"norm exponent p must satisfy 1 <= p < inf, got {p}")
     D = A.effective_dimension
-    grid = _scan_grid(profile)
+    grid = _scan_grid(u)
     sample = np.abs(np.asarray(values_fn(grid), dtype=float))
     peak = float(np.max(sample))
-    if peak == 0.0 or not np.isfinite(peak):
-        if peak == 0.0:
-            return 0.0, QuadratureDiagnostics()
+    if not np.isfinite(peak):
         raise DomainError("profile takes non-finite values on its support")
+    if peak == 0.0:
+        return (0.0, QuadratureDiagnostics()) if details else 0.0
     rho_star = float(grid[int(np.argmax(sample))])
 
     def g(r):
@@ -173,18 +171,11 @@ def _norm_from_values(
     if p >= _SEED_P_THRESHOLD:
         span = grid[-1] if rho_star > 0.0 else grid[-1] * 0.5
         edges = _peak_edges(max(rho_star, grid[1]), span)
-    integral, diag = radial_integral(g, D - 1.0, profile, rel_tol=rel_tol, initial_edges=edges)
-    if integral <= 0.0:
-        return 0.0, diag
-    log_norm = math.log(peak) + (_log_angular_mass(A.entries) + math.log(integral)) / p
-    return math.exp(log_norm), diag
-
-
-def _norm(values_fn, u: RadialProfile, A, p: float, rel_tol: float, details: bool):
-    A = as_exponent_tuple(A)
-    if not (p >= 1.0 and math.isfinite(p)):
-        raise DomainError(f"norm exponent p must satisfy 1 <= p < inf, got {p}")
-    value, diag = _norm_from_values(values_fn, u, A, p, rel_tol)
+    integral, diag = radial_integral(g, D - 1.0, u, rel_tol=rel_tol, initial_edges=edges)
+    value = 0.0
+    if integral > 0.0:
+        log_norm = math.log(peak) + (_log_angular_mass(A.entries) + math.log(integral)) / p
+        value = math.exp(log_norm)
     return (value, diag) if details else value
 
 

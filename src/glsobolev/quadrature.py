@@ -1,16 +1,21 @@
 """Adaptive Gauss-Kronrod quadrature for radial integrals.
 
-The workhorse is a G7/K15 pair with heap-driven bisection: the panel with
-the largest error estimate is split until the total estimate certifies the
-requested relative tolerance (default 1e-10, absolute floor 1e-300).
+The workhorse is a G7/K15 pair (QUADPACK) with heap-driven bisection: the
+panel with the largest error estimate is split until the total estimate
+certifies the requested relative tolerance.
 
 Radial measures rho^gamma d rho are handled by two extra pieces:
 
 * a Gauss-Jacobi head panel on [0, eps] that carries the rho^gamma factor
   in its weight function, so fractional powers near 0 cost nothing, and
-* geometric tail extension [R, 2R] for decaying integrands, stopped when
-  the last block contributes less than 1e-12 of the running total (capped
-  at 2^40), with non-decreasing blocks reported as divergence.
+* geometric tail extension [R, 2R] for decaying integrands, with
+  non-decreasing blocks reported as divergence.
+
+The policy is fixed by the module constants: DEFAULT_REL_TOL = 1e-10 is the
+default relative tolerance, ABS_FLOOR = 1e-300 the absolute floor under
+every tolerance and MAX_PANELS = 4096 the default panel budget; the tail
+stops once its last block contributes less than TAIL_REL = 1e-12 of the
+running total, and raises QuadratureError at radius TAIL_CAP = 2^40.
 
 Integrand callables must accept a 1-d ndarray and return a same-length
 ndarray.
@@ -139,7 +144,6 @@ def adaptive_quadrature(
     b: float,
     *,
     rel_tol: float = DEFAULT_REL_TOL,
-    abs_floor: float = ABS_FLOOR,
     max_panels: int = MAX_PANELS,
     initial_edges=None,
     base_value: float = 0.0,
@@ -175,7 +179,7 @@ def adaptive_quadrature(
     panels = len(lo)
 
     def tol_now() -> float:
-        return max(rel_tol * abs(total + base_value), abs_floor)
+        return max(rel_tol * abs(total + base_value), ABS_FLOOR)
 
     while total_err + floor_err > tol_now() and panels < max_panels and heap:
         neg_err, _, pa, pb, pval, perr = heapq.heappop(heap)
@@ -234,10 +238,7 @@ def integrate_power_weighted(
     upper: float,
     *,
     rel_tol: float = DEFAULT_REL_TOL,
-    abs_floor: float = ABS_FLOOR,
-    max_panels: int = MAX_PANELS,
     initial_edges=None,
-    base_value: float = 0.0,
 ) -> tuple[float, QuadratureDiagnostics]:
     """int_0^upper t^gamma_exp g(t) dt with the endpoint weight handled exactly.
 
@@ -252,14 +253,7 @@ def integrate_power_weighted(
         return 0.0, QuadratureDiagnostics()
     if gamma_exp == 0.0:
         return adaptive_quadrature(
-            g,
-            0.0,
-            upper,
-            rel_tol=rel_tol,
-            abs_floor=abs_floor,
-            max_panels=max_panels,
-            initial_edges=initial_edges,
-            base_value=base_value,
+            g, 0.0, upper, rel_tol=rel_tol, initial_edges=initial_edges
         )
     eps = upper / 256.0
     if initial_edges is not None:
@@ -271,7 +265,7 @@ def integrate_power_weighted(
     for _ in range(80):
         check = _jacobi_head(g, gamma_exp, eps, 48)
         neval_head += 48
-        if abs(check - head) <= max(rel_tol * abs(check), abs_floor):
+        if abs(check - head) <= max(rel_tol * abs(check), ABS_FLOOR):
             head = check
             break
         eps *= 0.5
@@ -288,10 +282,8 @@ def integrate_power_weighted(
         eps,
         upper,
         rel_tol=rel_tol,
-        abs_floor=abs_floor,
-        max_panels=max_panels,
         initial_edges=initial_edges,
-        base_value=base_value + head,
+        base_value=head,
     )
     diag.neval += neval_head
     diag.panels += 1
@@ -303,15 +295,11 @@ def extend_tail(
     start: float,
     *,
     rel_tol: float = DEFAULT_REL_TOL,
-    abs_floor: float = ABS_FLOOR,
-    max_panels: int = MAX_PANELS,
-    tail_rel: float = TAIL_REL,
-    cap: float = TAIL_CAP,
     base_value: float = 0.0,
 ) -> tuple[float, QuadratureDiagnostics]:
     """Integrate f over [start, R] with R doubled until the tail is spent.
 
-    Stops when the last block [R, 2R] contributes less than ``tail_rel`` of
+    Stops when the last block [R, 2R] contributes less than ``TAIL_REL`` of
     the running total (including ``base_value``).  Non-decreasing block
     contributions raise DivergentIntegralError; hitting the radius cap with
     a decaying but unspent tail raises QuadratureError.
@@ -322,23 +310,17 @@ def extend_tail(
     diag = QuadratureDiagnostics(truncation_radius=start)
     radius = start
     contribs: list[float] = []
-    while radius < cap:
+    while radius < TAIL_CAP:
         block, bdiag = adaptive_quadrature(
-            f,
-            radius,
-            2.0 * radius,
-            rel_tol=rel_tol,
-            abs_floor=abs_floor,
-            max_panels=max_panels,
-            base_value=base_value + total,
+            f, radius, 2.0 * radius, rel_tol=rel_tol, base_value=base_value + total
         )
         diag.merge(bdiag)
         total += block
         radius *= 2.0
         diag.truncation_radius = radius
         contribs.append(abs(block))
-        scale = max(abs(base_value + total), abs_floor)
-        if contribs[-1] < tail_rel * scale:
+        scale = max(abs(base_value + total), ABS_FLOOR)
+        if contribs[-1] < TAIL_REL * scale:
             return total, diag
         if len(contribs) >= 4 and all(
             contribs[-j] >= 0.999 * contribs[-j - 1] for j in range(1, 4)
@@ -348,8 +330,8 @@ def extend_tail(
                 diagnostics=diag.to_dict(),
             )
     diag.converged = False
-    diag.notes.append(f"tail not spent at radius cap {cap:.3e}")
+    diag.notes.append(f"tail not spent at radius cap {TAIL_CAP:.3e}")
     raise QuadratureError(
-        f"tail below divergence threshold but unspent at cap {cap:.3e}",
+        f"tail below divergence threshold but unspent at cap {TAIL_CAP:.3e}",
         diagnostics=diag.to_dict(),
     )

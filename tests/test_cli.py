@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from glsobolev import __version__
-from glsobolev.cli import CONFIG_DIR_ENV, main
+from glsobolev.cli import CONFIG_DIR_ENV, build_parser, main
 from glsobolev.constants import sharp_constant
 from glsobolev.exponents import sobolev_exponent
 from glsobolev.grand import constant_psi, fundamental_function, gls_norm, zeta_transform
@@ -161,6 +161,14 @@ class TestGlsCommands:
     def test_bad_psi_spec(self, capsys):
         assert main(["fundamental", "--psi", "wavelet:1,2", "--delta", "1"]) == 2
 
+    def test_one_sided_power_psi(self, capsys):
+        code, payload = run_json(
+            capsys,
+            ["gls-norm", "--profile", "bump:1,1", "--psi", "power:1.5,3,0,0.5", "--A", "1,2"],
+        )
+        assert code == 0
+        assert payload["psi"]["params"] == [["alpha", 0.0], ["beta", 0.5]]
+
 
 class TestScalingCommand:
     def test_slopes_match_laws(self, capsys):
@@ -171,6 +179,39 @@ class TestScalingCommand:
         assert payload["slope-lhs"] == pytest.approx(payload["expected-lhs"], abs=1e-8)
         assert payload["slope-rhs"] == pytest.approx(payload["expected-rhs"], abs=1e-8)
         assert payload["max-deviation"] < 1e-8
+
+
+class TestRelTolOption:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["constants", "--A", "1,2", "--p", "2"],
+            ["fundamental", "--psi", "constant:1.5,2.5", "--delta", "1"],
+            ["zeta", "--psi", "constant:1.5,2.5", "--A", "1,2", "--q", "3"],
+            ["campaign"],
+        ],
+    )
+    def test_rejected_where_unused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--rel-tol", "5"])
+        assert exc.value.code == 2
+        assert "--rel-tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["norm", "--profile", "bump:1,1", "--A", "1", "--p", "2"],
+            ["gls-norm", "--profile", "bump:1,1", "--psi", "constant:1.5,2.5", "--A", "1"],
+            ["morrey", "--profile", "tent:1", "--psi", "constant:5,9", "--A", "1",
+             "--delta", "0.5"],
+            ["scaling", "--profile", "bump:1,1", "--A", "1", "--p", "2"],
+            ["trace", "--profile", "bump:1,1", "--A", "1,1", "--B", "1", "--r", "1",
+             "--p", "2"],
+        ],
+    )
+    def test_accepted_where_used(self, argv):
+        args = build_parser().parse_args(argv + ["--rel-tol", "1e-6"])
+        assert args.rel_tol == 1e-6
 
 
 class TestUnconvergedExitCodes:

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from glsobolev.constants import sharp_constant
-from glsobolev.errors import DomainError, InputError
+from glsobolev.errors import DomainError, InputError, QuadratureError
 from glsobolev.exponents import sobolev_exponent
 from glsobolev.grand import (
     PsiFunction,
@@ -47,6 +47,18 @@ class TestPsiFamilies:
         # interior minimum, blow-up toward both endpoints
         assert psi(1.5 + 1e-6) > 10.0
         assert psi(3.0 - 1e-6) > 10.0
+
+    @pytest.mark.parametrize(
+        "alpha, beta, flat, steep",
+        [(0.0, 0.5, 1.5 + 1e-9, 3.0 - 1e-9), (0.5, 0.0, 3.0 - 1e-9, 1.5 + 1e-9)],
+    )
+    def test_power_endpoint_one_sided(self, alpha, beta, flat, steep):
+        # psi -> 1 at the end whose exponent is 0 and blows up at the other
+        psi = power_endpoint_psi(1.5, 3.0, alpha, beta)
+        grid = np.linspace(1.5 + 1e-6, 3.0 - 1e-6, 257)
+        assert np.all(psi(grid) >= 1.0)
+        assert psi(flat) == pytest.approx(1.0, abs=1e-8)
+        assert psi(steep) > 1e4
 
     def test_power_endpoint_degenerate_is_constant(self):
         psi = power_endpoint_psi(1.5, 3.0, 0.0, 0.0)
@@ -287,6 +299,11 @@ class TestCalibration:
         ]
         assert max(ratios) <= 1.0
         assert max(ratios) > 1.0 - 1e-9
+
+    def test_unconverged_slice_raises(self, force_unconverged):
+        force_unconverged("glsobolev.grand.weighted_gradient_norm")
+        with pytest.raises(QuadratureError, match="tent"):
+            calibrate_morrey_constant([tent(1.5)], constant_psi(5.0, 9.0), [1.0, 1.0], (0.5,))
 
 
 class TestVerifyGlsSobolev:
