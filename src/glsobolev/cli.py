@@ -10,6 +10,7 @@ norm with a divergent slice is the certified value inf and exits 0.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -141,22 +142,15 @@ def _emit(payload, fmt: str) -> None:
         rows = payload if isinstance(payload, list) else [payload]
         flats = [_flatten(r) if isinstance(r, dict) else {"value": r} for r in rows]
         keys = sorted({k for f in flats for k in f})
-        print(",".join(keys))
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(keys)
         for f in flats:
-            print(",".join(_csv_cell(f.get(k)) for k in keys))
+            writer.writerow(
+                format_float(v) if isinstance(v, float) else v
+                for v in (f.get(k) for k in keys)
+            )
     else:
         raise InputError(f"unknown output format '{fmt}'")
-
-
-def _csv_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return format_float(v)
-    text = str(v)
-    if "," in text or '"' in text:
-        text = '"' + text.replace('"', '""') + '"'
-    return text
 
 
 def _cmd_constants(args) -> tuple:
@@ -320,7 +314,7 @@ def _cmd_campaign(args) -> tuple:
         cfg["seed"] = args.seed
     reports = run_campaign(cfg, jsonl_path=args.jsonl, csv_path=args.csv)
     code = exit_status(reports)
-    if args.output == "json":
+    if args.output != "pretty":
         return [r.to_dict() for r in reports], code
     for rep in reports:
         print(rep.summary_line())

@@ -68,6 +68,7 @@ def talenti_constant(m: int, p: float) -> float:
 
 
 def _log_gamma_product(A) -> float:
+    """sum_i log Gamma((A(i) + 1) / 2), shared by C1 and the sphere mass sigma_A."""
     return sum(log_gamma((a + 1.0) / 2.0) for a in A.entries)
 
 
@@ -156,7 +157,8 @@ def trace_bounds(
     implemented literally as printed.  ``variant`` reserves room for a
     corrected transcription; only "literal" is implemented.
 
-    q defaults to the trace exponent law D_r(B) * p / (D(A) - p).
+    r and B are validated by trace_exponent, and q defaults to its law
+    D_r(B) * p / (D(A) - p).
     """
     if variant != "literal":
         raise InputError(
@@ -164,16 +166,11 @@ def trace_bounds(
         )
     A = as_exponent_tuple(A)
     B = as_exponent_tuple(B)
-    if q is None:
-        q = trace_exponent(A, B, r, p)
-    q = float(q)
+    q_law = trace_exponent(A, B, r, p)  # validates r and B
+    q = q_law if q is None else float(q)
     p = float(p)
     D = A.effective_dimension
     r = int(r)
-    if r < 1 or r > A.dimension:
-        raise InputError(f"trace dimension r = {r} must satisfy 1 <= r <= {A.dimension}")
-    if B.dimension != r:
-        raise InputError(f"B has {B.dimension} entries, expected r = {r}")
     if D <= r:
         raise DomainError(f"D(A) = {D} must exceed r = {r} for the M factor")
     _guard_open_endpoint(p, 1.0, D)

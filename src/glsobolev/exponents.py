@@ -11,9 +11,8 @@ exponent law reads q = D(B) * p / (D(A) - p) for 1 <= p < D(A).
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,9 +20,6 @@ from .errors import DomainError, InputError
 
 #: exponents closer to a domain endpoint than this are rejected
 ENDPOINT_GUARD = 1e-12
-
-#: relative tolerance for the computed validity flag on SobolevFour
-FOUR_VALID_RTOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -67,17 +63,6 @@ class ExponentTuple:
     def positive_count(self) -> int:
         """Number of strictly positive entries."""
         return sum(1 for a in self.entries if a > 0)
-
-    def to_json(self) -> str:
-        """Serialize as a JSON array of numbers."""
-        return json.dumps(list(self.entries))
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExponentTuple":
-        data = json.loads(text)
-        if not isinstance(data, list):
-            raise InputError("exponent tuple JSON must be an array")
-        return cls(tuple(data))
 
 
 def as_exponent_tuple(A) -> ExponentTuple:
@@ -170,9 +155,9 @@ def sobolev_exponent_inverse(A, q: float) -> float:
 def trace_exponent(A, B, r: int, p: float) -> float:
     """Trace embedding exponent q = D_r(B) * p / (D(A) - p).
 
-    A lives on R^d, B on the r-dimensional trace subspace (so B has r
-    entries and D_r(B) = r + sum B(i)).  r = d is admitted and reproduces
-    sobolev_exponent; r > d is rejected.
+    This is the exponent law of sobolev_exponent with B on the
+    r-dimensional trace subspace: A lives on R^d, B has r entries and
+    D_r(B) = r + sum B(i).  r = d is admitted; r > d is rejected.
     """
     A = as_exponent_tuple(A)
     B = as_exponent_tuple(B)
@@ -184,75 +169,4 @@ def trace_exponent(A, B, r: int, p: float) -> float:
         raise InputError(
             f"trace exponent tuple has {B.dimension} entries, expected r = {r}"
         )
-    DA = A.effective_dimension
-    if DA <= 1.0:
-        raise DomainError(f"effective dimension D(A) = {DA} must exceed 1")
-    p = float(p)
-    if p != 1.0:
-        _guard_open_endpoint(p, 1.0, DA)
-    return B.effective_dimension * p / (DA - p)
-
-
-@dataclass(frozen=True)
-class SobolevFour:
-    """An admissible quadruple (A, B, p, q) of the embedding.
-
-    The ``valid`` flag is computed, never user-set: it records whether q
-    matches the exponent law D(B) * p / (D(A) - p) to relative tolerance
-    1e-14.  Construction rejects p >= D(A) outright.
-    """
-
-    A: ExponentTuple
-    B: ExponentTuple
-    p: float
-    q: float
-    valid: bool = field(init=False)
-
-    def __post_init__(self):
-        A = as_exponent_tuple(self.A)
-        B = as_exponent_tuple(self.B)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        p = float(self.p)
-        q = float(self.q)
-        if p >= A.effective_dimension:
-            raise DomainError(
-                f"p = {p} must lie below D(A) = {A.effective_dimension}"
-            )
-        if p < 1.0:
-            raise DomainError(f"p = {p} must be >= 1")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        q_law = sobolev_exponent(A, B, p) if p >= 1.0 else math.nan
-        ok = math.isfinite(q) and abs(q - q_law) <= FOUR_VALID_RTOL * abs(q_law)
-        object.__setattr__(self, "valid", ok)
-
-    @classmethod
-    def from_p(cls, A, B, p: float) -> "SobolevFour":
-        """Construct with q supplied by the exponent law."""
-        q = sobolev_exponent(A, B, p)
-        return cls(as_exponent_tuple(A), as_exponent_tuple(B), p, q)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "A": list(self.A.entries),
-                "B": list(self.B.entries),
-                "p": self.p,
-                "q": self.q,
-                "valid": self.valid,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SobolevFour":
-        data = json.loads(text)
-        try:
-            return cls(
-                ExponentTuple(tuple(data["A"])),
-                ExponentTuple(tuple(data["B"])),
-                float(data["p"]),
-                float(data["q"]),
-            )
-        except KeyError as exc:
-            raise InputError(f"missing field in SobolevFour JSON: {exc}") from exc
+    return sobolev_exponent(A, B, p)

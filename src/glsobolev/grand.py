@@ -179,7 +179,6 @@ class SupremumResult:
     value: float
     argmax: float
     at_boundary: bool
-    n_evals: int
     diverged: bool = False
     quadrature: QuadratureDiagnostics = field(default_factory=QuadratureDiagnostics)
 
@@ -193,12 +192,9 @@ def _scan_sup(objective, a: float, b: float) -> SupremumResult:
     once the scan finishes, since an uncertified slice could hide the true
     supremum.
     """
-    evals = 0
     pending: list[QuadratureError] = []
 
     def safe(p: float) -> float:
-        nonlocal evals
-        evals += 1
         try:
             v = float(objective(p))
         except DivergentIntegralError:
@@ -212,7 +208,7 @@ def _scan_sup(objective, a: float, b: float) -> SupremumResult:
     vals = np.array([safe(p) for p in grid])
     i = int(np.argmax(vals))
     if math.isinf(vals[i]) and vals[i] > 0:
-        return SupremumResult(math.inf, float(grid[i]), False, evals, diverged=True)
+        return SupremumResult(math.inf, float(grid[i]), False, diverged=True)
     if pending:
         raise QuadratureError(
             f"{len(pending)} of {len(grid)} slices could not be certified "
@@ -229,7 +225,7 @@ def _scan_sup(objective, a: float, b: float) -> SupremumResult:
     for _ in range(200):
         for x, v in ((x1, f1), (x2, f2)):
             if math.isinf(v) and v > 0:
-                return SupremumResult(math.inf, x, False, evals, diverged=True)
+                return SupremumResult(math.inf, x, False, diverged=True)
             if v > best_v:
                 best_x, best_v = x, v
         if hi - lo <= SUP_REL_TOL * max(abs(lo), abs(hi)):
@@ -250,7 +246,6 @@ def _scan_sup(objective, a: float, b: float) -> SupremumResult:
         value=best_v,
         argmax=best_x,
         at_boundary=i in (0, len(grid) - 1),
-        n_evals=evals,
         diverged=False,
     )
 

@@ -24,7 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .constants import _log_gamma_product
+from .errors import DomainError, InputError
 from .exponents import ExponentTuple, as_exponent_tuple
 from .gammafn import log_gamma
 from .profiles import Compact, RadialProfile
@@ -42,12 +43,7 @@ _SCAN_POINTS = 2049
 @lru_cache(maxsize=256)
 def _log_angular_mass(entries: tuple) -> float:
     A = ExponentTuple(entries)
-    D = A.effective_dimension
-    return (
-        math.log(2.0)
-        + sum(log_gamma((a + 1.0) / 2.0) for a in A)
-        - log_gamma(D / 2.0)
-    )
+    return math.log(2.0) + _log_gamma_product(A) - log_gamma(A.effective_dimension / 2.0)
 
 
 def angular_mass(A) -> float:
@@ -80,9 +76,6 @@ class WeightedMeasure:
         D = self.effective_dimension
         return self.angular_mass * radius**D / D
 
-    def lp_norm(self, u: RadialProfile, p: float, **kw) -> float:
-        return weighted_lp_norm(u, self.A, p, **kw)
-
 
 def _scan_grid(profile: RadialProfile) -> np.ndarray:
     if isinstance(profile.support, Compact):
@@ -112,8 +105,10 @@ def radial_integral(
 
     ``fn`` is any vectorized function derived from the profile (the caller
     owns the pointwise transform); the support descriptor decides whether a
-    geometric tail extension is appended.
+    geometric tail extension is appended.  ``rel_tol`` must lie in (0, 1).
     """
+    if not 0.0 < rel_tol < 1.0:
+        raise InputError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     support = profile.support
     if isinstance(support, Compact):
         return integrate_power_weighted(

@@ -20,3 +20,17 @@ def force_unconverged(monkeypatch):
         monkeypatch.setattr(target, unconverged)
 
     return patch
+
+
+@pytest.fixture
+def unconverged_radial_integral(monkeypatch):
+    """Patch the trace check's radial_integral so that it returns its real
+    value with diagnostics flagged unconverged."""
+    from glsobolev import norms
+
+    def unconverged(*args, **kwargs):
+        value, diag = norms.radial_integral(*args, **kwargs)
+        diag.converged = False
+        return value, diag
+
+    monkeypatch.setattr("glsobolev.verify.radial_integral", unconverged)

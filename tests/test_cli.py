@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import subprocess
@@ -12,6 +14,7 @@ from glsobolev.exponents import sobolev_exponent
 from glsobolev.grand import constant_psi, fundamental_function, gls_norm, zeta_transform
 from glsobolev.norms import weighted_gradient_norm, weighted_lp_norm
 from glsobolev.profiles import bump
+from glsobolev.reports import INEQUALITY_IDS
 
 
 def run_json(capsys, argv):
@@ -213,6 +216,13 @@ class TestRelTolOption:
         args = build_parser().parse_args(argv + ["--rel-tol", "1e-6"])
         assert args.rel_tol == 1e-6
 
+    def test_out_of_range_exits_2(self, capsys):
+        code = main(
+            ["norm", "--profile", "bump:1,1", "--A", "1,2", "--p", "2", "--rel-tol", "10"]
+        )
+        assert code == 2
+        assert "rel_tol" in capsys.readouterr().err
+
 
 class TestUnconvergedExitCodes:
     def test_gls_norm(self, capsys, force_unconverged):
@@ -241,6 +251,14 @@ class TestUnconvergedExitCodes:
         )
         assert code == 3
         assert payload["diagnostics"]["converged"] is False
+
+    def test_trace(self, capsys, unconverged_radial_integral):
+        code, payload = run_json(
+            capsys,
+            ["trace", "--profile", "bump:1,1", "--A", "1,1", "--B", "1", "--r", "1", "--p", "2"],
+        )
+        assert code == 3
+        assert payload["status"] == "inconclusive"
 
 
 class TestTraceCommand:
@@ -278,6 +296,13 @@ class TestCampaignCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "checks:" in out.splitlines()[-1]
+
+    def test_csv_rows(self, capsys):
+        code = main(["campaign", "--output", "csv"])
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert code == 0
+        assert len(rows) == 27
+        assert {row["inequality-id"] for row in rows} <= set(INEQUALITY_IDS)
 
     def test_config_resolved_against_env_dir(self, capsys, tmp_path, monkeypatch):
         cfg = {

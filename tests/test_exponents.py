@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 from glsobolev.errors import DomainError, InputError
 from glsobolev.exponents import (
     ExponentTuple,
-    SobolevFour,
     as_exponent_tuple,
     effective_dimension,
     monomial_weight,
@@ -34,11 +32,6 @@ class TestExponentTuple:
     def test_rejects_bad_entries(self, bad):
         with pytest.raises(DomainError):
             ExponentTuple(tuple(bad))
-
-    def test_json_round_trip(self):
-        t = ExponentTuple((1.0, 0.25, 3.0))
-        back = ExponentTuple.from_json(t.to_json())
-        assert back == t
 
     def test_helpers(self):
         assert effective_dimension([1.0, 2.0]) == 5.0
@@ -132,25 +125,3 @@ class TestTraceExponent:
     def test_rejects_mismatched_b_length(self):
         with pytest.raises(InputError):
             trace_exponent([1.0, 2.0], [1.0, 1.0], 1, 2.0)
-
-
-class TestSobolevFour:
-    def test_from_p_is_valid(self):
-        four = SobolevFour.from_p([1.0, 2.0], [1.0, 2.0], 2.0)
-        assert four.valid
-        assert four.q == pytest.approx(10.0 / 3.0)
-
-    def test_off_law_tuple_is_flagged(self):
-        four = SobolevFour(A=(1.0, 2.0), B=(1.0, 2.0), p=2.0, q=3.0)
-        assert not four.valid
-
-    def test_json_round_trip_recomputes_validity(self):
-        four = SobolevFour.from_p([1.0, 2.0], [0.5, 0.5], 1.5)
-        payload = json.loads(four.to_json())
-        clone = SobolevFour.from_json(four.to_json())
-        assert clone.valid == four.valid
-        assert payload["q"] == pytest.approx(four.q)
-
-    def test_rejects_p_at_or_above_dimension(self):
-        with pytest.raises(DomainError):
-            SobolevFour(A=(1.0, 2.0), B=(1.0, 2.0), p=5.0, q=10.0)

@@ -7,7 +7,7 @@ import pytest
 from glsobolev.constants import trace_bounds
 from glsobolev.errors import DomainError, InputError
 from glsobolev.exponents import trace_exponent
-from glsobolev.grand import constant_psi
+from glsobolev.grand import constant_psi, verify_gls_sobolev
 from glsobolev.norms import weighted_gradient_norm
 from glsobolev.profiles import bump, gaussian, tent
 from glsobolev.reports import INEQUALITY_IDS, exit_status
@@ -168,6 +168,23 @@ class TestForcedNonConvergence:
     def test_scaling_inconclusive(self, force_unconverged):
         force_unconverged("glsobolev.verify.weighted_gradient_norm")
         report = check_scaling(gaussian(1.0), [1.0, 1.0], [1.0, 1.0], 1.8)
+        assert report.quadrature["converged"] is False
+        assert report.status == "inconclusive"
+
+    def test_sobolev_inconclusive(self, force_unconverged):
+        force_unconverged("glsobolev.verify.weighted_lp_norm")
+        report = check_sobolev(bump(1.0, 1.0), [1.0, 2.0], 2.0)
+        assert report.quadrature["converged"] is False
+        assert report.status == "inconclusive"
+
+    def test_gls_sobolev_inconclusive(self, force_unconverged):
+        force_unconverged("glsobolev.grand.weighted_lp_norm")
+        report = verify_gls_sobolev(bump(1.0, 1.0), constant_psi(1.5, 2.5), [1.0, 2.0])
+        assert report.quadrature["converged"] is False
+        assert report.status == "inconclusive"
+
+    def test_trace_inconclusive(self, unconverged_radial_integral):
+        report = check_trace_radial(bump(1.0, 1.0), [1.0, 1.0], [1.0], r=1, p=2.0)
         assert report.quadrature["converged"] is False
         assert report.status == "inconclusive"
 
