@@ -31,7 +31,7 @@ from .grand import (
 from .norms import weighted_gradient_norm, weighted_lp_norm
 from .profiles import make_profile
 from .quadrature import DEFAULT_REL_TOL
-from .reports import dumps, exit_status, format_float
+from .reports import DEFAULT_SLACK, dumps, exit_status, format_float
 from .verify import (
     check_trace_radial,
     default_campaign_config,
@@ -278,12 +278,7 @@ def _cmd_scaling(args) -> tuple:
         "A": A,
         "B": B,
         "p": args.p,
-        "slope-lhs": fit.slope_lhs,
-        "slope-rhs": fit.slope_rhs,
-        "expected-lhs": fit.expected_lhs,
-        "expected-rhs": fit.expected_rhs,
-        "residual-lhs": fit.residual_lhs,
-        "residual-rhs": fit.residual_rhs,
+        **fit.figures(),
         "max-deviation": fit.max_deviation,
         "diagnostics": fit.quadrature.to_dict(),
     }
@@ -400,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--B", required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--slack", type=float, default=1e-6)
+    p.add_argument("--slack", type=float, default=DEFAULT_SLACK)
 
     p = sub.add_parser("campaign", help="run a battery of inequality checks")
     add_common(p, rel_tol=False)

@@ -34,12 +34,6 @@ from .gammafn import log_gamma
 _VARIANTS = ("corrected", "literal")
 
 
-def _check_variant(variant: str) -> str:
-    if variant not in _VARIANTS:
-        raise InputError(f"unknown constant variant {variant!r}; use one of {_VARIANTS}")
-    return variant
-
-
 def talenti_constant(m: int, p: float) -> float:
     """Sharp constant of the Sobolev inequality on R^m, 1 <= p < m, m >= 3.
 
@@ -83,7 +77,8 @@ def sharp_constant_p1(A, variant: str = "corrected") -> float:
     D = A.effective_dimension
     if D <= 1.0:
         raise DomainError(f"effective dimension D = {D} must exceed 1")
-    _check_variant(variant)
+    if variant not in _VARIANTS:
+        raise InputError(f"unknown constant variant {variant!r}; use one of {_VARIANTS}")
     lgp = _log_gamma_product(A)
     if variant == "corrected":
         return math.exp(-math.log(D) + (log_gamma(1.0 + D / 2.0) - lgp) / D)
@@ -110,14 +105,11 @@ def sharp_constant(A, p: float, variant: str = "corrected") -> float:
     float
     """
     A = as_exponent_tuple(A)
-    _check_variant(variant)
+    c1 = sharp_constant_p1(A, variant)  # validates D > 1 and the variant
     D = A.effective_dimension
-    if D <= 1.0:
-        raise DomainError(f"effective dimension D = {D} must exceed 1")
     p = float(p)
     _guard_open_endpoint(p, 1.0, D)
     pprime = p / (p - 1.0)
-    c1 = sharp_constant_p1(A, variant)
     if variant == "corrected":
         d_exp = 1.0 - 1.0 / D - 1.0 / p
     else:

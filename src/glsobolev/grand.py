@@ -29,11 +29,16 @@ from scipy.interpolate import PchipInterpolator
 
 from .constants import sharp_constant
 from .errors import DivergentIntegralError, DomainError, InputError, QuadratureError
-from .exponents import as_exponent_tuple
+from .exponents import (
+    ENDPOINT_GUARD,
+    as_exponent_tuple,
+    sobolev_exponent,
+    sobolev_exponent_inverse,
+)
 from .norms import weighted_gradient_norm, weighted_lp_norm
 from .profiles import Compact, RadialProfile
 from .quadrature import DEFAULT_REL_TOL, QuadratureDiagnostics
-from .reports import VerificationReport
+from .reports import DEFAULT_SLACK, VerificationReport
 
 SUP_GRID_POINTS = 64
 SUP_REL_TOL = 1e-8
@@ -325,31 +330,31 @@ def zeta_transform(psi: PsiFunction, A, variant: str = "corrected") -> PsiFuncti
     """Push psi through the exponent law and weight by the sharp constant.
 
     The result zeta(q) = C(p(q)) psi(p(q)), with p(q) = q D / (q + D), lives
-    on the image interval (q(a), q(b)); q(b) is infinite when b reaches the
-    effective dimension.  With this weight the embedding reads
-    ||u||_{G(zeta)} <= ||grad u||_{G(psi)} with constant exactly 1.
+    on the image interval (q(a), q(b)); q(b) is infinite when b lies within
+    ENDPOINT_GUARD of the effective dimension.  With this weight the
+    embedding reads ||u||_{G(zeta)} <= ||grad u||_{G(psi)} with constant
+    exactly 1.
     """
     A = as_exponent_tuple(A)
     D = A.effective_dimension
     if psi.a < 1.0:
         raise InputError(f"gradient-side support must start at p >= 1, got {psi.a}")
-    if psi.b > D + 1e-12:
+    if psi.b > D + ENDPOINT_GUARD:
         raise InputError(
             f"gradient-side support must end at or below the effective "
             f"dimension {D}, got b = {psi.b}"
         )
-    b_eff = min(psi.b, D)
-    q_lo = _q_of_p(max(psi.a, 1.0 + 1e-13), D)
-    q_hi = math.inf if b_eff >= D * (1.0 - 1e-14) else _q_of_p(b_eff, D)
-    p_lo = np.nextafter(psi.a, math.inf)
-    p_hi = np.nextafter(psi.b, -math.inf)
+    q_lo = sobolev_exponent(A, A, psi.a)
+    q_hi = math.inf if D - psi.b < ENDPOINT_GUARD else sobolev_exponent(A, A, psi.b)
+    p_lo = math.nextafter(psi.a, math.inf)
+    p_hi = math.nextafter(psi.b, -math.inf)
 
     def func(q):
         q = np.atleast_1d(np.asarray(q, dtype=float))
-        p = np.clip(q * D / (q + D), p_lo, p_hi)
-        out = np.empty_like(p)
-        for i, pi in enumerate(p):
-            out[i] = sharp_constant(A, float(pi), variant=variant) * psi(float(pi))
+        out = np.empty_like(q)
+        for i, qi in enumerate(q):
+            pi = min(max(sobolev_exponent_inverse(A, float(qi)), p_lo), p_hi)
+            out[i] = sharp_constant(A, pi, variant=variant) * psi(pi)
         return out
 
     return PsiFunction(
@@ -365,10 +370,6 @@ def zeta_transform(psi: PsiFunction, A, variant: str = "corrected") -> PsiFuncti
     )
 
 
-def _q_of_p(p: float, D: float) -> float:
-    return D * p / (D - p)
-
-
 def morrey_transform(psi: PsiFunction, A, c2: float = 1.0) -> PsiFunction:
     """Companion weight c2 * p / (p - D) * psi(p) for supercritical psi.
 
@@ -379,7 +380,7 @@ def morrey_transform(psi: PsiFunction, A, c2: float = 1.0) -> PsiFunction:
     D = A.effective_dimension
     if not (c2 > 0.0 and math.isfinite(c2)):
         raise InputError(f"c2 must be positive and finite, got {c2}")
-    if psi.a <= D + 1e-12:
+    if psi.a <= D + ENDPOINT_GUARD:
         raise InputError(
             f"continuity bound needs the psi support above the effective "
             f"dimension {D}, got a = {psi.a}"
@@ -494,7 +495,7 @@ def verify_gls_sobolev(
     A,
     *,
     variant: str = "corrected",
-    slack: float = 1e-6,
+    slack: float = DEFAULT_SLACK,
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> VerificationReport:
     """Check ||u||_{G(zeta)} <= ||grad u||_{G(psi)} on one profile.
@@ -512,29 +513,18 @@ def verify_gls_sobolev(
     rhs, rhs_res = _gls(weighted_gradient_norm, u, psi, A, rel_tol, True)
     lhs, lhs_res = _gls(weighted_lp_norm, u, zeta, A, rel_tol, True)
 
-    slice_diag = QuadratureDiagnostics()
+    diag = rhs_res.quadrature
+    diag.merge(lhs_res.quadrature)
 
     def slice_objective(p: float) -> float:
-        num = _slice_norm(slice_diag, weighted_lp_norm, u, A, _q_of_p(p, D), rel_tol)
-        den = _slice_norm(slice_diag, weighted_gradient_norm, u, A, p, rel_tol)
+        q = sobolev_exponent(A, A, p)
+        num = _slice_norm(diag, weighted_lp_norm, u, A, q, rel_tol)
+        den = _slice_norm(diag, weighted_gradient_norm, u, A, p, rel_tol)
         c = sharp_constant(A, p, variant=variant)
         return num / (c * den) if den > 0.0 else math.nan
 
     slice_res = _scan_sup(slice_objective, psi.a, min(psi.b, D))
 
-    lhs_diag, rhs_diag = lhs_res.quadrature, rhs_res.quadrature
-    quad = {
-        "lhs": lhs_diag.to_dict(),
-        "rhs": rhs_diag.to_dict(),
-        "slice": slice_diag.to_dict(),
-        "converged": (
-            lhs_diag.converged
-            and rhs_diag.converged
-            and slice_diag.converged
-            and not lhs_res.diverged
-            and not rhs_res.diverged
-        ),
-    }
     return VerificationReport(
         inequality_id="gls-5.6",
         lhs=lhs,
@@ -549,7 +539,7 @@ def verify_gls_sobolev(
             "slack": slack,
         },
         tolerances={"slack": slack, "sup-rel-tol": SUP_REL_TOL, "quad-rel-tol": rel_tol},
-        quadrature=quad,
+        quadrature=diag.to_dict(),
         extra={
             "slice-ratio-sup": slice_res.value,
             "slice-argmax": slice_res.argmax,

@@ -78,9 +78,7 @@ class WeightedMeasure:
 
 
 def _scan_grid(profile: RadialProfile) -> np.ndarray:
-    if isinstance(profile.support, Compact):
-        return np.linspace(0.0, profile.support.radius, _SCAN_POINTS)
-    return np.linspace(0.0, 4.0 * profile.support.radius, _SCAN_POINTS)
+    return np.linspace(0.0, profile.support.scan_radius, _SCAN_POINTS)
 
 
 def _peak_edges(rho_star: float, span: float) -> list[float]:

@@ -3,9 +3,12 @@
 A profile bundles vectorized callables for u and u' together with a support
 descriptor used by the quadrature layer: ``Compact(radius)`` means u
 vanishes beyond the radius, ``Decaying(tail_exponent, radius)`` means
-|u(rho)| <= c rho^{-tail_exponent} beyond the radius.  On construction the
-derivative is spot-checked against central differences at 32 points so a
-mistyped formula fails loudly instead of skewing every norm downstream.
+|u(rho)| <= c rho^{-tail_exponent} beyond the radius.  Each support also
+owns its ``scan_radius``, the end of the window [0, scan_radius] sampled
+for peaks and derivative checks: the radius itself for ``Compact``, four
+radii for ``Decaying``.  On construction the derivative is spot-checked
+against central differences at 32 points of that window so a mistyped
+formula fails loudly instead of skewing every norm downstream.
 """
 
 from __future__ import annotations
@@ -30,6 +33,11 @@ class Compact:
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
             raise InputError(f"compact support radius must be positive, got {self.radius}")
 
+    @property
+    def scan_radius(self) -> float:
+        """End of the sampled window: u vanishes beyond it."""
+        return self.radius
+
 
 @dataclass(frozen=True)
 class Decaying:
@@ -41,6 +49,11 @@ class Decaying:
             raise InputError(f"tail exponent must be positive, got {self.tail_exponent}")
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
             raise InputError(f"decay radius must be positive, got {self.radius}")
+
+    @property
+    def scan_radius(self) -> float:
+        """End of the sampled window: four decay radii."""
+        return 4.0 * self.radius
 
 
 Support = Union[Compact, Decaying]
@@ -74,10 +87,7 @@ class RadialProfile:
             self._check_derivative()
 
     def _check_derivative(self):
-        if isinstance(self.support, Compact):
-            r_hi = self.support.radius
-        else:
-            r_hi = 4.0 * self.support.radius
+        r_hi = self.support.scan_radius
         rho = np.linspace(r_hi / _FD_POINTS, r_hi * (1.0 - 1.0 / (2 * _FD_POINTS)), _FD_POINTS)
         h = 1e-6 * (1.0 + rho)
         fd = (self.value(rho + h) - self.value(rho - h)) / (2.0 * h)
@@ -97,14 +107,10 @@ class RadialProfile:
         if not (lam > 0.0 and math.isfinite(lam)):
             raise InputError(f"dilation factor must be positive, got {lam}")
         u, du = self.value, self.derivative
-        if isinstance(self.support, Compact):
-            support: Support = Compact(self.support.radius / lam)
-        else:
-            support = replace(self.support, radius=self.support.radius / lam)
         return RadialProfile(
             value=_as_radial(lambda r: u(lam * r)),
             derivative=_as_radial(lambda r: lam * du(lam * r)),
-            support=support,
+            support=replace(self.support, radius=self.support.radius / lam),
             name=f"{self.name}|dilate({lam:g})",
             check=False,
         )

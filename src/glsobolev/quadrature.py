@@ -108,6 +108,7 @@ class QuadratureDiagnostics:
             "rel-error": self.rel_error,
             "truncation-radius": self.truncation_radius,
             "converged": self.converged,
+            "notes": list(self.notes),
         }
 
 
@@ -206,7 +207,7 @@ def adaptive_quadrature(
         neval=neval,
         error_estimate=err,
         rel_error=err / max(abs(total + base_value), ABS_FLOOR),
-        converged=err <= tol_now(),
+        converged=bool(err <= tol_now()),  # base_value may be a numpy scalar
     )
     if not diag.converged:
         diag.notes.append(f"panel budget {max_panels} exhausted at error {err:.3e}")

@@ -24,6 +24,9 @@ INEQUALITY_IDS = (
     "scaling-2.4",
 )
 
+#: relative slack a ratio may exceed 1 by and still pass
+DEFAULT_SLACK = 1e-6
+
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
 STATUS_INCONCLUSIVE = "inconclusive"
@@ -99,7 +102,7 @@ class VerificationReport:
     tolerances: dict = field(default_factory=dict)
     quadrature: dict = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
-    slack: float = 1e-6
+    slack: float = DEFAULT_SLACK
     ratio: float = field(init=False)
     status: str = field(init=False)
     inputs_digest: str = field(init=False)

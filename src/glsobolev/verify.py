@@ -10,7 +10,7 @@ CSV artifacts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .grand import (
 from .norms import radial_integral, weighted_gradient_norm, weighted_lp_norm
 from .profiles import Decaying, RadialProfile, _as_radial, make_profile
 from .quadrature import DEFAULT_REL_TOL, QuadratureDiagnostics
-from .reports import VerificationReport, sort_reports, write_csv, write_jsonl
+from .reports import DEFAULT_SLACK, VerificationReport, sort_reports, write_csv, write_jsonl
 
 SCALING_TOL = 1e-8
 
@@ -66,7 +66,7 @@ def check_sobolev(
     p: float,
     *,
     variant: str = "corrected",
-    slack: float = 1e-6,
+    slack: float = DEFAULT_SLACK,
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> VerificationReport:
     """||u||_{q, A} <= C(p) || |u'| ||_{p, A} at the critical q.
@@ -118,6 +118,15 @@ class ScalingFit:
     residual_lhs: float
     residual_rhs: float
     quadrature: QuadratureDiagnostics = field(default_factory=QuadratureDiagnostics)
+
+    def figures(self) -> dict:
+        """The six fitted slopes, expected slopes and residuals, keyed
+        slope-lhs, ..., residual-rhs in field order."""
+        return {
+            f.name.replace("_", "-"): getattr(self, f.name)
+            for f in fields(self)
+            if f.name != "quadrature"
+        }
 
     @property
     def max_deviation(self) -> float:
@@ -205,14 +214,7 @@ def check_scaling(
         },
         tolerances={"slope-tol": SCALING_TOL, "quad-rel-tol": rel_tol},
         quadrature=fit.quadrature.to_dict(),
-        extra={
-            "slope-lhs": fit.slope_lhs,
-            "slope-rhs": fit.slope_rhs,
-            "expected-lhs": fit.expected_lhs,
-            "expected-rhs": fit.expected_rhs,
-            "residual-lhs": fit.residual_lhs,
-            "residual-rhs": fit.residual_rhs,
-        },
+        extra=fit.figures(),
         slack=0.0,
     )
 
@@ -224,7 +226,7 @@ def check_trace_radial(
     r: int,
     p: float,
     *,
-    slack: float = 1e-6,
+    slack: float = DEFAULT_SLACK,
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> VerificationReport:
     """Radial form of the trace inequality against the bracket [M, M Q].
@@ -284,7 +286,7 @@ def check_morrey(
     delta: float,
     *,
     c2: float = 1.0,
-    slack: float = 1e-6,
+    slack: float = DEFAULT_SLACK,
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> VerificationReport:
     """Sampled modulus of continuity against the grand Morrey bound."""
@@ -371,7 +373,7 @@ def default_campaign_config() -> dict:
     return {
         "seed": 0,
         "variant": "corrected",
-        "slack": 1e-6,
+        "slack": DEFAULT_SLACK,
         "checks": [
             {
                 "kind": "sobolev",
@@ -436,7 +438,7 @@ def run_campaign(config: dict | None = None, *, jsonl_path=None, csv_path=None) 
     cfg = config if config is not None else default_campaign_config()
     seed = int(cfg.get("seed", 0))
     variant = cfg.get("variant", "corrected")
-    slack = float(cfg.get("slack", 1e-6))
+    slack = float(cfg.get("slack", DEFAULT_SLACK))
     reports = []
     for idx, check in enumerate(cfg.get("checks", [])):
         kind = check.get("kind")

@@ -234,6 +234,17 @@ class TestUnconvergedExitCodes:
         assert code == 3
         assert payload["diagnostics"]["converged"] is False
 
+    def test_gls_norm_notes_name_the_panel_budget(self, capsys):
+        # the p = 1e8 end of the table makes slices exhaust the panel budget
+        code, payload = run_json(
+            capsys,
+            ["gls-norm", "--profile", "bump:1,1.5", "--psi",
+             "table:1.5=1,4=1,100000000=1000", "--A", "1,2"],
+        )
+        assert code == 3
+        notes = payload["diagnostics"]["notes"]
+        assert any("panel budget 4096 exhausted" in note for note in notes)
+
     def test_morrey(self, capsys, force_unconverged):
         force_unconverged("glsobolev.grand.weighted_gradient_norm")
         code, payload = run_json(

@@ -197,6 +197,16 @@ class TestZetaTransform:
         zeta = zeta_transform(constant_psi(1.5, 5.0), [1.0, 2.0])
         assert math.isinf(zeta.b)
 
+    def test_right_endpoint_inside_guard_maps_to_inf(self):
+        # q(b) ~ 5e13 is finite, but b sits within ENDPOINT_GUARD of D = 5
+        zeta = zeta_transform(constant_psi(1.5, 5.0 - 5e-13), [1.0, 2.0])
+        assert math.isinf(zeta.b)
+
+    def test_left_endpoint_one_is_exact_exponent_law(self):
+        A = [1.0, 2.0]
+        zeta = zeta_transform(constant_psi(1.0, 3.0), A)
+        assert zeta.a == sobolev_exponent(A, A, 1.0) == 1.25
+
     def test_values_factor_through_sharp_constant(self):
         A = [1.0, 2.0]
         D = 5.0

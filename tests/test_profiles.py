@@ -61,6 +61,13 @@ class TestSupports:
         with pytest.raises(InputError):
             Decaying(tail_exponent=2.0, radius=0.0)
 
+    def test_scan_radius(self):
+        assert Compact(2.0).scan_radius == 2.0
+        assert Decaying(tail_exponent=3.0, radius=2.0).scan_radius == 8.0
+        assert dilate(gaussian(1.0), 0.5).support.scan_radius == pytest.approx(24.0)
+        with pytest.raises(AttributeError):
+            Compact(2.0).scan_radius = 3.0
+
 
 class TestFactories:
     @pytest.mark.parametrize("name", generator_names())

@@ -75,6 +75,12 @@ class TestAdaptiveQuadrature:
         assert not diag.converged
         assert diag.notes
 
+    def test_notes_reach_to_dict(self):
+        _, diag = adaptive_quadrature(lambda x: np.sin(1e4 * x), 0.0, 1.0, max_panels=4)
+        notes = diag.to_dict()["notes"]
+        assert notes and all(isinstance(note, str) for note in notes)
+        assert "panel budget 4 exhausted" in notes[0]
+
     def test_deterministic(self):
         def f(x):
             return np.exp(-3.0 * x) * np.sin(7.0 * x)

@@ -10,9 +10,11 @@ from glsobolev.exponents import trace_exponent
 from glsobolev.grand import constant_psi, verify_gls_sobolev
 from glsobolev.norms import weighted_gradient_norm
 from glsobolev.profiles import bump, gaussian, tent
+from glsobolev.quadrature import QuadratureDiagnostics
 from glsobolev.reports import INEQUALITY_IDS, exit_status
 from glsobolev.verify import (
     ProfileFamily,
+    ScalingFit,
     check_morrey,
     check_scaling,
     check_sobolev,
@@ -94,6 +96,17 @@ class TestScaling:
         assert report.passed
         assert report.inequality_id == "scaling-2.4"
         assert report.lhs <= report.rhs
+
+    def test_figures_in_field_order(self):
+        fit = ScalingFit(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+        assert list(fit.figures().items()) == [
+            ("slope-lhs", 1.0),
+            ("slope-rhs", 2.0),
+            ("expected-lhs", 3.0),
+            ("expected-rhs", 4.0),
+            ("residual-lhs", 5.0),
+            ("residual-rhs", 6.0),
+        ]
 
     def test_sides_scale_identically_only_at_critical_q(self):
         # each side obeys its own exact power law for any q; only the
@@ -255,6 +268,13 @@ class TestCampaign:
         run_campaign(jsonl_path=p1)
         run_campaign(jsonl_path=p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_every_family_shares_one_diagnostics_shape(self):
+        reports = run_campaign()
+        assert {r.inequality_id for r in reports} == set(INEQUALITY_IDS)
+        shape = set(QuadratureDiagnostics().to_dict())
+        for report in reports:
+            assert set(report.quadrature) == shape, report.inequality_id
 
     def test_seed_changes_battery(self):
         cfg = default_campaign_config()
