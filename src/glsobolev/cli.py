@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from . import __version__
+from . import __version__, grand
 from .constants import sharp_constant, sharp_constant_p1, talenti_constant, trace_bounds
 from .errors import DivergentIntegralError, DomainError, InputError, QuadratureError
 from .exponents import as_exponent_tuple, sobolev_exponent, trace_exponent
@@ -250,10 +250,14 @@ def _cmd_morrey(args) -> tuple:
     u = _parse_profile(args.profile)
     psi = _parse_psi(args.psi)
     A = _parse_floats(args.A)
+    # looked up on grand, as morrey_bound does, so wrappers of
+    # grand.gls_gradient_norm see the one gradient scan
+    _, gradient = grand.gls_gradient_norm(u, psi, A, rel_tol=args.rel_tol, details=True)
     payload = []
     for delta in _parse_floats(args.delta):
         bound, info = morrey_bound(
-            u, psi, A, delta, c2=args.c2, rel_tol=args.rel_tol, details=True
+            u, psi, A, delta, c2=args.c2, rel_tol=args.rel_tol, details=True,
+            gradient=gradient,
         )
         entry = {
             "delta": delta,

@@ -408,29 +408,36 @@ def morrey_bound(
     c2: float = 1.0,
     rel_tol: float = DEFAULT_REL_TOL,
     details: bool = False,
+    gradient: SupremumResult | None = None,
 ):
     """Upper bound on the two-point modulus |u(x) - u(y)| for |x - y| <= delta.
 
     bound = ||grad u||_{G(psi)} * delta / phi_{G(psi_D)}(delta^D), where
-    psi_D is the morrey transform with calibration constant c2.  With
-    ``details`` the info dict also holds, under ``quadrature``, the
-    QuadratureDiagnostics of the gradient norm's slices.
+    psi_D is the morrey transform with calibration constant c2.  The
+    gradient norm does not depend on delta or c2: pass ``gradient``, the
+    SupremumResult of ``gls_gradient_norm(u, psi, A, rel_tol=rel_tol,
+    details=True)``, to reuse one across calls; with None it is computed
+    here.  With ``details`` the info dict also holds, under ``quadrature``,
+    the QuadratureDiagnostics of the gradient norm's slices (the object
+    ``gradient`` carries, shared and not copied).
     """
     A = as_exponent_tuple(A)
     D = A.effective_dimension
     if not (delta > 0.0 and math.isfinite(delta)):
         raise DomainError(f"delta must be positive and finite, got {delta}")
     psi_d = morrey_transform(psi, A, c2)
-    grad, grad_res = gls_gradient_norm(u, psi, A, rel_tol=rel_tol, details=True)
+    if gradient is None:
+        _, gradient = gls_gradient_norm(u, psi, A, rel_tol=rel_tol, details=True)
+    grad = gradient.value
     phi, phi_res = fundamental_function(psi_d, delta**D, details=True)
     bound = grad * delta / phi
     if details:
         return bound, {
             "gradient-gls-norm": grad,
-            "gradient-argmax": grad_res.argmax,
+            "gradient-argmax": gradient.argmax,
             "fundamental-value": phi,
             "fundamental-argmax": phi_res.argmax,
-            "quadrature": grad_res.quadrature,
+            "quadrature": gradient.quadrature,
         }
     return bound
 
@@ -463,19 +470,34 @@ def calibrate_morrey_constant(
     psi: PsiFunction,
     A,
     deltas,
+    *,
+    gradients=None,
 ) -> float:
     """Smallest c2 for which every sampled modulus sits below the bound.
 
     Returns max over the battery of omega(u, delta) / bound(c2 = 1),
     rounded up by one ulp so the certified comparisons hold under
-    floating-point rounding.  Raises QuadratureError when a gradient
-    slice behind some unit bound is not certified.
+    floating-point rounding.  The gradient grand norm of each profile is
+    computed once for all deltas; ``gradients``, one SupremumResult of
+    ``gls_gradient_norm(u, psi, A, details=True)`` per profile in order,
+    supplies them instead.  Raises QuadratureError when a gradient slice
+    behind some unit bound is not certified.
     """
+    profiles = list(profiles)
+    if gradients is None:
+        gradients = (gls_gradient_norm(u, psi, A, details=True)[1] for u in profiles)
+    elif len(gradients) != len(profiles):
+        raise InputError(
+            f"need one gradient norm per profile, got {len(gradients)} "
+            f"for {len(profiles)} profiles"
+        )
     worst = 0.0
-    for u in profiles:
+    for u, gradient in zip(profiles, gradients):
         for delta in deltas:
             omega = modulus_of_continuity(u, delta)
-            unit, info = morrey_bound(u, psi, A, delta, c2=1.0, details=True)
+            unit, info = morrey_bound(
+                u, psi, A, delta, c2=1.0, details=True, gradient=gradient
+            )
             if not info["quadrature"].converged:
                 raise QuadratureError(
                     f"unit bound for profile '{u.name}' at delta = {delta} "
@@ -510,7 +532,18 @@ def verify_gls_sobolev(
     D = A.effective_dimension
     zeta = zeta_transform(psi, A, variant=variant)
 
-    rhs, rhs_res = _gls(weighted_gradient_norm, u, psi, A, rel_tol, True)
+    # The slice scan's window (a, min(b, D)) is the rhs scan's (a, b) when
+    # b <= D, so its grid probes the same p: the gradient slices the rhs
+    # scan computed are handed over by p, and each computed slice's
+    # diagnostics are merged once.
+    gradient_slices: dict[float, float] = {}
+
+    def gradient_slice(u, A, p, *, rel_tol, details):
+        value, slice_diag = weighted_gradient_norm(u, A, p, rel_tol=rel_tol, details=True)
+        gradient_slices[p] = value
+        return value, slice_diag
+
+    rhs, rhs_res = _gls(gradient_slice, u, psi, A, rel_tol, True)
     lhs, lhs_res = _gls(weighted_lp_norm, u, zeta, A, rel_tol, True)
 
     diag = rhs_res.quadrature
@@ -519,7 +552,9 @@ def verify_gls_sobolev(
     def slice_objective(p: float) -> float:
         q = sobolev_exponent(A, A, p)
         num = _slice_norm(diag, weighted_lp_norm, u, A, q, rel_tol)
-        den = _slice_norm(diag, weighted_gradient_norm, u, A, p, rel_tol)
+        den = gradient_slices.get(p)
+        if den is None:
+            den = _slice_norm(diag, weighted_gradient_norm, u, A, p, rel_tol)
         c = sharp_constant(A, p, variant=variant)
         return num / (c * den) if den > 0.0 else math.nan
 

@@ -13,7 +13,9 @@ surface mass of the unit sphere.  For radial u the gradient norm uses
 Large p is handled in log space: |u|^p is rescaled by its maximum so the
 quadrature only ever sees O(1) integrands, and the peak is pre-seeded with
 geometrically shrinking panel edges so it cannot slip between Kronrod
-nodes.
+nodes.  The maximum comes from the profile's ``value_peak`` or
+``derivative_peak``, scanned once per profile object, so a sweep over p
+(a grand-norm sup scan, say) scans each profile once.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .quadrature import (
 )
 
 _SEED_P_THRESHOLD = 128.0
-_SCAN_POINTS = 2049
 
 
 @lru_cache(maxsize=256)
@@ -75,10 +76,6 @@ class WeightedMeasure:
             raise DomainError(f"radius must be nonnegative, got {radius}")
         D = self.effective_dimension
         return self.angular_mass * radius**D / D
-
-
-def _scan_grid(profile: RadialProfile) -> np.ndarray:
-    return np.linspace(0.0, profile.support.scan_radius, _SCAN_POINTS)
 
 
 def _peak_edges(rho_star: float, span: float) -> list[float]:
@@ -142,28 +139,28 @@ def radial_integral(
     return head + tail, diag
 
 
-def _norm(values_fn, u: RadialProfile, A, p: float, rel_tol: float, details: bool):
-    """||values_fn||_{p, A}: the body of weighted_lp_norm and weighted_gradient_norm."""
+def _norm(u: RadialProfile, gradient: bool, A, p: float, rel_tol: float, details: bool):
+    """||u||_{p, A}, or || |u'| ||_{p, A} with ``gradient``: the body of
+    weighted_lp_norm and weighted_gradient_norm."""
     A = as_exponent_tuple(A)
     if not (p >= 1.0 and math.isfinite(p)):
         raise DomainError(f"norm exponent p must satisfy 1 <= p < inf, got {p}")
     D = A.effective_dimension
-    grid = _scan_grid(u)
-    sample = np.abs(np.asarray(values_fn(grid), dtype=float))
-    peak = float(np.max(sample))
+    values_fn, scan = (u.derivative, u.derivative_peak) if gradient else (u.value, u.value_peak)
+    peak = scan.value
     if not np.isfinite(peak):
         raise DomainError("profile takes non-finite values on its support")
     if peak == 0.0:
         return (0.0, QuadratureDiagnostics()) if details else 0.0
-    rho_star = float(grid[int(np.argmax(sample))])
+    rho_star = scan.rho_star
 
     def g(r):
         return (np.abs(np.asarray(values_fn(r), dtype=float)) / peak) ** p
 
     edges = None
     if p >= _SEED_P_THRESHOLD:
-        span = grid[-1] if rho_star > 0.0 else grid[-1] * 0.5
-        edges = _peak_edges(max(rho_star, grid[1]), span)
+        span = scan.scan_end if rho_star > 0.0 else scan.scan_end * 0.5
+        edges = _peak_edges(max(rho_star, scan.first_node), span)
     integral, diag = radial_integral(g, D - 1.0, u, rel_tol=rel_tol, initial_edges=edges)
     value = 0.0
     if integral > 0.0:
@@ -206,7 +203,7 @@ def weighted_lp_norm(
     QuadratureError
         If the requested tolerance cannot be certified.
     """
-    return _norm(u.value, u, A, p, rel_tol, details)
+    return _norm(u, False, A, p, rel_tol, details)
 
 
 def weighted_gradient_norm(
@@ -218,15 +215,11 @@ def weighted_gradient_norm(
     details: bool = False,
 ):
     """|| |grad u| ||_{p, A}; for radial u this is the norm of |u'(rho)|."""
-    return _norm(u.derivative, u, A, p, rel_tol, details)
+    return _norm(u, True, A, p, rel_tol, details)
 
 
 def sup_norm(u: RadialProfile) -> float:
     """Grid-scanned supremum of |u| (refined once around the peak)."""
-    grid = _scan_grid(u)
-    vals = np.abs(np.asarray(u.value(grid), dtype=float))
-    i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    fine = np.linspace(lo, hi, 513)
-    return float(max(np.max(vals), np.max(np.abs(np.asarray(u.value(fine), dtype=float)))))
+    scan = u.value_peak
+    fine = np.linspace(*scan.bracket, 513)
+    return float(max(scan.value, np.max(np.abs(np.asarray(u.value(fine), dtype=float)))))

@@ -9,12 +9,17 @@ for peaks and derivative checks: the radius itself for ``Compact``, four
 radii for ``Decaying``.  On construction the derivative is spot-checked
 against central differences at 32 points of that window so a mistyped
 formula fails loudly instead of skewing every norm downstream.
+
+The peaks of |u| and |u'| on a 2,049-point grid over the same window are
+profile properties, ``value_peak`` and ``derivative_peak``: each is
+scanned once per profile object, on first use, and kept on it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -23,6 +28,7 @@ from .errors import InputError
 
 _FD_POINTS = 32
 _FD_RTOL = 1e-4
+_SCAN_POINTS = 2049
 
 
 @dataclass(frozen=True)
@@ -59,6 +65,41 @@ class Decaying:
 Support = Union[Compact, Decaying]
 
 
+def _scan_grid(support: Support) -> np.ndarray:
+    return np.linspace(0.0, support.scan_radius, _SCAN_POINTS)
+
+
+@dataclass(frozen=True)
+class Peak:
+    """Largest |f| on the scan grid of [0, scan_radius].
+
+    ``rho_star`` is the first grid point where it is attained, ``bracket``
+    the grid points either side of it (clipped to the window), and
+    ``first_node`` and ``scan_end`` the grid's second and last points.  A
+    non-finite sample makes ``value`` non-finite; callers decide whether
+    that is an error.
+    """
+
+    value: float
+    rho_star: float
+    bracket: tuple
+    first_node: float
+    scan_end: float
+
+
+def _scan_peak(fn: Callable, support: Support) -> Peak:
+    grid = _scan_grid(support)
+    sample = np.abs(np.asarray(fn(grid), dtype=float))
+    i = int(np.argmax(sample))
+    return Peak(
+        value=float(np.max(sample)),
+        rho_star=float(grid[i]),
+        bracket=(float(grid[max(i - 1, 0)]), float(grid[min(i + 1, len(grid) - 1)])),
+        first_node=float(grid[1]),
+        scan_end=float(grid[-1]),
+    )
+
+
 def _as_radial(fn: Callable) -> Callable:
     """Wrap a 1-d vectorized function so scalars come back as floats."""
 
@@ -74,7 +115,12 @@ def _as_radial(fn: Callable) -> Callable:
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """u(rho) and u'(rho) on [0, inf) with a declared support."""
+    """u(rho) and u'(rho) on [0, inf) with a declared support.
+
+    ``value_peak`` and ``derivative_peak`` are scanned on first use and
+    kept on this object; ``dilated()`` and ``dataclasses.replace`` build
+    new objects, which scan afresh.
+    """
 
     value: Callable = field(compare=False)
     derivative: Callable = field(compare=False)
@@ -101,6 +147,16 @@ class RadialProfile:
                 f"differences at rho = {rho[i]:.6g}: analytic {dv[i]:.6g}, "
                 f"numeric {fd[i]:.6g}"
             )
+
+    @cached_property
+    def value_peak(self) -> Peak:
+        """Peak of |u| on the scan grid."""
+        return _scan_peak(self.value, self.support)
+
+    @cached_property
+    def derivative_peak(self) -> Peak:
+        """Peak of |u'| on the scan grid."""
+        return _scan_peak(self.derivative, self.support)
 
     def dilated(self, lam: float) -> "RadialProfile":
         """Profile rho -> u(lam * rho)."""

@@ -14,11 +14,13 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import grand
 from .constants import sharp_constant, talenti_constant, trace_bounds
 from .errors import DomainError, InputError
 from .exponents import as_exponent_tuple, sobolev_exponent, trace_exponent
 from .grand import (
     PsiFunction,
+    SupremumResult,
     _psi_from_spec,
     calibrate_morrey_constant,
     modulus_of_continuity,
@@ -288,11 +290,19 @@ def check_morrey(
     c2: float = 1.0,
     slack: float = DEFAULT_SLACK,
     rel_tol: float = DEFAULT_REL_TOL,
+    gradient: SupremumResult | None = None,
 ) -> VerificationReport:
-    """Sampled modulus of continuity against the grand Morrey bound."""
+    """Sampled modulus of continuity against the grand Morrey bound.
+
+    ``gradient`` is passed on to ``morrey_bound``: the SupremumResult of
+    ``gls_gradient_norm(u, psi, A, rel_tol=rel_tol, details=True)``, computed
+    there when None.
+    """
     A = as_exponent_tuple(A)
     omega = modulus_of_continuity(u, delta)
-    bound, info = morrey_bound(u, psi, A, delta, c2=c2, rel_tol=rel_tol, details=True)
+    bound, info = morrey_bound(
+        u, psi, A, delta, c2=c2, rel_tol=rel_tol, details=True, gradient=gradient
+    )
     diag = info.pop("quadrature")
     return VerificationReport(
         inequality_id="morrey-7.8",
@@ -468,13 +478,25 @@ def run_campaign(config: dict | None = None, *, jsonl_path=None, csv_path=None) 
             elif kind == "morrey":
                 psi = _psi_from_spec(check["psi"])
                 deltas = check["deltas"]
+                # one gradient grand norm per profile serves the calibration
+                # and every delta of the checks; looked up on grand, as
+                # morrey_bound does, so wrappers of it see every scan
+                gradients = [
+                    grand.gls_gradient_norm(u, psi, check["A"], details=True)[1]
+                    for u in profiles
+                ]
                 c2 = check.get("c2")
                 if c2 is None:
-                    c2 = calibrate_morrey_constant(profiles, psi, check["A"], deltas)
-                for u in profiles:
+                    c2 = calibrate_morrey_constant(
+                        profiles, psi, check["A"], deltas, gradients=gradients
+                    )
+                for u, gradient in zip(profiles, gradients):
                     for delta in deltas:
                         reports.append(
-                            check_morrey(u, psi, check["A"], delta, c2=c2, slack=slack)
+                            check_morrey(
+                                u, psi, check["A"], delta, c2=c2, slack=slack,
+                                gradient=gradient,
+                            )
                         )
             elif kind == "scaling":
                 for u in profiles:

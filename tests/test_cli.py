@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import glsobolev.grand as grand_module
 from glsobolev import __version__
 from glsobolev.cli import CONFIG_DIR_ENV, build_parser, main
 from glsobolev.constants import sharp_constant
@@ -152,6 +153,24 @@ class TestGlsCommands:
         assert code == 0
         assert payload[0]["bound"] > 0.0
         assert payload[0]["modulus"] == pytest.approx(0.25 / 1.5, rel=1e-5)
+
+    def test_morrey_scans_the_gradient_once(self, capsys, monkeypatch):
+        real = grand_module.gls_gradient_norm
+        scanned = []
+
+        def counting(*args, **kwargs):
+            scanned.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(grand_module, "gls_gradient_norm", counting)
+        code, payload = run_json(
+            capsys,
+            ["morrey", "--profile", "tent:1.5", "--psi", "constant:5,9", "--A", "1,1",
+             "--delta", "0.125,0.25,0.5"],
+        )
+        assert code == 0
+        assert [entry["delta"] for entry in payload] == [0.125, 0.25, 0.5]
+        assert len(scanned) == 1
 
     def test_table_psi_spec(self, capsys):
         code, payload = run_json(

@@ -1,8 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
+
+import glsobolev.grand as grand_module
 
 from glsobolev.constants import sharp_constant
 from glsobolev.errors import DomainError, InputError, QuadratureError
@@ -27,7 +30,7 @@ from glsobolev.norms import (
     weighted_gradient_norm,
     weighted_lp_norm,
 )
-from glsobolev.profiles import bump, gaussian, power_tail, step, tent
+from glsobolev.profiles import _SCAN_POINTS, bump, gaussian, power_tail, step, tent
 
 
 class TestPsiFamilies:
@@ -369,3 +372,80 @@ class TestVerifyGlsSobolev:
         report = verify_gls_sobolev(u, constant_psi(p0 - w, p0 + w), A)
         assert report.ratio == pytest.approx(direct, rel=1e-2)
         assert report.extra["slice-ratio-sup"] == pytest.approx(direct, rel=1e-2)
+
+
+def _recording_profile(u):
+    """Copy of u whose callables record the size of every array they see."""
+    sizes = {"value": [], "derivative": []}
+
+    def recording(fn, kind):
+        def wrapped(r):
+            sizes[kind].append(int(np.size(r)))
+            return fn(r)
+
+        return wrapped
+
+    copy = dataclasses.replace(
+        u,
+        value=recording(u.value, "value"),
+        derivative=recording(u.derivative, "derivative"),
+        check=False,
+    )
+    return copy, sizes
+
+
+class TestWorkNotRepeated:
+    @pytest.mark.parametrize(
+        "norm_fn, kind", [(gls_norm, "value"), (gls_gradient_norm, "derivative")]
+    )
+    def test_one_peak_scan_per_grand_norm(self, norm_fn, kind):
+        # the window reaches past p = 128, where slices seed the peak
+        u, sizes = _recording_profile(bump(1.0, 1.5))
+        norm_fn(u, constant_psi(1.5, 300.0), [1.0, 2.0])
+        assert sizes[kind].count(_SCAN_POINTS) == 1
+        other = "derivative" if kind == "value" else "value"
+        assert sizes[other] == []
+
+    def test_verify_gls_computes_each_gradient_slice_once(self, monkeypatch):
+        calls = {"weighted_lp_norm": [], "weighted_gradient_norm": []}
+        for name, log in calls.items():
+            real = getattr(grand_module, name)
+
+            def recording(u, A, p, *, rel_tol, details, _real=real, _log=log):
+                value, diag = _real(u, A, p, rel_tol=rel_tol, details=True)
+                _log.append((float(p), diag.neval))
+                return (value, diag) if details else value
+
+            monkeypatch.setattr(grand_module, name, recording)
+        report = verify_gls_sobolev(
+            bump(1.0, 1.0), power_endpoint_psi(1.3, 3.4, 0.4, 0.4), [1.0, 2.0]
+        )
+        gradient_ps = [p for p, _ in calls["weighted_gradient_norm"]]
+        assert len(gradient_ps) == len(set(gradient_ps))
+        computed = sum(neval for log in calls.values() for _, neval in log)
+        assert report.quadrature["neval"] == computed
+
+    def test_shared_gradient_gives_the_same_morrey_numbers(self):
+        A = [1.0, 1.0]
+        psi = constant_psi(5.0, 9.0)
+        profiles = [bump(1.0, 1.0), tent(1.5)]
+        deltas = (0.1, 0.5)
+        gradients = [gls_gradient_norm(u, psi, A, details=True)[1] for u in profiles]
+        c2 = calibrate_morrey_constant(profiles, psi, A, deltas)
+        assert calibrate_morrey_constant(profiles, psi, A, deltas, gradients=gradients) == c2
+        for u, gradient in zip(profiles, gradients):
+            before = gradient.quadrature.to_dict()
+            for d in deltas:
+                shared = morrey_bound(u, psi, A, d, c2=c2, details=True, gradient=gradient)
+                own = morrey_bound(u, psi, A, d, c2=c2, details=True)
+                assert shared[0] == own[0]
+                assert shared[1]["quadrature"].to_dict() == own[1]["quadrature"].to_dict()
+            assert gradient.quadrature.to_dict() == before
+
+    def test_calibration_needs_one_gradient_per_profile(self):
+        psi = constant_psi(5.0, 9.0)
+        gradient = gls_gradient_norm(tent(1.5), psi, [1.0, 1.0], details=True)[1]
+        with pytest.raises(InputError, match="one gradient norm per profile"):
+            calibrate_morrey_constant(
+                [tent(1.5), bump(1.0, 1.0)], psi, [1.0, 1.0], (0.5,), gradients=[gradient]
+            )

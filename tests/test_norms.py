@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -209,3 +210,35 @@ class TestSupNorm:
             check=False,
         )
         assert sup_norm(du) == pytest.approx(math.sqrt(2.0 / math.e), rel=1e-6)
+
+
+class TestPeakPerProfile:
+    def test_peaks_are_cached_and_read_only(self):
+        u = bump(1.0, 1.0)
+        assert u.value_peak is u.value_peak
+        assert u.derivative_peak is u.derivative_peak
+        assert u.value_peak.value == 1.0 and u.value_peak.rho_star == 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            u.value_peak = None
+
+    def test_copies_scan_their_own_peaks(self):
+        A = [1.0, 2.0]
+        u = bump(1.0, 1.0)
+        for p in (2.0, 300.0):  # caches both peaks on u
+            weighted_lp_norm(u, A, p)
+            weighted_gradient_norm(u, A, p)
+        for p in (2.0, 300.0):
+            fresh = bump(1.0, 1.0)
+            assert weighted_lp_norm(u, A, p) == weighted_lp_norm(fresh, A, p)
+            assert weighted_gradient_norm(u, A, p) == weighted_gradient_norm(fresh, A, p)
+            assert weighted_gradient_norm(u.dilated(2.0), A, p) == weighted_gradient_norm(
+                bump(1.0, 1.0).dilated(2.0), A, p
+            )
+            scaled = dataclasses.replace(u, value=lambda r: 3.0 * u.value(r), check=False)
+            fresh_scaled = dataclasses.replace(
+                fresh, value=lambda r: 3.0 * fresh.value(r), check=False
+            )
+            assert weighted_lp_norm(scaled, A, p) == weighted_lp_norm(fresh_scaled, A, p)
+        broken = dataclasses.replace(u, value=lambda r: np.full_like(r, np.nan), check=False)
+        with pytest.raises(DomainError, match="non-finite"):
+            weighted_lp_norm(broken, A, 2.0)

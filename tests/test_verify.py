@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import glsobolev.grand as grand_module
 from glsobolev.constants import trace_bounds
 from glsobolev.errors import DomainError, InputError
 from glsobolev.exponents import trace_exponent
@@ -169,6 +170,21 @@ class TestMorreyCheck:
         tight = check_morrey(*args, c2=2.0)
         assert loose.quadrature["converged"] and tight.quadrature["converged"]
         assert loose.quadrature["neval"] < tight.quadrature["neval"]
+
+    def test_campaign_scans_each_gradient_once(self, monkeypatch):
+        real = grand_module.gls_gradient_norm
+        scanned = []
+
+        def counting(u, *args, **kwargs):
+            scanned.append(u.name)
+            return real(u, *args, **kwargs)
+
+        monkeypatch.setattr(grand_module, "gls_gradient_norm", counting)
+        cfg = default_campaign_config()
+        cfg["checks"] = [c for c in cfg["checks"] if c["kind"] == "morrey"]
+        reports = run_campaign(cfg)
+        assert len(reports) == 4  # two profiles, two deltas
+        assert len(scanned) == len(set(scanned)) == 2
 
 
 class TestForcedNonConvergence:
