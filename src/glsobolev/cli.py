@@ -17,7 +17,7 @@ import sys
 
 from . import __version__, grand
 from .constants import sharp_constant, sharp_constant_p1, talenti_constant, trace_bounds
-from .errors import DivergentIntegralError, DomainError, InputError, QuadratureError
+from .errors import DivergentIntegralError, InputError, QuadratureError
 from .exponents import as_exponent_tuple, sobolev_exponent, trace_exponent
 from .grand import (
     _psi_from_spec,
@@ -435,10 +435,7 @@ def main(argv=None) -> int:
     except QuadratureError as exc:
         print(f"not certified: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, InputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # DomainError, InputError, JSONDecodeError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if payload is not None:

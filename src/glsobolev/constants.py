@@ -141,21 +141,15 @@ def trace_bounds(
     r: int,
     p: float,
     q: float | None = None,
-    variant: str = "literal",
 ) -> TraceBoundPair:
     """Two-sided bracket for the radial trace inequality constant.
 
     M = D_r^{-1/r} ((p-1)/(D-r))^{1-1/p} and Q = (q/(q-1))^{1-1/p} q^{1/q},
-    implemented literally as printed.  ``variant`` reserves room for a
-    corrected transcription; only "literal" is implemented.
+    implemented literally as printed.
 
     r and B are validated by trace_exponent, and q defaults to its law
     D_r(B) * p / (D(A) - p).
     """
-    if variant != "literal":
-        raise InputError(
-            f"trace formula variant {variant!r} is not implemented; only 'literal' is"
-        )
     A = as_exponent_tuple(A)
     B = as_exponent_tuple(B)
     q_law = trace_exponent(A, B, r, p)  # validates r and B

@@ -255,11 +255,21 @@ def _scan_sup(objective, a: float, b: float) -> SupremumResult:
     )
 
 
-def _slice_norm(diag: QuadratureDiagnostics, norm_fn, u, A, p: float, rel_tol: float):
-    """Slice norm norm_fn(u, A, p) with its diagnostics merged into ``diag``."""
-    value, slice_diag = norm_fn(u, A, p, rel_tol=rel_tol, details=True)
-    diag.merge(slice_diag)
-    return value
+def _slice_table(norm_fn, u, A, rel_tol: float, diag: QuadratureDiagnostics):
+    """p -> norm_fn(u, A, p) for one grand call, each p computed once and its
+    diagnostics merged once into ``diag``.  ``norm_fn`` is this module's
+    weighted_lp_norm or weighted_gradient_norm as the caller looks it up, so
+    wrappers of either see every computed slice."""
+    values: dict[float, float] = {}
+
+    def slice_norm(p: float) -> float:
+        if p not in values:
+            value, slice_diag = norm_fn(u, A, p, rel_tol=rel_tol, details=True)
+            diag.merge(slice_diag)
+            values[p] = value
+        return values[p]
+
+    return slice_norm
 
 
 def _gls(norm_fn, u, psi: PsiFunction, A, rel_tol: float, details: bool):
@@ -268,10 +278,8 @@ def _gls(norm_fn, u, psi: PsiFunction, A, rel_tol: float, details: bool):
     if psi.a < 1.0:
         raise InputError(f"psi support must start at p >= 1, got {psi.a}")
     diag = QuadratureDiagnostics()
-    res = _scan_sup(
-        lambda p: _slice_norm(diag, norm_fn, u, A, p, rel_tol) / psi(p), psi.a, psi.b
-    )
-    res = replace(res, quadrature=diag)
+    slices = _slice_table(norm_fn, u, A, rel_tol, diag)
+    res = replace(_scan_sup(lambda p: slices(p) / psi(p), psi.a, psi.b), quadrature=diag)
     return (res.value, res) if details else res.value
 
 
@@ -532,29 +540,18 @@ def verify_gls_sobolev(
     D = A.effective_dimension
     zeta = zeta_transform(psi, A, variant=variant)
 
-    # The slice scan's window (a, min(b, D)) is the rhs scan's (a, b) when
-    # b <= D, so its grid probes the same p: the gradient slices the rhs
-    # scan computed are handed over by p, and each computed slice's
-    # diagnostics are merged once.
-    gradient_slices: dict[float, float] = {}
-
-    def gradient_slice(u, A, p, *, rel_tol, details):
-        value, slice_diag = weighted_gradient_norm(u, A, p, rel_tol=rel_tol, details=True)
-        gradient_slices[p] = value
-        return value, slice_diag
-
-    rhs, rhs_res = _gls(gradient_slice, u, psi, A, rel_tol, True)
+    # The slice scan reads the rhs scan's gradient table (their windows agree
+    # when b <= D); diagnostics merge in the order rhs, lhs, slice scan.
+    diag = QuadratureDiagnostics()
+    gradient = _slice_table(weighted_gradient_norm, u, A, rel_tol, diag)
+    rhs_res = _scan_sup(lambda p: gradient(p) / psi(p), psi.a, psi.b)
     lhs, lhs_res = _gls(weighted_lp_norm, u, zeta, A, rel_tol, True)
-
-    diag = rhs_res.quadrature
     diag.merge(lhs_res.quadrature)
+    lp = _slice_table(weighted_lp_norm, u, A, rel_tol, diag)
 
     def slice_objective(p: float) -> float:
-        q = sobolev_exponent(A, A, p)
-        num = _slice_norm(diag, weighted_lp_norm, u, A, q, rel_tol)
-        den = gradient_slices.get(p)
-        if den is None:
-            den = _slice_norm(diag, weighted_gradient_norm, u, A, p, rel_tol)
+        num = lp(sobolev_exponent(A, A, p))
+        den = gradient(p)
         c = sharp_constant(A, p, variant=variant)
         return num / (c * den) if den > 0.0 else math.nan
 
@@ -563,7 +560,7 @@ def verify_gls_sobolev(
     return VerificationReport(
         inequality_id="gls-5.6",
         lhs=lhs,
-        rhs=rhs,
+        rhs=rhs_res.value,
         constant=1.0,
         inputs={
             "check": "gls-embedding",

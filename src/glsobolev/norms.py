@@ -30,10 +30,11 @@ from .constants import _log_gamma_product
 from .errors import DomainError, InputError
 from .exponents import ExponentTuple, as_exponent_tuple
 from .gammafn import log_gamma
-from .profiles import Compact, RadialProfile
+from .profiles import Decaying, RadialProfile
 from .quadrature import (
     DEFAULT_REL_TOL,
     QuadratureDiagnostics,
+    _power_weighted,
     extend_tail,
     integrate_power_weighted,
 )
@@ -105,38 +106,21 @@ def radial_integral(
     if not 0.0 < rel_tol < 1.0:
         raise InputError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     support = profile.support
-    if isinstance(support, Compact):
-        return integrate_power_weighted(
-            fn,
-            gamma_exp,
-            support.radius,
-            rel_tol=rel_tol,
-            initial_edges=initial_edges,
-        )
-    start = support.radius
-    if initial_edges is not None:
+    decaying = isinstance(support, Decaying)
+    upper = support.radius
+    if decaying and initial_edges is not None:
         seeded_max = max((x for x in initial_edges if math.isfinite(x)), default=0.0)
-        start = max(start, 2.0 * seeded_max)
-    head, diag = integrate_power_weighted(
-        fn,
-        gamma_exp,
-        start,
-        rel_tol=rel_tol,
-        initial_edges=initial_edges,
+        upper = max(upper, 2.0 * seeded_max)
+    value, diag = integrate_power_weighted(
+        fn, gamma_exp, upper, rel_tol=rel_tol, initial_edges=initial_edges
     )
-
-    def weighted(t):
-        t = np.asarray(t, dtype=float)
-        return t**gamma_exp * np.asarray(fn(t), dtype=float)
-
-    tail, tdiag = extend_tail(
-        weighted,
-        start,
-        rel_tol=rel_tol,
-        base_value=head,
-    )
-    diag.merge(tdiag)
-    return head + tail, diag
+    if decaying:
+        tail, tdiag = extend_tail(
+            _power_weighted(fn, gamma_exp), upper, rel_tol=rel_tol, base_value=value
+        )
+        diag.merge(tdiag)
+        value += tail
+    return value, diag
 
 
 def _norm(u: RadialProfile, gradient: bool, A, p: float, rel_tol: float, details: bool):

@@ -7,9 +7,13 @@ certifies the requested relative tolerance.
 Radial measures rho^gamma d rho are handled by two extra pieces:
 
 * a Gauss-Jacobi head panel on [0, eps] that carries the rho^gamma factor
-  in its weight function, so fractional powers near 0 cost nothing, and
+  in its weight function, so fractional powers near 0 cost nothing (rules
+  cached on the exact (n, gamma)), and
 * geometric tail extension [R, 2R] for decaying integrands, with
   non-decreasing blocks reported as divergence.
+
+Past the head, ``_power_weighted`` folds the weight into the integrand,
+t -> t^gamma g(t), for the body panels and the tail of norms.radial_integral.
 
 The policy is fixed by the module constants: DEFAULT_REL_TOL = 1e-10 is the
 default relative tolerance, ABS_FLOOR = 1e-300 the absolute floor under
@@ -24,8 +28,8 @@ ndarray.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -214,15 +218,14 @@ def adaptive_quadrature(
     return total, diag
 
 
-_JACOBI_CACHE: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
-
-
+@lru_cache(maxsize=256)
 def _jacobi_rule(n: int, gamma_exp: float):
-    key = (n, round(gamma_exp, 12))
-    if key not in _JACOBI_CACHE:
-        x, w = roots_jacobi(n, 0.0, gamma_exp)
-        _JACOBI_CACHE[key] = (x, w)
-    return _JACOBI_CACHE[key]
+    return roots_jacobi(n, 0.0, gamma_exp)
+
+
+def _power_weighted(g, gamma_exp: float):
+    """The integrand t -> t^gamma_exp g(t), weight folded in."""
+    return lambda t: np.asarray(t, dtype=float) ** gamma_exp * np.asarray(g(t), dtype=float)
 
 
 def _jacobi_head(g, gamma_exp: float, eps: float, n: int) -> float:
@@ -274,12 +277,8 @@ def integrate_power_weighted(
         neval_head += 24
     else:
         raise QuadratureError("head panel failed to stabilize near 0")
-
-    def weighted(t):
-        return np.asarray(t, dtype=float) ** gamma_exp * np.asarray(g(t), dtype=float)
-
     body, diag = adaptive_quadrature(
-        weighted,
+        _power_weighted(g, gamma_exp),
         eps,
         upper,
         rel_tol=rel_tol,

@@ -16,6 +16,8 @@ import io
 import math
 from dataclasses import dataclass, field
 
+from .errors import InputError
+
 INEQUALITY_IDS = (
     "sobolev-1.6a",
     "gls-5.6",
@@ -113,6 +115,8 @@ class VerificationReport:
                 f"unknown inequality id '{self.inequality_id}'; "
                 f"known: {', '.join(INEQUALITY_IDS)}"
             )
+        if not 0.0 <= self.slack < math.inf:
+            raise InputError(f"slack must satisfy 0 <= slack < inf, got {self.slack}")
         denom = self.constant * self.rhs
         if (
             math.isfinite(self.lhs)

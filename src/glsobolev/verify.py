@@ -10,6 +10,7 @@ CSV artifacts.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -429,87 +430,110 @@ def default_campaign_config() -> dict:
     }
 
 
-def _family_from_config(spec: dict, seed: int) -> ProfileFamily:
-    return ProfileFamily(
-        generator=spec["generator"],
-        box=tuple(tuple(pair) for pair in spec.get("box", [])),
-        count=int(spec.get("count", 4)),
-        seed=int(spec.get("seed", seed)),
-    )
+# the keys each check kind reads besides "kind" and "family"
+_CHECK_KEYS = {
+    "sobolev": ("A", "p-values"),
+    "gls": ("A", "psi"),
+    "trace": ("A", "B", "r", "p-values"),
+    "morrey": ("A", "psi", "deltas"),
+    "scaling": ("A", "p-values"),
+}
+_NUMBER_LISTS = ("A", "B", "p-values", "deltas")
+
+
+def _read_check(idx: int, check, seed: int) -> tuple:
+    """(kind, profiles, psi) of campaign check ``idx``, read before any check
+    runs; a malformed entry raises InputError naming ``idx``."""
+    if not isinstance(check, dict):
+        raise InputError(f"campaign check {idx} must be an object, got {check!r}")
+    kind = check.get("kind")
+    where = f"campaign check {idx} (kind {kind!r})"
+    if not (isinstance(kind, str) and kind in _CHECK_KEYS):
+        raise InputError(f"{where}: unknown check kind")
+    try:
+        spec = check["family"]
+        family = ProfileFamily(
+            generator=spec["generator"],
+            box=tuple(tuple(pair) for pair in spec.get("box", [])),
+            count=int(spec.get("count", 4)),
+            seed=int(spec.get("seed", seed)),
+        )
+        for key in _CHECK_KEYS[kind]:
+            value = check[key]
+            if key in _NUMBER_LISTS and not (
+                isinstance(value, (list, tuple))
+                and all(isinstance(x, numbers.Real) for x in value)
+            ):
+                raise InputError(f"{where}: '{key}' must be a list of numbers, got {value!r}")
+        psi = _psi_from_spec(check["psi"]) if "psi" in _CHECK_KEYS[kind] else None
+    except KeyError as exc:
+        raise InputError(f"{where} is missing key {exc}") from exc
+    except (AttributeError, TypeError) as exc:
+        raise InputError(f"{where} is malformed: {exc}") from exc
+    return kind, family.profiles(), psi
 
 
 def run_campaign(config: dict | None = None, *, jsonl_path=None, csv_path=None) -> list:
     """Run a configured battery of checks; returns sorted reports.
 
-    The config layout matches ``default_campaign_config``.  Reports are
-    sorted by input digest; with a fixed seed the written artifacts are
-    byte-identical across runs.
+    The config layout matches ``default_campaign_config``.  Every check's
+    entry is read before any check runs, and a malformed one raises
+    InputError.  Reports are sorted by input digest; with a fixed seed the
+    written artifacts are byte-identical across runs.
     """
     cfg = config if config is not None else default_campaign_config()
-    seed = int(cfg.get("seed", 0))
+    try:
+        seed = int(cfg.get("seed", 0))
+        slack = float(cfg.get("slack", DEFAULT_SLACK))
+    except (AttributeError, TypeError) as exc:
+        raise InputError(f"malformed campaign config: {exc}") from exc
     variant = cfg.get("variant", "corrected")
-    slack = float(cfg.get("slack", DEFAULT_SLACK))
+    checks = cfg.get("checks", [])
+    if not isinstance(checks, (list, tuple)):
+        raise InputError(f"campaign config 'checks' must be a list, got {checks!r}")
+    plan = [_read_check(idx, check, seed) for idx, check in enumerate(checks)]
     reports = []
-    for idx, check in enumerate(cfg.get("checks", [])):
-        kind = check.get("kind")
-        try:
-            family = _family_from_config(check["family"], seed)
-            profiles = family.profiles()
-            if kind == "sobolev":
-                for u in profiles:
-                    for p in check["p-values"]:
-                        reports.append(
-                            check_sobolev(u, check["A"], p, variant=variant, slack=slack)
-                        )
-            elif kind == "gls":
-                psi = _psi_from_spec(check["psi"])
-                for u in profiles:
+    for (kind, profiles, psi), check in zip(plan, checks):
+        if kind == "sobolev":
+            for u in profiles:
+                for p in check["p-values"]:
+                    reports.append(check_sobolev(u, check["A"], p, variant=variant, slack=slack))
+        elif kind == "gls":
+            for u in profiles:
+                reports.append(
+                    verify_gls_sobolev(u, psi, check["A"], variant=variant, slack=slack)
+                )
+        elif kind == "trace":
+            for u in profiles:
+                for p in check["p-values"]:
                     reports.append(
-                        verify_gls_sobolev(u, psi, check["A"], variant=variant, slack=slack)
+                        check_trace_radial(u, check["A"], check["B"], check["r"], p, slack=slack)
                     )
-            elif kind == "trace":
-                for u in profiles:
-                    for p in check["p-values"]:
-                        reports.append(
-                            check_trace_radial(
-                                u, check["A"], check["B"], check["r"], p, slack=slack
-                            )
+        elif kind == "morrey":
+            deltas = check["deltas"]
+            # one gradient grand norm per profile serves the calibration and every
+            # delta; looked up on grand, as morrey_bound does, so wrappers see each scan
+            gradients = [
+                grand.gls_gradient_norm(u, psi, check["A"], details=True)[1]
+                for u in profiles
+            ]
+            c2 = check.get("c2")
+            if c2 is None:
+                c2 = calibrate_morrey_constant(
+                    profiles, psi, check["A"], deltas, gradients=gradients
+                )
+            for u, gradient in zip(profiles, gradients):
+                for delta in deltas:
+                    reports.append(
+                        check_morrey(
+                            u, psi, check["A"], delta, c2=c2, slack=slack,
+                            gradient=gradient,
                         )
-            elif kind == "morrey":
-                psi = _psi_from_spec(check["psi"])
-                deltas = check["deltas"]
-                # one gradient grand norm per profile serves the calibration
-                # and every delta of the checks; looked up on grand, as
-                # morrey_bound does, so wrappers of it see every scan
-                gradients = [
-                    grand.gls_gradient_norm(u, psi, check["A"], details=True)[1]
-                    for u in profiles
-                ]
-                c2 = check.get("c2")
-                if c2 is None:
-                    c2 = calibrate_morrey_constant(
-                        profiles, psi, check["A"], deltas, gradients=gradients
                     )
-                for u, gradient in zip(profiles, gradients):
-                    for delta in deltas:
-                        reports.append(
-                            check_morrey(
-                                u, psi, check["A"], delta, c2=c2, slack=slack,
-                                gradient=gradient,
-                            )
-                        )
-            elif kind == "scaling":
-                for u in profiles:
-                    for p in check["p-values"]:
-                        reports.append(
-                            check_scaling(u, check["A"], check.get("B", check["A"]), p)
-                        )
-            else:
-                raise InputError(f"unknown check kind '{kind}'")
-        except KeyError as exc:
-            raise InputError(
-                f"campaign check {idx} (kind {kind!r}) is missing key {exc}"
-            ) from exc
+        else:  # scaling
+            for u in profiles:
+                for p in check["p-values"]:
+                    reports.append(check_scaling(u, check["A"], check.get("B", check["A"]), p))
     reports = sort_reports(reports)
     if jsonl_path is not None:
         write_jsonl(reports, jsonl_path)

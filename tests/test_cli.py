@@ -308,6 +308,13 @@ class TestTraceCommand:
         assert code == 1
         assert payload["status"] == "fail"
 
+    @pytest.mark.parametrize("slack", ["inf", "nan"])
+    def test_slack_that_disables_the_verdict_exits_2(self, capsys, slack):
+        argv = ["trace", "--profile", "bump:4,1", "--A", "1,1", "--B", "1", "--r", "1",
+                "--p", "2", "--slack", slack]
+        assert main(argv) == 2
+        assert "slack" in capsys.readouterr().err
+
 
 class TestCampaignCommand:
     def test_default_campaign_artifacts(self, capsys, tmp_path):
@@ -368,6 +375,53 @@ class TestCampaignCommand:
         assert main(["campaign", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "missing key 'family'" in err
+
+    def test_config_with_infinite_slack_exits_2(self, capsys, tmp_path):
+        cfg = {
+            "slack": math.inf,
+            "checks": [
+                {
+                    "kind": "trace",
+                    "A": [1.0, 1.0],
+                    "B": [1.0],
+                    "r": 1,
+                    "p-values": [2.0],
+                    "family": {"generator": "bump", "box": [[4.0, 4.0], [1.0, 1.0]], "count": 1},
+                }
+            ],
+        }
+        path = tmp_path / "infslack.json"
+        path.write_text(json.dumps(cfg))  # written as the JSON token Infinity
+        assert main(["campaign", "--config", str(path)]) == 2
+        assert "slack" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cfg, where",
+        [
+            ({"checks": "abc"}, "'checks' must be a list"),
+            ({"checks": [1]}, "campaign check 0"),
+            ([{"kind": "sobolev"}], "malformed campaign config"),
+            (
+                {"checks": [{"kind": "sobolev", "A": [1.0, 2.0], "p-values": 2.0,
+                             "family": {"generator": "bump", "count": 1}}]},
+                "campaign check 0",
+            ),
+            (
+                {"checks": [{"kind": "scaling", "A": [1.0, 2.0], "p-values": [2.0],
+                             "family": {"generator": "bump", "count": 1}},
+                            {"kind": "sobolev", "A": [1.0, 2.0], "p-values": [2.0],
+                             "family": "bump"}]},
+                "campaign check 1",
+            ),
+        ],
+        ids=["checks-string", "check-number", "top-level-list", "p-values-number",
+             "family-string"],
+    )
+    def test_malformed_config_shape_exits_2(self, capsys, tmp_path, cfg, where):
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["campaign", "--config", str(path)]) == 2
+        assert where in capsys.readouterr().err
 
 
 class TestOutputFormats:

@@ -182,8 +182,6 @@ class TestTraceBounds:
             trace_bounds([1.0, 1.0], [1.0, 1.0], 1, 2.0)  # B length != r
         with pytest.raises(InputError):
             trace_bounds([1.0, 1.0], [1.0], 3, 2.0)  # r > dim
-        with pytest.raises(InputError):
-            trace_bounds([1.0, 1.0], [1.0], 1, 2.0, variant="corrected")
 
     def test_sobolev_exponent_consistency(self):
         # the default q for the full-dimension trace equals the sobolev law

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import roots_jacobi
 
 from glsobolev.errors import DivergentIntegralError, QuadratureError
 from glsobolev.quadrature import (
     QuadratureDiagnostics,
+    _jacobi_rule,
     adaptive_quadrature,
     extend_tail,
     integrate_power_weighted,
@@ -131,6 +133,15 @@ class TestPowerWeighted:
     def test_zero_upper(self):
         val, _ = integrate_power_weighted(np.cos, 1.5, 0.0)
         assert val == 0.0
+
+    def test_head_rule_is_keyed_on_the_exact_exponent(self):
+        # two exponents that agree to 12 decimals still get their own rule
+        near = 0.5 + 1e-13
+        _jacobi_rule(24, 0.5)
+        x, w = _jacobi_rule(24, near)
+        x_exact, w_exact = roots_jacobi(24, 0.0, near)
+        assert np.array_equal(x, x_exact) and np.array_equal(w, w_exact)
+        assert not np.array_equal(w, _jacobi_rule(24, 0.5)[1])
 
 
 class TestTailExtension:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from glsobolev.errors import InputError
 from glsobolev.reports import (
     VerificationReport,
     canonical_digest,
@@ -100,6 +101,12 @@ class TestVerificationReport:
     def test_slack_window(self):
         rep = make_report(lhs=1.0 + 5e-7, rhs=1.0, constant=1.0, slack=1e-6)
         assert rep.status == "pass"
+
+    @pytest.mark.parametrize("slack", [math.inf, math.nan, -1e-6])
+    def test_slack_outside_its_domain_rejected(self, slack):
+        # an infinite slack would pass every ratio, a nan one fail every ratio
+        with pytest.raises(InputError, match="slack"):
+            make_report(lhs=5.0, rhs=1.0, constant=1.0, slack=slack)
 
     def test_zero_over_zero_passes(self):
         rep = make_report(lhs=0.0, rhs=0.0, constant=1.0)

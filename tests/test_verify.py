@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import glsobolev.grand as grand_module
+import glsobolev.verify as verify_module
 from glsobolev.constants import trace_bounds
 from glsobolev.errors import DomainError, InputError
 from glsobolev.exponents import trace_exponent
@@ -316,3 +317,35 @@ class TestCampaign:
         }
         with pytest.raises(InputError, match="unknown check kind"):
             run_campaign(cfg)
+
+    @pytest.mark.parametrize("fault", [KeyError, TypeError])
+    def test_fault_inside_a_check_is_not_a_config_error(self, monkeypatch, fault):
+        def broken(*args, **kwargs):
+            raise fault("inside the check")
+
+        monkeypatch.setattr(verify_module, "check_scaling", broken)
+        cfg = {
+            "checks": [
+                {
+                    "kind": "scaling",
+                    "A": [1.0, 2.0],
+                    "p-values": [2.0],
+                    "family": {"generator": "bump", "count": 1},
+                }
+            ]
+        }
+        with pytest.raises(fault, match="inside the check"):
+            run_campaign(cfg)
+
+    def test_every_check_is_read_before_any_runs(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(verify_module, "check_scaling", lambda *a, **k: ran.append(a))
+        good = {
+            "kind": "scaling",
+            "A": [1.0, 2.0],
+            "p-values": [2.0],
+            "family": {"generator": "bump", "count": 1},
+        }
+        with pytest.raises(InputError, match="campaign check 1 .* 'A' must be a list"):
+            run_campaign({"checks": [good, dict(good, A="12")]})
+        assert ran == []
