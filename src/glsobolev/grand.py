@@ -37,7 +37,7 @@ from .exponents import (
 )
 from .norms import weighted_gradient_norm, weighted_lp_norm
 from .profiles import Compact, RadialProfile
-from .quadrature import DEFAULT_REL_TOL, QuadratureDiagnostics
+from .quadrature import DEFAULT_REL_TOL, QuadratureDiagnostics, _reusing_splits
 from .reports import DEFAULT_SLACK, VerificationReport
 
 SUP_GRID_POINTS = 64
@@ -259,12 +259,16 @@ def _slice_table(norm_fn, u, A, rel_tol: float, diag: QuadratureDiagnostics):
     """p -> norm_fn(u, A, p) for one grand call, each p computed once and its
     diagnostics merged once into ``diag``.  ``norm_fn`` is this module's
     weighted_lp_norm or weighted_gradient_norm as the caller looks it up, so
-    wrappers of either see every computed slice."""
+    wrappers of either see every computed slice.  The table's slices share
+    one split store, so each slice's quadrature reuses the refinement its
+    neighbours recorded (see ``quadrature``); the store dies with the table."""
     values: dict[float, float] = {}
+    splits: dict = {}
 
     def slice_norm(p: float) -> float:
         if p not in values:
-            value, slice_diag = norm_fn(u, A, p, rel_tol=rel_tol, details=True)
+            with _reusing_splits(splits):
+                value, slice_diag = norm_fn(u, A, p, rel_tol=rel_tol, details=True)
             diag.merge(slice_diag)
             values[p] = value
         return values[p]

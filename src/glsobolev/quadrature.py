@@ -15,6 +15,16 @@ Radial measures rho^gamma d rho are handled by two extra pieces:
 Past the head, ``_power_weighted`` folds the weight into the integrand,
 t -> t^gamma g(t), for the body panels and the tail of norms.radial_integral.
 
+Inside a ``_reusing_splits(store)`` scope, which grand sets around each slice
+of one sup scan's slice table, ``adaptive_quadrature`` predicts its splits
+from the split list that the last converged call on the same (a, b, seeded
+edges) recorded in ``store``.  It evaluates the halves of every predicted
+split in one ``_k15_panels`` call, then runs the same heap loop, reading each
+split's halves from that batch and evaluating a split outside the prediction
+pairwise.  Heap order, running sums and the stopping rule do not change, so
+every value and error estimate keeps its bits; ``neval`` counts unused
+predicted halves too.  A call that exhausts its panel budget records nothing.
+
 The policy is fixed by the module constants: DEFAULT_REL_TOL = 1e-10 is the
 default relative tolerance, ABS_FLOOR = 1e-300 the absolute floor under
 every tolerance and MAX_PANELS = 4096 the default panel budget; the tail
@@ -28,6 +38,8 @@ ndarray.
 from __future__ import annotations
 
 import heapq
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -76,6 +88,21 @@ _WEIGHTS_K = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _WEIGHTS_G = np.zeros(15)
 _WEIGHTS_G[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
+# split lists of converged adaptive_quadrature calls, keyed on their sorted
+# edges (a, seeded edges, b); None outside a _reusing_splits scope
+_SPLITS: ContextVar[dict | None] = ContextVar("glsobolev_splits", default=None)
+
+
+@contextmanager
+def _reusing_splits(store: dict):
+    """Let adaptive_quadrature calls in this scope predict their splits from,
+    and record them into, ``store``."""
+    token = _SPLITS.set(store)
+    try:
+        yield
+    finally:
+        _SPLITS.reset(token)
+
 
 @dataclass
 class QuadratureDiagnostics:
@@ -119,20 +146,22 @@ class QuadratureDiagnostics:
 def _k15_panels(f, lo: np.ndarray, hi: np.ndarray):
     """Evaluate the G7/K15 pair on a batch of panels.
 
-    Returns (values, error_estimates); the error estimate follows the
-    classic (200 |K - G| / resasc)^{3/2} rescaling so non-smooth panels are
-    not trusted prematurely.
+    ``lo`` and ``hi`` may have any (common) shape; the 15 nodes are reduced
+    along a new last axis, so a (k, 2) stack gives each row the bits of a
+    two-panel call.  Returns (values, error_estimates) of that shape; the
+    error estimate follows the classic (200 |K - G| / resasc)^{3/2}
+    rescaling so non-smooth panels are not trusted prematurely.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
-    pts = c[:, None] + h[:, None] * _NODES[None, :]
+    pts = c[..., None] + h[..., None] * _NODES
     fx = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
     resk = fx @ _WEIGHTS_K
     resg = fx @ _WEIGHTS_G
     reskh = 0.5 * resk
-    resasc = np.abs(fx - reskh[:, None]) @ _WEIGHTS_K
+    resasc = np.abs(fx - reskh[..., None]) @ _WEIGHTS_K
     vals = resk * h
     raw = np.abs((resk - resg) * h)
     resasc = resasc * h
@@ -173,6 +202,15 @@ def adaptive_quadrature(
     hi = np.array(edges[1:])
     vals, errs = _k15_panels(f, lo, hi)
     neval = 15 * len(lo)
+    store, key = _SPLITS.get(), tuple(edges)
+    predicted = store.get(key, []) if store is not None else []
+    if predicted:
+        s_lo, s_hi = np.array(predicted).T
+        s_mid = 0.5 * (s_lo + s_hi)
+        pvals, perrs = _k15_panels(f, np.stack([s_lo, s_mid], 1), np.stack([s_mid, s_hi], 1))
+        neval += 30 * len(predicted)
+    batch_row = {split: i for i, split in enumerate(predicted)}
+    splits = []
     counter = 0
     heap = []
     for i in range(len(lo)):
@@ -193,8 +231,13 @@ def adaptive_quadrature(
             floor_err += perr
             total_err -= perr
             continue
-        cvals, cerrs = _k15_panels(f, np.array([pa, mid]), np.array([mid, pb]))
-        neval += 30
+        row = batch_row.get((pa, pb))
+        if row is None:
+            cvals, cerrs = _k15_panels(f, np.array([pa, mid]), np.array([mid, pb]))
+            neval += 30
+        else:
+            cvals, cerrs = pvals[row], perrs[row]
+        splits.append((float(pa), float(pb)))
         total += float(cvals.sum() - pval)
         total_err += float(cerrs.sum() - perr)
         for j in range(2):
@@ -215,6 +258,8 @@ def adaptive_quadrature(
     )
     if not diag.converged:
         diag.notes.append(f"panel budget {max_panels} exhausted at error {err:.3e}")
+    elif store is not None:
+        store[key] = splits
     return total, diag
 
 

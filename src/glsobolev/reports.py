@@ -34,6 +34,14 @@ STATUS_FAIL = "fail"
 STATUS_INCONCLUSIVE = "inconclusive"
 
 
+def valid_slack(slack: float) -> float:
+    """``slack`` itself when 0 <= slack < inf; any other value would switch
+    off the pass/fail verdict, so it raises InputError."""
+    if not 0.0 <= slack < math.inf:
+        raise InputError(f"slack must satisfy 0 <= slack < inf, got {slack}")
+    return slack
+
+
 def format_float(x: float) -> str:
     """Shortest exact decimal contract: 17 significant digits."""
     if math.isnan(x):
@@ -115,8 +123,7 @@ class VerificationReport:
                 f"unknown inequality id '{self.inequality_id}'; "
                 f"known: {', '.join(INEQUALITY_IDS)}"
             )
-        if not 0.0 <= self.slack < math.inf:
-            raise InputError(f"slack must satisfy 0 <= slack < inf, got {self.slack}")
+        valid_slack(self.slack)
         denom = self.constant * self.rhs
         if (
             math.isfinite(self.lhs)

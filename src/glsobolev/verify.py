@@ -31,7 +31,14 @@ from .grand import (
 from .norms import radial_integral, weighted_gradient_norm, weighted_lp_norm
 from .profiles import Decaying, RadialProfile, _as_radial, make_profile
 from .quadrature import DEFAULT_REL_TOL, QuadratureDiagnostics
-from .reports import DEFAULT_SLACK, VerificationReport, sort_reports, write_csv, write_jsonl
+from .reports import (
+    DEFAULT_SLACK,
+    VerificationReport,
+    sort_reports,
+    valid_slack,
+    write_csv,
+    write_jsonl,
+)
 
 SCALING_TOL = 1e-8
 
@@ -441,6 +448,14 @@ _CHECK_KEYS = {
 _NUMBER_LISTS = ("A", "B", "p-values", "deltas")
 
 
+def _whole_number(where: str, key: str, value) -> int:
+    """``value`` as an int; InputError naming ``where`` unless it is a whole
+    number (int() would truncate 2.5 to 2)."""
+    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise InputError(f"{where}: '{key}' must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _read_check(idx: int, check, seed: int) -> tuple:
     """(kind, profiles, psi) of campaign check ``idx``, read before any check
     runs; a malformed entry raises InputError naming ``idx``."""
@@ -455,8 +470,8 @@ def _read_check(idx: int, check, seed: int) -> tuple:
         family = ProfileFamily(
             generator=spec["generator"],
             box=tuple(tuple(pair) for pair in spec.get("box", [])),
-            count=int(spec.get("count", 4)),
-            seed=int(spec.get("seed", seed)),
+            count=_whole_number(where, "count", spec.get("count", 4)),
+            seed=_whole_number(where, "seed", spec.get("seed", seed)),
         )
         for key in _CHECK_KEYS[kind]:
             value = check[key]
@@ -478,13 +493,14 @@ def run_campaign(config: dict | None = None, *, jsonl_path=None, csv_path=None) 
 
     The config layout matches ``default_campaign_config``.  Every check's
     entry is read before any check runs, and a malformed one raises
-    InputError.  Reports are sorted by input digest; with a fixed seed the
+    InputError, as does a slack outside [0, inf) or a fractional seed or
+    count.  Reports are sorted by input digest; with a fixed seed the
     written artifacts are byte-identical across runs.
     """
     cfg = config if config is not None else default_campaign_config()
     try:
-        seed = int(cfg.get("seed", 0))
-        slack = float(cfg.get("slack", DEFAULT_SLACK))
+        seed = _whole_number("campaign config", "seed", cfg.get("seed", 0))
+        slack = valid_slack(float(cfg.get("slack", DEFAULT_SLACK)))
     except (AttributeError, TypeError) as exc:
         raise InputError(f"malformed campaign config: {exc}") from exc
     variant = cfg.get("variant", "corrected")

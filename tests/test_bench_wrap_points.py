@@ -3,6 +3,7 @@ replacing functions at the module attributes their callers look up.  These
 tests fail when a refactor renames one of those attributes or routes the
 grand layer or the checkers around them."""
 
+import json
 from pathlib import Path
 
 import glsobolev.grand as ggrand
@@ -53,3 +54,17 @@ def test_default_campaign_repeats_no_work(monkeypatch):
     m = tracer.metrics()
     assert m["grand.slice_unique_frac"] == 1.0
     assert m["profiles.evals"] <= 1_069_517
+
+
+def test_default_campaign_keeps_the_recorded_item_keys(monkeypatch, tmp_path):
+    """The bench keys each campaign report by its inputs digest, and the
+    Morrey inputs hold the calibrated c2, so a c2 that moves by one ulp turns
+    every campaign item into a failure.  Seeds 0-2 are the bench's seed
+    class 0; their keys must hash to the recorded digest."""
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    import run
+    import workloads
+
+    outcomes = workloads.CampaignWorkload(0, str(tmp_path)).run_pass(workloads.Hooks())
+    recorded = json.loads(run.REFERENCES.read_text())["workloads"]["campaign"]["0"]
+    assert run.key_digest(outcomes) == recorded["keys"]

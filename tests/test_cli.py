@@ -395,6 +395,24 @@ class TestCampaignCommand:
         assert main(["campaign", "--config", str(path)]) == 2
         assert "slack" in capsys.readouterr().err
 
+    def test_scaling_only_config_with_infinite_slack_exits_2(self, capsys, tmp_path):
+        # check_scaling fixes its own slack, so the campaign's is checked on reading
+        cfg = {
+            "slack": math.inf,
+            "checks": [
+                {
+                    "kind": "scaling",
+                    "A": [1.0, 2.0],
+                    "p-values": [1.8],
+                    "family": {"generator": "bump", "count": 1},
+                }
+            ],
+        }
+        path = tmp_path / "infslack-scaling.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["campaign", "--config", str(path)]) == 2
+        assert "slack" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "cfg, where",
         [

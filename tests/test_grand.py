@@ -6,6 +6,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 import glsobolev.grand as grand_module
+import glsobolev.quadrature as quadrature_module
 
 from glsobolev.constants import sharp_constant
 from glsobolev.errors import DomainError, InputError, QuadratureError
@@ -449,3 +450,46 @@ class TestWorkNotRepeated:
             calibrate_morrey_constant(
                 [tent(1.5), bump(1.0, 1.0)], psi, [1.0, 1.0], (0.5,), gradients=[gradient]
             )
+
+
+class TestSliceTableReuse:
+    @pytest.mark.parametrize(
+        "u, psi",
+        [
+            (bump(1.0, 1.0), power_endpoint_psi(1.3, 3.4, 0.4, 0.4)),
+            (gaussian(1.0), constant_psi(2.0, 300.0)),
+        ],
+        ids=["bump-power-endpoint", "gaussian-past-seeding"],
+    )
+    def test_scan_slices_equal_standalone_norms(self, monkeypatch, u, psi):
+        """Split reuse inside a scan changes how many points are evaluated
+        and nothing else: each slice's value and diagnostics keep their bits."""
+        A = (1.0, 2.0)
+        real_norm = grand_module.weighted_lp_norm
+        real_k15 = quadrature_module._k15_panels
+        k15_calls = [0]
+
+        def counted(*args):
+            k15_calls[0] += 1
+            return real_k15(*args)
+
+        seen = []
+
+        def recording(*args, **kwargs):
+            out = real_norm(*args, **kwargs)
+            seen.append((args[2], out))
+            return out
+
+        monkeypatch.setattr(quadrature_module, "_k15_panels", counted)
+        monkeypatch.setattr(grand_module, "weighted_lp_norm", recording)
+        gls_norm(u, psi, A)
+        in_scan = k15_calls[0]
+        k15_calls[0] = 0
+        assert len(seen) > 64
+        for p, (value, diag) in seen:
+            alone, alone_diag = real_norm(u, A, p, details=True)
+            assert value == alone
+            fields, alone_fields = diag.to_dict(), alone_diag.to_dict()
+            assert fields.pop("neval") >= alone_fields.pop("neval")
+            assert fields == alone_fields
+        assert in_scan < k15_calls[0]

@@ -337,6 +337,41 @@ class TestCampaign:
         with pytest.raises(fault, match="inside the check"):
             run_campaign(cfg)
 
+    @pytest.mark.parametrize("key, value", [("count", 2.5), ("seed", 0.5), ("count", "2")])
+    def test_fractional_count_or_seed_raises_input_error(self, monkeypatch, key, value):
+        ran = []
+        monkeypatch.setattr(verify_module, "check_scaling", lambda *a, **k: ran.append(a))
+        good = {
+            "kind": "scaling",
+            "A": [1.0, 2.0],
+            "p-values": [2.0],
+            "family": {"generator": "bump", "count": 1},
+        }
+        bad = dict(good, family={"generator": "bump", "count": 1, key: value})
+        with pytest.raises(InputError, match=f"campaign check 1 .* '{key}' must be a whole"):
+            run_campaign({"checks": [good, bad]})
+        assert ran == []
+
+    def test_whole_float_count_is_accepted(self):
+        reports = run_campaign(
+            {
+                "seed": 3.0,
+                "checks": [
+                    {
+                        "kind": "scaling",
+                        "A": [1.0, 2.0],
+                        "p-values": [2.0],
+                        "family": {"generator": "bump", "count": 2.0},
+                    }
+                ],
+            }
+        )
+        assert len(reports) == 2
+
+    def test_fractional_campaign_seed_raises_input_error(self):
+        with pytest.raises(InputError, match="campaign config: 'seed' must be a whole"):
+            run_campaign({"seed": 1.5, "checks": []})
+
     def test_every_check_is_read_before_any_runs(self, monkeypatch):
         ran = []
         monkeypatch.setattr(verify_module, "check_scaling", lambda *a, **k: ran.append(a))
