@@ -30,7 +30,6 @@ from .grand import (
 )
 from .norms import weighted_gradient_norm, weighted_lp_norm
 from .profiles import make_profile
-from .quadrature import DEFAULT_REL_TOL
 from .reports import DEFAULT_SLACK, dumps, exit_status, format_float
 from .verify import (
     check_trace_radial,
@@ -189,7 +188,7 @@ def _cmd_norm(args) -> tuple:
     u = _parse_profile(args.profile)
     A = _parse_floats(args.A)
     fn = weighted_gradient_norm if args.gradient else weighted_lp_norm
-    value, diag = fn(u, A, args.p, rel_tol=args.rel_tol, details=True)
+    value, diag = fn(u, A, args.p, details=True)
     payload = {
         "profile": u.name,
         "A": A,
@@ -206,7 +205,7 @@ def _cmd_gls_norm(args) -> tuple:
     psi = _parse_psi(args.psi)
     A = _parse_floats(args.A)
     fn = gls_gradient_norm if args.gradient else gls_norm
-    value, res = fn(u, psi, A, rel_tol=args.rel_tol, details=True)
+    value, res = fn(u, psi, A, details=True)
     payload = {
         "profile": u.name,
         "psi": psi.describe(),
@@ -252,12 +251,11 @@ def _cmd_morrey(args) -> tuple:
     A = _parse_floats(args.A)
     # looked up on grand, as morrey_bound does, so wrappers of
     # grand.gls_gradient_norm see the one gradient scan
-    _, gradient = grand.gls_gradient_norm(u, psi, A, rel_tol=args.rel_tol, details=True)
+    _, gradient = grand.gls_gradient_norm(u, psi, A, details=True)
     payload = []
     for delta in _parse_floats(args.delta):
         bound, info = morrey_bound(
-            u, psi, A, delta, c2=args.c2, rel_tol=args.rel_tol, details=True,
-            gradient=gradient,
+            u, psi, A, delta, c2=args.c2, details=True, gradient=gradient
         )
         entry = {
             "delta": delta,
@@ -276,7 +274,7 @@ def _cmd_scaling(args) -> tuple:
     u = _parse_profile(args.profile)
     A = _parse_floats(args.A)
     B = _parse_floats(args.B) if args.B is not None else A
-    fit = fit_scaling_exponents(u, A, B, args.p, args.q, rel_tol=args.rel_tol)
+    fit = fit_scaling_exponents(u, A, B, args.p, args.q)
     payload = {
         "profile": u.name,
         "A": A,
@@ -293,9 +291,7 @@ def _cmd_trace(args) -> tuple:
     g = _parse_profile(args.profile)
     A = _parse_floats(args.A)
     B = _parse_floats(args.B)
-    report = check_trace_radial(
-        g, A, B, args.r, args.p, slack=args.slack, rel_tol=args.rel_tol
-    )
+    report = check_trace_radial(g, A, B, args.r, args.p, slack=args.slack)
     return report.to_dict(), exit_status([report])
 
 
@@ -336,47 +332,41 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, rel_tol: bool):
+    def command(name: str, summary: str):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--output", choices=("json", "csv", "pretty"), default="json")
-        if rel_tol:
-            p.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL)
+        return p
 
-    p = sub.add_parser("constants", help="sharp constants and exponent laws")
-    add_common(p, rel_tol=False)
+    p = command("constants", "sharp constants and exponent laws")
     p.add_argument("--A", required=True, help="comma-separated weight exponents")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--B", help="trace-side exponents (with --r)")
     p.add_argument("--r", type=int, help="trace subspace dimension")
     p.add_argument("--variant", choices=("corrected", "literal"), default="corrected")
 
-    p = sub.add_parser("norm", help="weighted Lp norm of a radial profile")
-    add_common(p, rel_tol=True)
+    p = command("norm", "weighted Lp norm of a radial profile")
     p.add_argument("--profile", required=True, help="e.g. bump:1.0,2.0")
     p.add_argument("--A", required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--gradient", action="store_true")
 
-    p = sub.add_parser("gls-norm", help="grand Lebesgue norm")
-    add_common(p, rel_tol=True)
+    p = command("gls-norm", "grand Lebesgue norm")
     p.add_argument("--profile", required=True)
     p.add_argument("--psi", required=True, help="constant:a[,b] | power:a,b,alpha,beta | table:p=v,...")
     p.add_argument("--A", required=True)
     p.add_argument("--gradient", action="store_true")
 
-    p = sub.add_parser("fundamental", help="fundamental function of a grand space")
-    add_common(p, rel_tol=False)
+    p = command("fundamental", "fundamental function of a grand space")
     p.add_argument("--psi", required=True)
     p.add_argument("--delta", required=True, help="comma-separated measures")
 
-    p = sub.add_parser("zeta", help="exponent-law transform of a weight")
-    add_common(p, rel_tol=False)
+    p = command("zeta", "exponent-law transform of a weight")
     p.add_argument("--psi", required=True)
     p.add_argument("--A", required=True)
     p.add_argument("--q", required=True, help="comma-separated evaluation points")
     p.add_argument("--variant", choices=("corrected", "literal"), default="corrected")
 
-    p = sub.add_parser("morrey", help="continuity-modulus bound")
-    add_common(p, rel_tol=True)
+    p = command("morrey", "continuity-modulus bound")
     p.add_argument("--profile", required=True)
     p.add_argument("--psi", required=True)
     p.add_argument("--A", required=True)
@@ -384,16 +374,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c2", type=float, default=1.0)
     p.add_argument("--measure", action="store_true", help="also sample the modulus")
 
-    p = sub.add_parser("scaling", help="dilation exponents of both sides")
-    add_common(p, rel_tol=True)
+    p = command("scaling", "dilation exponents of both sides")
     p.add_argument("--profile", required=True)
     p.add_argument("--A", required=True)
     p.add_argument("--B")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--q", type=float)
 
-    p = sub.add_parser("trace", help="radial trace inequality check")
-    add_common(p, rel_tol=True)
+    p = command("trace", "radial trace inequality check")
     p.add_argument("--profile", required=True)
     p.add_argument("--A", required=True)
     p.add_argument("--B", required=True)
@@ -401,8 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--slack", type=float, default=DEFAULT_SLACK)
 
-    p = sub.add_parser("campaign", help="run a battery of inequality checks")
-    add_common(p, rel_tol=False)
+    p = command("campaign", "run a battery of inequality checks")
     p.add_argument("--config", help=f"JSON config (relative paths use ${CONFIG_DIR_ENV})")
     p.add_argument("--seed", type=int)
     p.add_argument("--jsonl", help="write full reports here")

@@ -34,6 +34,13 @@ from .gammafn import log_gamma
 _VARIANTS = ("corrected", "literal")
 
 
+def _valid_variant(variant: str) -> str:
+    """``variant`` itself when it names a constant variant; InputError otherwise."""
+    if variant not in _VARIANTS:
+        raise InputError(f"unknown constant variant {variant!r}; use one of {_VARIANTS}")
+    return variant
+
+
 def talenti_constant(m: int, p: float) -> float:
     """Sharp constant of the Sobolev inequality on R^m, 1 <= p < m, m >= 3.
 
@@ -77,8 +84,7 @@ def sharp_constant_p1(A, variant: str = "corrected") -> float:
     D = A.effective_dimension
     if D <= 1.0:
         raise DomainError(f"effective dimension D = {D} must exceed 1")
-    if variant not in _VARIANTS:
-        raise InputError(f"unknown constant variant {variant!r}; use one of {_VARIANTS}")
+    _valid_variant(variant)
     lgp = _log_gamma_product(A)
     if variant == "corrected":
         return math.exp(-math.log(D) + (log_gamma(1.0 + D / 2.0) - lgp) / D)

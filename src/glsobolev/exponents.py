@@ -12,6 +12,7 @@ exponent law reads q = D(B) * p / (D(A) - p) for 1 <= p < D(A).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,11 +158,14 @@ def trace_exponent(A, B, r: int, p: float) -> float:
 
     This is the exponent law of sobolev_exponent with B on the
     r-dimensional trace subspace: A lives on R^d, B has r entries and
-    D_r(B) = r + sum B(i).  r = d is admitted; r > d is rejected.
+    D_r(B) = r + sum B(i).  r = d is admitted; r > d is rejected, and so is
+    a fractional r.
     """
     A = as_exponent_tuple(A)
     B = as_exponent_tuple(B)
     d = A.dimension
+    if not (isinstance(r, numbers.Real) and float(r).is_integer()):
+        raise InputError(f"trace dimension r must be a whole number, got {r!r}")
     r = int(r)
     if r < 1 or r > d:
         raise InputError(f"trace dimension r = {r} must satisfy 1 <= r <= d = {d}")

@@ -37,7 +37,7 @@ from .exponents import (
 )
 from .norms import weighted_gradient_norm, weighted_lp_norm
 from .profiles import Compact, RadialProfile
-from .quadrature import DEFAULT_REL_TOL, QuadratureDiagnostics, _reusing_splits
+from .quadrature import REL_TOL, QuadratureDiagnostics, _reusing_splits
 from .reports import DEFAULT_SLACK, VerificationReport
 
 SUP_GRID_POINTS = 64
@@ -255,7 +255,7 @@ def _scan_sup(objective, a: float, b: float) -> SupremumResult:
     )
 
 
-def _slice_table(norm_fn, u, A, rel_tol: float, diag: QuadratureDiagnostics):
+def _slice_table(norm_fn, u, A, diag: QuadratureDiagnostics):
     """p -> norm_fn(u, A, p) for one grand call, each p computed once and its
     diagnostics merged once into ``diag``.  ``norm_fn`` is this module's
     weighted_lp_norm or weighted_gradient_norm as the caller looks it up, so
@@ -268,7 +268,7 @@ def _slice_table(norm_fn, u, A, rel_tol: float, diag: QuadratureDiagnostics):
     def slice_norm(p: float) -> float:
         if p not in values:
             with _reusing_splits(splits):
-                value, slice_diag = norm_fn(u, A, p, rel_tol=rel_tol, details=True)
+                value, slice_diag = norm_fn(u, A, p, details=True)
             diag.merge(slice_diag)
             values[p] = value
         return values[p]
@@ -276,13 +276,13 @@ def _slice_table(norm_fn, u, A, rel_tol: float, diag: QuadratureDiagnostics):
     return slice_norm
 
 
-def _gls(norm_fn, u, psi: PsiFunction, A, rel_tol: float, details: bool):
+def _gls(norm_fn, u, psi: PsiFunction, A, details: bool):
     """sup_p norm_fn(u, A, p) / psi(p): the body of gls_norm and gls_gradient_norm."""
     A = as_exponent_tuple(A)
     if psi.a < 1.0:
         raise InputError(f"psi support must start at p >= 1, got {psi.a}")
     diag = QuadratureDiagnostics()
-    slices = _slice_table(norm_fn, u, A, rel_tol, diag)
+    slices = _slice_table(norm_fn, u, A, diag)
     res = replace(_scan_sup(lambda p: slices(p) / psi(p), psi.a, psi.b), quadrature=diag)
     return (res.value, res) if details else res.value
 
@@ -292,7 +292,6 @@ def gls_norm(
     psi: PsiFunction,
     A,
     *,
-    rel_tol: float = DEFAULT_REL_TOL,
     details: bool = False,
 ):
     """Grand norm sup_p ||u||_{p, A} / psi(p) over the support of psi.
@@ -301,7 +300,7 @@ def gls_norm(
     diverges.  With ``details`` the SupremumResult carries the quadrature
     diagnostics merged over every slice.
     """
-    return _gls(weighted_lp_norm, u, psi, A, rel_tol, details)
+    return _gls(weighted_lp_norm, u, psi, A, details)
 
 
 def gls_gradient_norm(
@@ -309,11 +308,10 @@ def gls_gradient_norm(
     psi: PsiFunction,
     A,
     *,
-    rel_tol: float = DEFAULT_REL_TOL,
     details: bool = False,
 ):
     """Grand norm of |grad u|: sup_p || |u'| ||_{p, A} / psi(p)."""
-    return _gls(weighted_gradient_norm, u, psi, A, rel_tol, details)
+    return _gls(weighted_gradient_norm, u, psi, A, details)
 
 
 def fundamental_function(
@@ -418,7 +416,6 @@ def morrey_bound(
     delta: float,
     *,
     c2: float = 1.0,
-    rel_tol: float = DEFAULT_REL_TOL,
     details: bool = False,
     gradient: SupremumResult | None = None,
 ):
@@ -427,10 +424,10 @@ def morrey_bound(
     bound = ||grad u||_{G(psi)} * delta / phi_{G(psi_D)}(delta^D), where
     psi_D is the morrey transform with calibration constant c2.  The
     gradient norm does not depend on delta or c2: pass ``gradient``, the
-    SupremumResult of ``gls_gradient_norm(u, psi, A, rel_tol=rel_tol,
-    details=True)``, to reuse one across calls; with None it is computed
-    here.  With ``details`` the info dict also holds, under ``quadrature``,
-    the QuadratureDiagnostics of the gradient norm's slices (the object
+    SupremumResult of ``gls_gradient_norm(u, psi, A, details=True)``, to
+    reuse one across calls; with None it is computed here.  With
+    ``details`` the info dict also holds, under ``quadrature``, the
+    QuadratureDiagnostics of the gradient norm's slices (the object
     ``gradient`` carries, shared and not copied).
     """
     A = as_exponent_tuple(A)
@@ -439,7 +436,7 @@ def morrey_bound(
         raise DomainError(f"delta must be positive and finite, got {delta}")
     psi_d = morrey_transform(psi, A, c2)
     if gradient is None:
-        _, gradient = gls_gradient_norm(u, psi, A, rel_tol=rel_tol, details=True)
+        _, gradient = gls_gradient_norm(u, psi, A, details=True)
     grad = gradient.value
     phi, phi_res = fundamental_function(psi_d, delta**D, details=True)
     bound = grad * delta / phi
@@ -530,7 +527,6 @@ def verify_gls_sobolev(
     *,
     variant: str = "corrected",
     slack: float = DEFAULT_SLACK,
-    rel_tol: float = DEFAULT_REL_TOL,
 ) -> VerificationReport:
     """Check ||u||_{G(zeta)} <= ||grad u||_{G(psi)} on one profile.
 
@@ -547,11 +543,11 @@ def verify_gls_sobolev(
     # The slice scan reads the rhs scan's gradient table (their windows agree
     # when b <= D); diagnostics merge in the order rhs, lhs, slice scan.
     diag = QuadratureDiagnostics()
-    gradient = _slice_table(weighted_gradient_norm, u, A, rel_tol, diag)
+    gradient = _slice_table(weighted_gradient_norm, u, A, diag)
     rhs_res = _scan_sup(lambda p: gradient(p) / psi(p), psi.a, psi.b)
-    lhs, lhs_res = _gls(weighted_lp_norm, u, zeta, A, rel_tol, True)
+    lhs, lhs_res = _gls(weighted_lp_norm, u, zeta, A, True)
     diag.merge(lhs_res.quadrature)
-    lp = _slice_table(weighted_lp_norm, u, A, rel_tol, diag)
+    lp = _slice_table(weighted_lp_norm, u, A, diag)
 
     def slice_objective(p: float) -> float:
         num = lp(sobolev_exponent(A, A, p))
@@ -574,7 +570,7 @@ def verify_gls_sobolev(
             "variant": variant,
             "slack": slack,
         },
-        tolerances={"slack": slack, "sup-rel-tol": SUP_REL_TOL, "quad-rel-tol": rel_tol},
+        tolerances={"slack": slack, "sup-rel-tol": SUP_REL_TOL, "quad-rel-tol": REL_TOL},
         quadrature=diag.to_dict(),
         extra={
             "slice-ratio-sup": slice_res.value,

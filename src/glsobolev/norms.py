@@ -27,12 +27,11 @@ from functools import lru_cache
 import numpy as np
 
 from .constants import _log_gamma_product
-from .errors import DomainError, InputError
+from .errors import DomainError
 from .exponents import ExponentTuple, as_exponent_tuple
 from .gammafn import log_gamma
 from .profiles import Decaying, RadialProfile
 from .quadrature import (
-    DEFAULT_REL_TOL,
     QuadratureDiagnostics,
     _power_weighted,
     extend_tail,
@@ -94,36 +93,29 @@ def radial_integral(
     gamma_exp: float,
     profile: RadialProfile,
     *,
-    rel_tol: float = DEFAULT_REL_TOL,
     initial_edges=None,
 ) -> tuple[float, QuadratureDiagnostics]:
     """int_0^inf rho^gamma_exp fn(rho) d rho over the profile's support.
 
     ``fn`` is any vectorized function derived from the profile (the caller
     owns the pointwise transform); the support descriptor decides whether a
-    geometric tail extension is appended.  ``rel_tol`` must lie in (0, 1).
+    geometric tail extension is appended.
     """
-    if not 0.0 < rel_tol < 1.0:
-        raise InputError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     support = profile.support
     decaying = isinstance(support, Decaying)
     upper = support.radius
     if decaying and initial_edges is not None:
         seeded_max = max((x for x in initial_edges if math.isfinite(x)), default=0.0)
         upper = max(upper, 2.0 * seeded_max)
-    value, diag = integrate_power_weighted(
-        fn, gamma_exp, upper, rel_tol=rel_tol, initial_edges=initial_edges
-    )
+    value, diag = integrate_power_weighted(fn, gamma_exp, upper, initial_edges=initial_edges)
     if decaying:
-        tail, tdiag = extend_tail(
-            _power_weighted(fn, gamma_exp), upper, rel_tol=rel_tol, base_value=value
-        )
+        tail, tdiag = extend_tail(_power_weighted(fn, gamma_exp), upper, base_value=value)
         diag.merge(tdiag)
         value += tail
     return value, diag
 
 
-def _norm(u: RadialProfile, gradient: bool, A, p: float, rel_tol: float, details: bool):
+def _norm(u: RadialProfile, gradient: bool, A, p: float, details: bool):
     """||u||_{p, A}, or || |u'| ||_{p, A} with ``gradient``: the body of
     weighted_lp_norm and weighted_gradient_norm."""
     A = as_exponent_tuple(A)
@@ -145,7 +137,7 @@ def _norm(u: RadialProfile, gradient: bool, A, p: float, rel_tol: float, details
     if p >= _SEED_P_THRESHOLD:
         span = scan.scan_end if rho_star > 0.0 else scan.scan_end * 0.5
         edges = _peak_edges(max(rho_star, scan.first_node), span)
-    integral, diag = radial_integral(g, D - 1.0, u, rel_tol=rel_tol, initial_edges=edges)
+    integral, diag = radial_integral(g, D - 1.0, u, initial_edges=edges)
     value = 0.0
     if integral > 0.0:
         log_norm = math.log(peak) + (_log_angular_mass(A.entries) + math.log(integral)) / p
@@ -158,7 +150,6 @@ def weighted_lp_norm(
     A,
     p: float,
     *,
-    rel_tol: float = DEFAULT_REL_TOL,
     details: bool = False,
 ):
     """||u||_{p, A} for a radial profile u.
@@ -171,8 +162,6 @@ def weighted_lp_norm(
         Monomial weight exponents, all nonnegative.
     p : float
         Lebesgue exponent, p >= 1.
-    rel_tol : float, optional
-        Relative tolerance requested from the quadrature.
     details : bool, optional
         When true, return ``(value, diagnostics)``.
 
@@ -185,9 +174,9 @@ def weighted_lp_norm(
     DivergentIntegralError
         If the tail blocks stop decaying (the norm is infinite or nearly so).
     QuadratureError
-        If the requested tolerance cannot be certified.
+        If the tolerance ``quadrature.REL_TOL`` cannot be certified.
     """
-    return _norm(u, False, A, p, rel_tol, details)
+    return _norm(u, False, A, p, details)
 
 
 def weighted_gradient_norm(
@@ -195,11 +184,10 @@ def weighted_gradient_norm(
     A,
     p: float,
     *,
-    rel_tol: float = DEFAULT_REL_TOL,
     details: bool = False,
 ):
     """|| |grad u| ||_{p, A}; for radial u this is the norm of |u'(rho)|."""
-    return _norm(u, True, A, p, rel_tol, details)
+    return _norm(u, True, A, p, details)
 
 
 def sup_norm(u: RadialProfile) -> float:

@@ -2,7 +2,7 @@
 
 The workhorse is a G7/K15 pair (QUADPACK) with heap-driven bisection: the
 panel with the largest error estimate is split until the total estimate
-certifies the requested relative tolerance.
+certifies the relative tolerance REL_TOL.
 
 Radial measures rho^gamma d rho are handled by two extra pieces:
 
@@ -25,9 +25,9 @@ pairwise.  Heap order, running sums and the stopping rule do not change, so
 every value and error estimate keeps its bits; ``neval`` counts unused
 predicted halves too.  A call that exhausts its panel budget records nothing.
 
-The policy is fixed by the module constants: DEFAULT_REL_TOL = 1e-10 is the
-default relative tolerance, ABS_FLOOR = 1e-300 the absolute floor under
-every tolerance and MAX_PANELS = 4096 the default panel budget; the tail
+The policy is fixed by the module constants: REL_TOL = 1e-10 is the
+relative tolerance of every integral, ABS_FLOOR = 1e-300 the absolute floor
+under every tolerance and MAX_PANELS = 4096 the default panel budget; the tail
 stops once its last block contributes less than TAIL_REL = 1e-12 of the
 running total, and raises QuadratureError at radius TAIL_CAP = 2^40.
 
@@ -48,7 +48,7 @@ from scipy.special import roots_jacobi
 
 from .errors import DivergentIntegralError, QuadratureError
 
-DEFAULT_REL_TOL = 1e-10
+REL_TOL = 1e-10
 ABS_FLOOR = 1e-300
 MAX_PANELS = 4096
 TAIL_REL = 1e-12
@@ -177,12 +177,11 @@ def adaptive_quadrature(
     a: float,
     b: float,
     *,
-    rel_tol: float = DEFAULT_REL_TOL,
     max_panels: int = MAX_PANELS,
     initial_edges=None,
     base_value: float = 0.0,
 ) -> tuple[float, QuadratureDiagnostics]:
-    """Integrate f over [a, b] to relative tolerance rel_tol.
+    """Integrate f over [a, b] to relative tolerance REL_TOL.
 
     ``initial_edges`` seeds extra panel boundaries (used to pin down sharp
     interior peaks before the first error estimate is trusted).
@@ -222,7 +221,7 @@ def adaptive_quadrature(
     panels = len(lo)
 
     def tol_now() -> float:
-        return max(rel_tol * abs(total + base_value), ABS_FLOOR)
+        return max(REL_TOL * abs(total + base_value), ABS_FLOOR)
 
     while total_err + floor_err > tol_now() and panels < max_panels and heap:
         neg_err, _, pa, pb, pval, perr = heapq.heappop(heap)
@@ -286,7 +285,6 @@ def integrate_power_weighted(
     gamma_exp: float,
     upper: float,
     *,
-    rel_tol: float = DEFAULT_REL_TOL,
     initial_edges=None,
 ) -> tuple[float, QuadratureDiagnostics]:
     """int_0^upper t^gamma_exp g(t) dt with the endpoint weight handled exactly.
@@ -301,9 +299,7 @@ def integrate_power_weighted(
     if upper <= 0.0:
         return 0.0, QuadratureDiagnostics()
     if gamma_exp == 0.0:
-        return adaptive_quadrature(
-            g, 0.0, upper, rel_tol=rel_tol, initial_edges=initial_edges
-        )
+        return adaptive_quadrature(g, 0.0, upper, initial_edges=initial_edges)
     eps = upper / 256.0
     if initial_edges is not None:
         inner = [x for x in initial_edges if 0.0 < x < upper]
@@ -314,7 +310,7 @@ def integrate_power_weighted(
     for _ in range(80):
         check = _jacobi_head(g, gamma_exp, eps, 48)
         neval_head += 48
-        if abs(check - head) <= max(rel_tol * abs(check), ABS_FLOOR):
+        if abs(check - head) <= max(REL_TOL * abs(check), ABS_FLOOR):
             head = check
             break
         eps *= 0.5
@@ -326,7 +322,6 @@ def integrate_power_weighted(
         _power_weighted(g, gamma_exp),
         eps,
         upper,
-        rel_tol=rel_tol,
         initial_edges=initial_edges,
         base_value=head,
     )
@@ -339,7 +334,6 @@ def extend_tail(
     f,
     start: float,
     *,
-    rel_tol: float = DEFAULT_REL_TOL,
     base_value: float = 0.0,
 ) -> tuple[float, QuadratureDiagnostics]:
     """Integrate f over [start, R] with R doubled until the tail is spent.
@@ -356,9 +350,7 @@ def extend_tail(
     radius = start
     contribs: list[float] = []
     while radius < TAIL_CAP:
-        block, bdiag = adaptive_quadrature(
-            f, radius, 2.0 * radius, rel_tol=rel_tol, base_value=base_value + total
-        )
+        block, bdiag = adaptive_quadrature(f, radius, 2.0 * radius, base_value=base_value + total)
         diag.merge(bdiag)
         total += block
         radius *= 2.0

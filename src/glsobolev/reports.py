@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import math
 from dataclasses import dataclass, field
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import grand
-from .constants import sharp_constant, talenti_constant, trace_bounds
+from .constants import _valid_variant, sharp_constant, talenti_constant, trace_bounds
 from .errors import DomainError, InputError
 from .exponents import as_exponent_tuple, sobolev_exponent, trace_exponent
 from .grand import (
@@ -30,7 +30,7 @@ from .grand import (
 )
 from .norms import radial_integral, weighted_gradient_norm, weighted_lp_norm
 from .profiles import Decaying, RadialProfile, _as_radial, make_profile
-from .quadrature import DEFAULT_REL_TOL, QuadratureDiagnostics
+from .quadrature import REL_TOL, QuadratureDiagnostics
 from .reports import (
     DEFAULT_SLACK,
     VerificationReport,
@@ -77,7 +77,6 @@ def check_sobolev(
     *,
     variant: str = "corrected",
     slack: float = DEFAULT_SLACK,
-    rel_tol: float = DEFAULT_REL_TOL,
 ) -> VerificationReport:
     """||u||_{q, A} <= C(p) || |u'| ||_{p, A} at the critical q.
 
@@ -87,8 +86,8 @@ def check_sobolev(
     A = as_exponent_tuple(A)
     q = sobolev_exponent(A, A, p)
     c = sharp_constant(A, p, variant=variant)
-    lhs, ldiag = weighted_lp_norm(u, A, q, rel_tol=rel_tol, details=True)
-    rhs, rdiag = weighted_gradient_norm(u, A, p, rel_tol=rel_tol, details=True)
+    lhs, ldiag = weighted_lp_norm(u, A, q, details=True)
+    rhs, rdiag = weighted_gradient_norm(u, A, p, details=True)
     ldiag.merge(rdiag)
     extra = {"q": q, "effective-dimension": A.effective_dimension}
     m = A.dimension
@@ -107,7 +106,7 @@ def check_sobolev(
             "variant": variant,
             "slack": slack,
         },
-        tolerances={"slack": slack, "quad-rel-tol": rel_tol},
+        tolerances={"slack": slack, "quad-rel-tol": REL_TOL},
         quadrature=ldiag.to_dict(),
         extra=extra,
         slack=slack,
@@ -152,8 +151,6 @@ def fit_scaling_exponents(
     B,
     p: float,
     q: float | None = None,
-    *,
-    rel_tol: float = DEFAULT_REL_TOL,
 ) -> ScalingFit:
     """Measure how both sides of the embedding scale under dilation.
 
@@ -173,8 +170,8 @@ def fit_scaling_exponents(
     diag = QuadratureDiagnostics()
     for i, lam in enumerate(dilations):
         v = u.dilated(float(lam))
-        lhs, ldiag = weighted_lp_norm(v, B, q, rel_tol=rel_tol, details=True)
-        rhs, rdiag = weighted_gradient_norm(v, A, p, rel_tol=rel_tol, details=True)
+        lhs, ldiag = weighted_lp_norm(v, B, q, details=True)
+        rhs, rdiag = weighted_gradient_norm(v, A, p, details=True)
         diag.merge(ldiag)
         diag.merge(rdiag)
         log_lhs[i] = math.log(lhs)
@@ -199,8 +196,6 @@ def check_scaling(
     A,
     B,
     p: float,
-    *,
-    rel_tol: float = DEFAULT_REL_TOL,
 ) -> VerificationReport:
     """Report form of the dilation-exponent fit at the critical q.
 
@@ -208,7 +203,7 @@ def check_scaling(
     """
     A = as_exponent_tuple(A)
     B = as_exponent_tuple(B)
-    fit = fit_scaling_exponents(u, A, B, p, rel_tol=rel_tol)
+    fit = fit_scaling_exponents(u, A, B, p)
     return VerificationReport(
         inequality_id="scaling-2.4",
         lhs=fit.max_deviation,
@@ -222,7 +217,7 @@ def check_scaling(
             "p": p,
             "tol": SCALING_TOL,
         },
-        tolerances={"slope-tol": SCALING_TOL, "quad-rel-tol": rel_tol},
+        tolerances={"slope-tol": SCALING_TOL, "quad-rel-tol": REL_TOL},
         quadrature=fit.quadrature.to_dict(),
         extra=fit.figures(),
         slack=0.0,
@@ -237,7 +232,6 @@ def check_trace_radial(
     p: float,
     *,
     slack: float = DEFAULT_SLACK,
-    rel_tol: float = DEFAULT_REL_TOL,
 ) -> VerificationReport:
     """Radial form of the trace inequality against the bracket [M, M Q].
 
@@ -257,13 +251,11 @@ def check_trace_radial(
         lambda s: np.abs(np.asarray(g.value(s), dtype=float)),
         d_r - 1.0,
         g,
-        rel_tol=rel_tol,
     )
     rhs_int, rdiag = radial_integral(
         lambda s: np.abs(np.asarray(g.derivative(s), dtype=float)) ** p,
         0.0,
         g,
-        rel_tol=rel_tol,
     )
     ldiag.merge(rdiag)
     lhs = lhs_int ** (1.0 / q) if lhs_int > 0.0 else 0.0
@@ -282,7 +274,7 @@ def check_trace_radial(
             "p": p,
             "slack": slack,
         },
-        tolerances={"slack": slack, "quad-rel-tol": rel_tol},
+        tolerances={"slack": slack, "quad-rel-tol": REL_TOL},
         quadrature=ldiag.to_dict(),
         extra={"q": q, "M": bounds.M, "Q": bounds.Q, "sampled-ratio": lhs / rhs if rhs > 0 else math.nan},
         slack=slack,
@@ -297,20 +289,16 @@ def check_morrey(
     *,
     c2: float = 1.0,
     slack: float = DEFAULT_SLACK,
-    rel_tol: float = DEFAULT_REL_TOL,
     gradient: SupremumResult | None = None,
 ) -> VerificationReport:
     """Sampled modulus of continuity against the grand Morrey bound.
 
     ``gradient`` is passed on to ``morrey_bound``: the SupremumResult of
-    ``gls_gradient_norm(u, psi, A, rel_tol=rel_tol, details=True)``, computed
-    there when None.
+    ``gls_gradient_norm(u, psi, A, details=True)``, computed there when None.
     """
     A = as_exponent_tuple(A)
     omega = modulus_of_continuity(u, delta)
-    bound, info = morrey_bound(
-        u, psi, A, delta, c2=c2, rel_tol=rel_tol, details=True, gradient=gradient
-    )
+    bound, info = morrey_bound(u, psi, A, delta, c2=c2, details=True, gradient=gradient)
     diag = info.pop("quadrature")
     return VerificationReport(
         inequality_id="morrey-7.8",
@@ -326,7 +314,7 @@ def check_morrey(
             "c2": c2,
             "slack": slack,
         },
-        tolerances={"slack": slack, "quad-rel-tol": rel_tol},
+        tolerances={"slack": slack, "quad-rel-tol": REL_TOL},
         quadrature=diag.to_dict(),
         extra=info,
         slack=slack,
@@ -480,6 +468,8 @@ def _read_check(idx: int, check, seed: int) -> tuple:
                 and all(isinstance(x, numbers.Real) for x in value)
             ):
                 raise InputError(f"{where}: '{key}' must be a list of numbers, got {value!r}")
+        if kind == "trace":
+            _whole_number(where, "r", check["r"])
         psi = _psi_from_spec(check["psi"]) if "psi" in _CHECK_KEYS[kind] else None
     except KeyError as exc:
         raise InputError(f"{where} is missing key {exc}") from exc
@@ -493,8 +483,8 @@ def run_campaign(config: dict | None = None, *, jsonl_path=None, csv_path=None) 
 
     The config layout matches ``default_campaign_config``.  Every check's
     entry is read before any check runs, and a malformed one raises
-    InputError, as does a slack outside [0, inf) or a fractional seed or
-    count.  Reports are sorted by input digest; with a fixed seed the
+    InputError, as does a slack outside [0, inf), an unknown variant or a
+    fractional seed, count or trace dimension r.  Reports are sorted by input digest; with a fixed seed the
     written artifacts are byte-identical across runs.
     """
     cfg = config if config is not None else default_campaign_config()
@@ -503,7 +493,7 @@ def run_campaign(config: dict | None = None, *, jsonl_path=None, csv_path=None) 
         slack = valid_slack(float(cfg.get("slack", DEFAULT_SLACK)))
     except (AttributeError, TypeError) as exc:
         raise InputError(f"malformed campaign config: {exc}") from exc
-    variant = cfg.get("variant", "corrected")
+    variant = _valid_variant(cfg.get("variant", "corrected"))
     checks = cfg.get("checks", [])
     if not isinstance(checks, (list, tuple)):
         raise InputError(f"campaign config 'checks' must be a list, got {checks!r}")

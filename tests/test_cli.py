@@ -9,13 +9,14 @@ import pytest
 
 import glsobolev.grand as grand_module
 from glsobolev import __version__
-from glsobolev.cli import CONFIG_DIR_ENV, build_parser, main
+from glsobolev.cli import CONFIG_DIR_ENV, main
 from glsobolev.constants import sharp_constant
 from glsobolev.exponents import sobolev_exponent
 from glsobolev.grand import constant_psi, fundamental_function, gls_norm, zeta_transform
 from glsobolev.norms import weighted_gradient_norm, weighted_lp_norm
 from glsobolev.profiles import bump
 from glsobolev.reports import INEQUALITY_IDS
+from glsobolev.verify import default_campaign_config
 
 
 def run_json(capsys, argv):
@@ -211,17 +212,6 @@ class TestRelTolOption:
             ["fundamental", "--psi", "constant:1.5,2.5", "--delta", "1"],
             ["zeta", "--psi", "constant:1.5,2.5", "--A", "1,2", "--q", "3"],
             ["campaign"],
-        ],
-    )
-    def test_rejected_where_unused(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--rel-tol", "5"])
-        assert exc.value.code == 2
-        assert "--rel-tol" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
             ["norm", "--profile", "bump:1,1", "--A", "1", "--p", "2"],
             ["gls-norm", "--profile", "bump:1,1", "--psi", "constant:1.5,2.5", "--A", "1"],
             ["morrey", "--profile", "tent:1", "--psi", "constant:5,9", "--A", "1",
@@ -231,16 +221,11 @@ class TestRelTolOption:
              "--p", "2"],
         ],
     )
-    def test_accepted_where_used(self, argv):
-        args = build_parser().parse_args(argv + ["--rel-tol", "1e-6"])
-        assert args.rel_tol == 1e-6
-
-    def test_out_of_range_exits_2(self, capsys):
-        code = main(
-            ["norm", "--profile", "bump:1,1", "--A", "1,2", "--p", "2", "--rel-tol", "10"]
-        )
-        assert code == 2
-        assert "rel_tol" in capsys.readouterr().err
+    def test_rejected_where_unused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--rel-tol", "5"])
+        assert exc.value.code == 2
+        assert "--rel-tol" in capsys.readouterr().err
 
 
 class TestUnconvergedExitCodes:
@@ -412,6 +397,65 @@ class TestCampaignCommand:
         path.write_text(json.dumps(cfg))
         assert main(["campaign", "--config", str(path)]) == 2
         assert "slack" in capsys.readouterr().err
+
+    def test_config_with_fractional_trace_dimension_exits_2(self, capsys, tmp_path):
+        cfg = {
+            "checks": [
+                {
+                    "kind": "trace",
+                    "A": [1.0, 1.0],
+                    "B": [1.0],
+                    "r": 1.5,
+                    "p-values": [2.0],
+                    "family": {"generator": "bump", "count": 1},
+                }
+            ],
+        }
+        path = tmp_path / "fractional-r.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["campaign", "--config", str(path)]) == 2
+        assert "'r' must be a whole number" in capsys.readouterr().err
+
+    def test_scaling_only_config_with_unknown_variant_exits_2(self, capsys, tmp_path):
+        # check_scaling takes no variant, so the campaign's is checked on reading
+        cfg = {
+            "variant": "bogus",
+            "checks": [
+                {
+                    "kind": "scaling",
+                    "A": [1.0, 2.0],
+                    "p-values": [1.8],
+                    "family": {"generator": "bump", "count": 1},
+                }
+            ],
+        }
+        path = tmp_path / "bogus-variant.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["campaign", "--config", str(path)]) == 2
+        assert "variant" in capsys.readouterr().err
+
+    def test_morrey_config_with_tiny_c2_exits_1(self, capsys, tmp_path):
+        # a negative control: the default campaign's Morrey inputs with c2
+        # fixed far below its calibrated value must fail
+        morrey = next(c for c in default_campaign_config()["checks"] if c["kind"] == "morrey")
+        cfg = {
+            "checks": [
+                {
+                    "kind": "morrey",
+                    "A": morrey["A"],
+                    "psi": morrey["psi"],
+                    "deltas": [0.5],
+                    "c2": 0.001,
+                    "family": dict(morrey["family"], count=1),
+                }
+            ],
+        }
+        path = tmp_path / "tiny-c2.json"
+        path.write_text(json.dumps(cfg))
+        code, payload = run_json(capsys, ["campaign", "--config", str(path)])
+        assert code == 1
+        assert [row["status"] for row in payload] == ["fail"]
+        assert payload[0]["ratio"] == pytest.approx(221.0, rel=1e-2)
 
     @pytest.mark.parametrize(
         "cfg, where",

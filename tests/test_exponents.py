@@ -125,3 +125,13 @@ class TestTraceExponent:
     def test_rejects_mismatched_b_length(self):
         with pytest.raises(InputError):
             trace_exponent([1.0, 2.0], [1.0, 1.0], 1, 2.0)
+
+    def test_rejects_fractional_r(self):
+        # int(1.5) would check q at r = 1 against an lhs integrated at r = 1.5
+        with pytest.raises(InputError, match="whole number"):
+            trace_exponent([1.0, 1.0], [1.0], 1.5, 2.0)
+
+    def test_whole_float_r_is_accepted(self):
+        assert trace_exponent([1.0, 1.0], [1.0], 1.0, 2.0) == trace_exponent(
+            [1.0, 1.0], [1.0], 1, 2.0
+        )

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from glsobolev.errors import DivergentIntegralError, DomainError, InputError
+from glsobolev.errors import DivergentIntegralError, DomainError
 from glsobolev.exponents import as_exponent_tuple
 from glsobolev.norms import (
     WeightedMeasure,
@@ -189,12 +189,6 @@ class TestRadialIntegral:
             weighted_lp_norm(u, A, 1.0), rel=1e-10
         )
         assert diag.converged
-
-    @pytest.mark.parametrize("rel_tol", [0.0, -1.0, 1.0, 10.0, math.nan, math.inf])
-    def test_rel_tol_outside_unit_interval_rejected(self, rel_tol):
-        u = bump(1.0, 1.0)
-        with pytest.raises(InputError, match="rel_tol"):
-            radial_integral(u.value, 4.0, u, rel_tol=rel_tol)
 
 
 class TestSupNorm:

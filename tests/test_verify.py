@@ -165,13 +165,6 @@ class TestMorreyCheck:
         if report.passed:
             assert report.lhs <= report.rhs * (1.0 + 1e-6)
 
-    def test_rel_tol_reaches_the_quadrature(self):
-        args = (bump(1.0, 1.0), constant_psi(5.0, 9.0), [1.0, 1.0], 0.4)
-        loose = check_morrey(*args, c2=2.0, rel_tol=1e-6)
-        tight = check_morrey(*args, c2=2.0)
-        assert loose.quadrature["converged"] and tight.quadrature["converged"]
-        assert loose.quadrature["neval"] < tight.quadrature["neval"]
-
     def test_campaign_scans_each_gradient_once(self, monkeypatch):
         real = grand_module.gls_gradient_norm
         scanned = []
@@ -186,6 +179,22 @@ class TestMorreyCheck:
         reports = run_campaign(cfg)
         assert len(reports) == 4  # two profiles, two deltas
         assert len(scanned) == len(set(scanned)) == 2
+
+
+class TestNegativeControls:
+    """Checks that must come back ``fail``: the verdict can say no."""
+
+    def test_sobolev_literal_constant_fails_on_the_extremal(self):
+        report = check_sobolev(extremal_profile(5.0, 2.0), (1.0, 2.0), 2.0, variant="literal")
+        assert report.quadrature["converged"]
+        assert report.status == "fail"
+        assert report.ratio == pytest.approx(1.0625, abs=1e-3)
+
+    def test_morrey_with_a_tiny_c2_fails(self):
+        report = check_morrey(bump(1.0, 1.0), constant_psi(5.0, 9.0), (1.0, 1.0), 0.4, c2=1e-3)
+        assert report.quadrature["converged"]
+        assert report.status == "fail"
+        assert report.ratio == pytest.approx(385.0, rel=1e-2)
 
 
 class TestForcedNonConvergence:
@@ -371,6 +380,34 @@ class TestCampaign:
     def test_fractional_campaign_seed_raises_input_error(self):
         with pytest.raises(InputError, match="campaign config: 'seed' must be a whole"):
             run_campaign({"seed": 1.5, "checks": []})
+
+    def test_fractional_trace_dimension_raises_input_error(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(verify_module, "check_trace_radial", lambda *a, **k: ran.append(a))
+        trace = {
+            "kind": "trace",
+            "A": [1.0, 1.0],
+            "B": [1.0],
+            "r": 1.5,
+            "p-values": [2.0],
+            "family": {"generator": "bump", "count": 1},
+        }
+        with pytest.raises(InputError, match="campaign check 0 .* 'r' must be a whole"):
+            run_campaign({"checks": [trace]})
+        assert ran == []
+
+    def test_unknown_variant_raises_before_any_check_runs(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(verify_module, "check_scaling", lambda *a, **k: ran.append(a))
+        scaling = {
+            "kind": "scaling",
+            "A": [1.0, 2.0],
+            "p-values": [2.0],
+            "family": {"generator": "bump", "count": 1},
+        }
+        with pytest.raises(InputError, match="unknown constant variant 'bogus'"):
+            run_campaign({"variant": "bogus", "checks": [scaling]})
+        assert ran == []
 
     def test_every_check_is_read_before_any_runs(self, monkeypatch):
         ran = []
