@@ -11,6 +11,16 @@ infinite) and refined by golden section; a divergent slice norm makes the
 whole supremum +inf, which is reported as a first-class value rather than
 an error.
 
+Each scan probes its grid with one vector call of its objective: the slice
+table computes the 64 slices in one lockstep batch (norms._slice_rows),
+each p keeping its own refinement tree, diagnostics and every bit of a
+standalone norm, and psi is evaluated once on the whole grid.  A slice's
+diagnostics merge into the report when the scan first reads it, so the
+merge order is the one of slices computed one at a time.  Golden-section
+steps compute their slices one at a time through this module's
+weighted_lp_norm / weighted_gradient_norm, predicting their refinement
+from the splits the grid recorded.
+
 ``zeta_transform`` pushes a gradient-side weight forward through the
 exponent law q = D p / (D - p) and multiplies in the sharp constant, so
 the embedding theorem takes the normalized form ||u||_{G(zeta)} <=
@@ -35,9 +45,9 @@ from .exponents import (
     sobolev_exponent,
     sobolev_exponent_inverse,
 )
-from .norms import weighted_gradient_norm, weighted_lp_norm
+from .norms import _slice_rows, weighted_gradient_norm, weighted_lp_norm
 from .profiles import Compact, RadialProfile
-from .quadrature import REL_TOL, QuadratureDiagnostics, _reusing_splits
+from .quadrature import REL_TOL, QuadratureDiagnostics, _raise_error, _reusing_splits
 from .reports import DEFAULT_SLACK, VerificationReport
 
 SUP_GRID_POINTS = 64
@@ -188,29 +198,49 @@ class SupremumResult:
     quadrature: QuadratureDiagnostics = field(default_factory=QuadratureDiagnostics)
 
 
+def _outcomes(read, n: int) -> list:
+    """[read(0), ..., read(n - 1)], with the DivergentIntegralError or
+    QuadratureError of a slice standing as that entry."""
+    out = []
+    for i in range(n):
+        try:
+            out.append(read(i))
+        except QuadratureError as exc:
+            out.append(exc)
+    return out
+
+
 def _scan_sup(objective, a: float, b: float) -> SupremumResult:
     """Grid scan plus golden-section refinement of sup objective(p).
 
-    DivergentIntegralError from a slice makes the supremum +inf.  A slice
-    that merely fails certification (QuadratureError) is tolerated only if
-    some other slice proved divergence; otherwise the error is re-raised
-    once the scan finishes, since an uncertified slice could hide the true
-    supremum.
+    The 64-point grid is probed with one call ``objective(grid)``, which
+    returns per grid point its value or the exception its slice raised
+    (see ``_outcomes``); each golden-section step calls ``objective(p)`` on
+    one float.  DivergentIntegralError from a slice makes the supremum
+    +inf.  A slice that merely fails certification (QuadratureError) is
+    tolerated only if some other slice proved divergence; otherwise the
+    error is re-raised once the scan finishes, since an uncertified slice
+    could hide the true supremum.
     """
     pending: list[QuadratureError] = []
 
-    def safe(p: float) -> float:
-        try:
-            v = float(objective(p))
-        except DivergentIntegralError:
+    def settle(v) -> float:
+        if isinstance(v, DivergentIntegralError):
             return math.inf
-        except QuadratureError as exc:
-            pending.append(exc)
+        if isinstance(v, QuadratureError):
+            pending.append(v)
             return -math.inf
+        v = float(v)
         return v if not math.isnan(v) else -math.inf
 
+    def safe(p: float) -> float:
+        try:
+            return settle(objective(p))
+        except QuadratureError as exc:
+            return settle(exc)
+
     grid = _exponent_grid(a, b, SUP_GRID_POINTS)
-    vals = np.array([safe(p) for p in grid])
+    vals = np.array([settle(v) for v in objective(grid)])
     i = int(np.argmax(vals))
     if math.isinf(vals[i]) and vals[i] > 0:
         return SupremumResult(math.inf, float(grid[i]), False, diverged=True)
@@ -255,35 +285,70 @@ def _scan_sup(objective, a: float, b: float) -> SupremumResult:
     )
 
 
-def _slice_table(norm_fn, u, A, diag: QuadratureDiagnostics):
-    """p -> norm_fn(u, A, p) for one grand call, each p computed once and its
-    diagnostics merged once into ``diag``.  ``norm_fn`` is this module's
-    weighted_lp_norm or weighted_gradient_norm as the caller looks it up, so
-    wrappers of either see every computed slice.  The table's slices share
-    one split store, so each slice's quadrature reuses the refinement its
-    neighbours recorded (see ``quadrature``); the store dies with the table."""
-    values: dict[float, float] = {}
-    splits: dict = {}
+class _SliceTable:
+    """p -> slice norm of u (of |u'| with ``gradient``) for one grand call.
 
-    def slice_norm(p: float) -> float:
-        if p not in values:
-            with _reusing_splits(splits):
-                value, slice_diag = norm_fn(u, A, p, details=True)
-            diag.merge(slice_diag)
-            values[p] = value
-        return values[p]
+    Each p is computed once, and its diagnostics merge into ``diag`` once,
+    when the table is first read at that p; so the merge order is the read
+    order.  ``compute(ps)`` computes the missing p of a probe grid in one
+    lockstep batch (norms._slice_rows, looked up here) and only stores each
+    row's outcome.  A p that no batch computed is computed alone by this
+    module's weighted_lp_norm or weighted_gradient_norm as looked up at
+    that moment, so wrappers of either see each such slice.  The table's
+    slices share one split store: a converged slice records its refinement
+    and a slice computed alone predicts its own from it (see
+    ``quadrature``); the store dies with the table.  A batch row predicts
+    nothing, tail included, so it has the neval of a standalone call.
+    """
 
-    return slice_norm
+    def __init__(self, gradient: bool, u, A, diag: QuadratureDiagnostics):
+        self.gradient, self.u, self.A, self.diag = gradient, u, A, diag
+        self.values: dict[float, float] = {}
+        self.computed: dict = {}  # p -> outcome of a batch row not yet read
+        self.splits: dict = {}
+
+    def compute(self, ps) -> None:
+        missing = [p for p in dict.fromkeys(ps) if p not in self.values and p not in self.computed]
+        if missing:
+            outcomes = _slice_rows(self.u, self.gradient, self.A, missing, self.splits)
+            self.computed.update(zip(missing, outcomes))
+
+    def __call__(self, p: float) -> float:
+        if p not in self.values:
+            outcome = self.computed.pop(p, None)
+            if outcome is None:
+                norm_fn = weighted_gradient_norm if self.gradient else weighted_lp_norm
+                with _reusing_splits(self.splits):
+                    outcome = norm_fn(self.u, self.A, p, details=True)
+            value, slice_diag = _raise_error(outcome)
+            self.diag.merge(slice_diag)
+            self.values[p] = value
+        return self.values[p]
 
 
-def _gls(norm_fn, u, psi: PsiFunction, A, details: bool):
-    """sup_p norm_fn(u, A, p) / psi(p): the body of gls_norm and gls_gradient_norm."""
+def _over_psi(slices: _SliceTable, psi: PsiFunction):
+    """The objective p -> slices(p) / psi(p); on a probe grid the slices
+    come from one batch and psi from one call."""
+
+    def objective(p):
+        if np.ndim(p) == 0:
+            return slices(p) / psi(p)
+        slices.compute(p)
+        weights = psi(p)
+        return _outcomes(lambda i: slices(p[i]) / weights[i], len(p))
+
+    return objective
+
+
+def _gls(gradient: bool, u, psi: PsiFunction, A, details: bool):
+    """sup_p || u ||_{p, A} / psi(p), or of |u'| with ``gradient``: the body
+    of gls_norm and gls_gradient_norm."""
     A = as_exponent_tuple(A)
     if psi.a < 1.0:
         raise InputError(f"psi support must start at p >= 1, got {psi.a}")
     diag = QuadratureDiagnostics()
-    slices = _slice_table(norm_fn, u, A, diag)
-    res = replace(_scan_sup(lambda p: slices(p) / psi(p), psi.a, psi.b), quadrature=diag)
+    slices = _SliceTable(gradient, u, A, diag)
+    res = replace(_scan_sup(_over_psi(slices, psi), psi.a, psi.b), quadrature=diag)
     return (res.value, res) if details else res.value
 
 
@@ -300,7 +365,7 @@ def gls_norm(
     diverges.  With ``details`` the SupremumResult carries the quadrature
     diagnostics merged over every slice.
     """
-    return _gls(weighted_lp_norm, u, psi, A, details)
+    return _gls(False, u, psi, A, details)
 
 
 def gls_gradient_norm(
@@ -311,7 +376,7 @@ def gls_gradient_norm(
     details: bool = False,
 ):
     """Grand norm of |grad u|: sup_p || |u'| ||_{p, A} / psi(p)."""
-    return _gls(weighted_gradient_norm, u, psi, A, details)
+    return _gls(True, u, psi, A, details)
 
 
 def fundamental_function(
@@ -329,8 +394,10 @@ def fundamental_function(
         raise DomainError(f"delta must be positive and finite, got {delta}")
     log_delta = math.log(delta)
 
-    def objective(p: float) -> float:
-        return math.exp(log_delta / p) / psi(p)
+    def objective(p):
+        if np.ndim(p) == 0:
+            return math.exp(log_delta / p) / psi(p)
+        return [math.exp(log_delta / x) / w for x, w in zip(p, psi(p))]
 
     res = _scan_sup(objective, psi.a, psi.b)
     return (res.value, res) if details else res.value
@@ -481,6 +548,7 @@ def calibrate_morrey_constant(
     deltas,
     *,
     gradients=None,
+    moduli=None,
 ) -> float:
     """Smallest c2 for which every sampled modulus sits below the bound.
 
@@ -489,7 +557,9 @@ def calibrate_morrey_constant(
     floating-point rounding.  The gradient grand norm of each profile is
     computed once for all deltas; ``gradients``, one SupremumResult of
     ``gls_gradient_norm(u, psi, A, details=True)`` per profile in order,
-    supplies them instead.  Raises QuadratureError when a gradient slice
+    supplies them instead; likewise ``moduli``, one list per profile of
+    ``modulus_of_continuity(u, delta)`` for each delta in order, supplies
+    the sampled moduli.  Raises QuadratureError when a gradient slice
     behind some unit bound is not certified.
     """
     profiles = list(profiles)
@@ -500,10 +570,13 @@ def calibrate_morrey_constant(
             f"need one gradient norm per profile, got {len(gradients)} "
             f"for {len(profiles)} profiles"
         )
+    if moduli is None:
+        moduli = ([modulus_of_continuity(u, delta) for delta in deltas] for u in profiles)
+    elif len(moduli) != len(profiles) or any(len(row) != len(deltas) for row in moduli):
+        raise InputError("need one sampled modulus per profile and delta")
     worst = 0.0
-    for u, gradient in zip(profiles, gradients):
-        for delta in deltas:
-            omega = modulus_of_continuity(u, delta)
+    for u, gradient, omegas in zip(profiles, gradients, moduli):
+        for delta, omega in zip(deltas, omegas):
             unit, info = morrey_bound(
                 u, psi, A, delta, c2=1.0, details=True, gradient=gradient
             )
@@ -543,17 +616,25 @@ def verify_gls_sobolev(
     # The slice scan reads the rhs scan's gradient table (their windows agree
     # when b <= D); diagnostics merge in the order rhs, lhs, slice scan.
     diag = QuadratureDiagnostics()
-    gradient = _slice_table(weighted_gradient_norm, u, A, diag)
-    rhs_res = _scan_sup(lambda p: gradient(p) / psi(p), psi.a, psi.b)
-    lhs, lhs_res = _gls(weighted_lp_norm, u, zeta, A, True)
+    gradient = _SliceTable(True, u, A, diag)
+    rhs_res = _scan_sup(_over_psi(gradient, psi), psi.a, psi.b)
+    lhs, lhs_res = _gls(False, u, zeta, A, True)
     diag.merge(lhs_res.quadrature)
-    lp = _slice_table(weighted_lp_norm, u, A, diag)
+    lp = _SliceTable(False, u, A, diag)
 
-    def slice_objective(p: float) -> float:
-        num = lp(sobolev_exponent(A, A, p))
+    def slice_ratio(p: float, q: float) -> float:
+        num = lp(q)
         den = gradient(p)
         c = sharp_constant(A, p, variant=variant)
         return num / (c * den) if den > 0.0 else math.nan
+
+    def slice_objective(p):
+        if np.ndim(p) == 0:
+            return slice_ratio(p, sobolev_exponent(A, A, p))
+        qs = [sobolev_exponent(A, A, x) for x in p]
+        lp.compute(qs)
+        gradient.compute(p)
+        return _outcomes(lambda i: slice_ratio(p[i], qs[i]), len(p))
 
     slice_res = _scan_sup(slice_objective, psi.a, min(psi.b, D))
 

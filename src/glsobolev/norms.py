@@ -27,12 +27,13 @@ from functools import lru_cache
 import numpy as np
 
 from .constants import _log_gamma_product
-from .errors import DomainError
+from .errors import DomainError, QuadratureError
 from .exponents import ExponentTuple, as_exponent_tuple
 from .gammafn import log_gamma
 from .profiles import Decaying, RadialProfile
 from .quadrature import (
     QuadratureDiagnostics,
+    _integrate_rows,
     _power_weighted,
     extend_tail,
     integrate_power_weighted,
@@ -88,6 +89,16 @@ def _peak_edges(rho_star: float, span: float) -> list[float]:
     return [e for e in edges if e > 0.0]
 
 
+def _body_upper(profile: RadialProfile, initial_edges) -> float:
+    """End of the quadrature body: the support radius, pushed out past the
+    seeded edges of a decaying profile so its tail starts beyond them."""
+    upper = profile.support.radius
+    if isinstance(profile.support, Decaying) and initial_edges is not None:
+        seeded_max = max((x for x in initial_edges if math.isfinite(x)), default=0.0)
+        upper = max(upper, 2.0 * seeded_max)
+    return upper
+
+
 def radial_integral(
     fn,
     gamma_exp: float,
@@ -101,48 +112,140 @@ def radial_integral(
     owns the pointwise transform); the support descriptor decides whether a
     geometric tail extension is appended.
     """
-    support = profile.support
-    decaying = isinstance(support, Decaying)
-    upper = support.radius
-    if decaying and initial_edges is not None:
-        seeded_max = max((x for x in initial_edges if math.isfinite(x)), default=0.0)
-        upper = max(upper, 2.0 * seeded_max)
+    upper = _body_upper(profile, initial_edges)
     value, diag = integrate_power_weighted(fn, gamma_exp, upper, initial_edges=initial_edges)
-    if decaying:
+    if isinstance(profile.support, Decaying):
         tail, tdiag = extend_tail(_power_weighted(fn, gamma_exp), upper, base_value=value)
         diag.merge(tdiag)
         value += tail
     return value, diag
 
 
-def _norm(u: RadialProfile, gradient: bool, A, p: float, details: bool):
-    """||u||_{p, A}, or || |u'| ||_{p, A} with ``gradient``: the body of
-    weighted_lp_norm and weighted_gradient_norm."""
-    A = as_exponent_tuple(A)
+def _slice_source(u: RadialProfile, gradient: bool):
+    """(values_fn, peak scan) of u, or of u' with ``gradient``; DomainError
+    when the peak is not finite."""
+    values_fn, scan = (u.derivative, u.derivative_peak) if gradient else (u.value, u.value_peak)
+    if not np.isfinite(scan.value):
+        raise DomainError("profile takes non-finite values on its support")
+    return values_fn, scan
+
+
+def _check_exponent(p: float) -> None:
     if not (p >= 1.0 and math.isfinite(p)):
         raise DomainError(f"norm exponent p must satisfy 1 <= p < inf, got {p}")
-    D = A.effective_dimension
-    values_fn, scan = (u.derivative, u.derivative_peak) if gradient else (u.value, u.value_peak)
+
+
+def _seeded_edges(scan, p: float):
+    """Panel edges that pin the peak of |f|^p down once p reaches the threshold."""
+    if p < _SEED_P_THRESHOLD:
+        return None
+    rho_star = scan.rho_star
+    span = scan.scan_end if rho_star > 0.0 else scan.scan_end * 0.5
+    return _peak_edges(max(rho_star, scan.first_node), span)
+
+
+def _slice_integrand(values_fn, peak: float, p: float):
+    """rho -> (|f(rho)| / peak)^p."""
+    return lambda r: (np.abs(np.asarray(values_fn(r), dtype=float)) / peak) ** p
+
+
+def _slice_value(peak: float, A: ExponentTuple, integral: float, p: float) -> float:
+    """The norm, from the integral of (|f| / peak)^p against rho^(D-1)."""
+    if not integral > 0.0:
+        return 0.0
+    return math.exp(math.log(peak) + (_log_angular_mass(A.entries) + math.log(integral)) / p)
+
+
+def _norm(u: RadialProfile, gradient: bool, A, p: float, details: bool):
+    """||u||_{p, A}, or || |u'| ||_{p, A} with ``gradient``: the body of
+    weighted_lp_norm and weighted_gradient_norm, and the one-row case of
+    ``_slice_rows``.  It runs through radial_integral and the public
+    quadrature entries, so their wrappers see it, and inside a
+    ``quadrature._reusing_splits`` scope it predicts its splits."""
+    A = as_exponent_tuple(A)
+    _check_exponent(p)
+    values_fn, scan = _slice_source(u, gradient)
     peak = scan.value
-    if not np.isfinite(peak):
-        raise DomainError("profile takes non-finite values on its support")
     if peak == 0.0:
         return (0.0, QuadratureDiagnostics()) if details else 0.0
-    rho_star = scan.rho_star
-
-    def g(r):
-        return (np.abs(np.asarray(values_fn(r), dtype=float)) / peak) ** p
-
-    edges = None
-    if p >= _SEED_P_THRESHOLD:
-        span = scan.scan_end if rho_star > 0.0 else scan.scan_end * 0.5
-        edges = _peak_edges(max(rho_star, scan.first_node), span)
-    integral, diag = radial_integral(g, D - 1.0, u, initial_edges=edges)
-    value = 0.0
-    if integral > 0.0:
-        log_norm = math.log(peak) + (_log_angular_mass(A.entries) + math.log(integral)) / p
-        value = math.exp(log_norm)
+    integral, diag = radial_integral(
+        _slice_integrand(values_fn, peak, p),
+        A.effective_dimension - 1.0,
+        u,
+        initial_edges=_seeded_edges(scan, p),
+    )
+    value = _slice_value(peak, A, integral, p)
     return (value, diag) if details else value
+
+
+def _slice_rows(u: RadialProfile, gradient: bool, A, ps, splits=None) -> list:
+    """_norm for many p at once: per p, the (value, diagnostics) of
+    ``_norm(u, gradient, A, p, details=True)`` with the same bits, neval
+    included, or the exception that call raises.
+
+    The Gauss-Jacobi heads and the adaptive bodies of all p run in one
+    lockstep batch (``quadrature._integrate_rows``): each profile call
+    serves every p, and each p raises |f| / peak to its own power.  The
+    tails of a decaying profile run per p through extend_tail.  Converged
+    bodies record their splits in ``splits``, a split store as
+    ``quadrature._reusing_splits`` takes it.
+    """
+    A = as_exponent_tuple(A)
+    gamma_exp = A.effective_dimension - 1.0
+    out: list = [None] * len(ps)
+    try:
+        values_fn, scan = _slice_source(u, gradient)
+        source_error = None
+    except DomainError as exc:
+        source_error = exc
+    rows = []
+    for i, p in enumerate(ps):
+        try:
+            _check_exponent(p)
+        except DomainError as exc:
+            out[i] = exc
+            continue
+        if source_error is not None:
+            out[i] = source_error
+        elif scan.value == 0.0:
+            out[i] = (0.0, QuadratureDiagnostics())
+        else:
+            rows.append(i)
+    if not rows:
+        return out
+    peak = scan.value
+    exps = np.array([ps[i] for i in rows], dtype=float)[:, None]
+    # ``array ** 2.0`` squares, which can differ from pow() in the last bit,
+    # so a row at p = 2 squares, as its standalone call does
+    squares = {j for j, i in enumerate(rows) if ps[i] == 2.0}
+
+    def g(x, which):
+        base = np.abs(np.asarray(values_fn(x.ravel()), dtype=float)).reshape(x.shape) / peak
+        powered = base ** exps[which]
+        for k, j in enumerate(which):
+            if j in squares:
+                powered[k] = (base if base.ndim == 1 else base[k]) ** 2.0
+        return powered
+
+    edges = [_seeded_edges(scan, ps[i]) for i in rows]
+    uppers = [_body_upper(u, e) for e in edges]
+    integrals = _integrate_rows(g, gamma_exp, uppers, edges, splits)
+    for i, upper, outcome in zip(rows, uppers, integrals):
+        p = ps[i]
+        if isinstance(u.support, Decaying) and not isinstance(outcome, Exception):
+            value, diag = outcome
+            tail_fn = _power_weighted(_slice_integrand(values_fn, peak, p), gamma_exp)
+            try:
+                tail, tdiag = extend_tail(tail_fn, upper, base_value=value)
+            except QuadratureError as exc:
+                outcome = exc
+            else:
+                diag.merge(tdiag)
+                outcome = (value + tail, diag)
+        if not isinstance(outcome, Exception):
+            outcome = (_slice_value(peak, A, outcome[0], p), outcome[1])
+        out[i] = outcome
+    return out
 
 
 def weighted_lp_norm(

@@ -15,15 +15,30 @@ Radial measures rho^gamma d rho are handled by two extra pieces:
 Past the head, ``_power_weighted`` folds the weight into the integrand,
 t -> t^gamma g(t), for the body panels and the tail of norms.radial_integral.
 
+Heads and bodies also run for a family of integrands at once (the slices
+of one sup-scan grid, one per p): ``_jacobi_heads`` halves every row's eps
+in lockstep, and ``_refine_rows`` runs every row's own heap loop
+(``_refinement``) in lockstep, evaluating the halves of all rows' worst
+panels in one integrand call and one K15 reduction per round.  Rows are
+stacked along a leading axis and never flattened into one 2-d product, so
+each row keeps the bits, diagnostics and neval of a call on its own:
+``(rows, 2, 15) @ w`` and ``(rows, 1, n) @ w`` reduce each row as a lone
+call would, where ``(rows * 2, 15) @ w`` would not.  ``adaptive_quadrature``
+is the one-row case of ``_refine_rows``, and ``integrate_power_weighted``
+uses the same two pieces as ``_integrate_rows``: there is one heap loop and
+one stopping rule.
+
 Inside a ``_reusing_splits(store)`` scope, which grand sets around each slice
-of one sup scan's slice table, ``adaptive_quadrature`` predicts its splits
-from the split list that the last converged call on the same (a, b, seeded
-edges) recorded in ``store``.  It evaluates the halves of every predicted
-split in one ``_k15_panels`` call, then runs the same heap loop, reading each
-split's halves from that batch and evaluating a split outside the prediction
+that one sup scan's slice table computes alone (its golden-section steps),
+``adaptive_quadrature`` predicts its splits from the split list that the last
+converged call or batch row on the same (a, b, seeded edges) recorded in
+``store``.  It evaluates the halves of every predicted split in one
+``_k15_panels`` call, then runs the same heap loop, reading each split's
+halves from that batch and evaluating a split outside the prediction
 pairwise.  Heap order, running sums and the stopping rule do not change, so
 every value and error estimate keeps its bits; ``neval`` counts unused
 predicted halves too.  A call that exhausts its panel budget records nothing.
+Batch rows predict nothing and record into the store they are handed.
 
 The policy is fixed by the module constants: REL_TOL = 1e-10 is the
 relative tolerance of every integral, ABS_FLOOR = 1e-300 the absolute floor
@@ -88,8 +103,8 @@ _WEIGHTS_K = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _WEIGHTS_G = np.zeros(15)
 _WEIGHTS_G[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
-# split lists of converged adaptive_quadrature calls, keyed on their sorted
-# edges (a, seeded edges, b); None outside a _reusing_splits scope
+# split lists of converged adaptive_quadrature calls and batch rows, keyed on
+# their sorted edges (a, seeded edges, b); None outside a _reusing_splits scope
 _SPLITS: ContextVar[dict | None] = ContextVar("glsobolev_splits", default=None)
 
 
@@ -148,16 +163,20 @@ def _k15_panels(f, lo: np.ndarray, hi: np.ndarray):
 
     ``lo`` and ``hi`` may have any (common) shape; the 15 nodes are reduced
     along a new last axis, so a (k, 2) stack gives each row the bits of a
-    two-panel call.  Returns (values, error_estimates) of that shape; the
-    error estimate follows the classic (200 |K - G| / resasc)^{3/2}
-    rescaling so non-smooth panels are not trusted prematurely.
+    two-panel call.  ``f`` gets the nodes as one flat array and returns one
+    value per node, or one such row per integrand of a family that shares
+    the nodes, which puts that row axis in front of the results.  Returns
+    (values, error_estimates); the error estimate follows the classic
+    (200 |K - G| / resasc)^{3/2} rescaling so non-smooth panels are not
+    trusted prematurely.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     pts = c[..., None] + h[..., None] * _NODES
-    fx = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
+    fx = np.asarray(f(pts.ravel()), dtype=float)
+    fx = fx.reshape(pts.shape if fx.size == pts.size else (-1,) + pts.shape)
     resk = fx @ _WEIGHTS_K
     resg = fx @ _WEIGHTS_G
     reskh = 0.5 * resk
@@ -165,60 +184,52 @@ def _k15_panels(f, lo: np.ndarray, hi: np.ndarray):
     vals = resk * h
     raw = np.abs((resk - resg) * h)
     resasc = resasc * h
-    errs = raw.copy()
     mask = (resasc != 0.0) & (raw != 0.0)
-    scaled = resasc[mask] * np.minimum(1.0, (200.0 * raw[mask] / resasc[mask]) ** 1.5)
-    errs[mask] = scaled
+    if mask.all():  # the usual case, without the masked copies
+        return vals, resasc * np.minimum(1.0, (200.0 * raw / resasc) ** 1.5)
+    errs = raw.copy()
+    errs[mask] = resasc[mask] * np.minimum(1.0, (200.0 * raw[mask] / resasc[mask]) ** 1.5)
     return vals, errs
 
 
-def adaptive_quadrature(
-    f,
-    a: float,
-    b: float,
-    *,
-    max_panels: int = MAX_PANELS,
-    initial_edges=None,
-    base_value: float = 0.0,
-) -> tuple[float, QuadratureDiagnostics]:
-    """Integrate f over [a, b] to relative tolerance REL_TOL.
+def _one_row(f):
+    """A plain integrand f as the one-row family f(x, rows) of _refine_rows."""
+    return lambda x, rows: f(x.ravel())
 
-    ``initial_edges`` seeds extra panel boundaries (used to pin down sharp
-    interior peaks before the first error estimate is trusted).
-    ``base_value`` is added to the integral when converting the relative
-    tolerance to an absolute one, so a sub-range can be integrated to a
-    tolerance relative to a larger total.
-    """
-    if not (b > a):
-        if b == a:
-            return 0.0, QuadratureDiagnostics()
-        raise QuadratureError(f"bad interval [{a}, {b}]")
+
+def _raise_error(outcome):
+    """``outcome`` unless it is the exception of a row, which is raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _panel_edges(a: float, b: float, initial_edges) -> tuple:
+    """Sorted initial panel edges of [a, b], seeded edges inside it added."""
     edges = [a, b]
     if initial_edges is not None:
         edges.extend(x for x in initial_edges if a < x < b)
-    edges = sorted(set(edges))
-    lo = np.array(edges[:-1])
-    hi = np.array(edges[1:])
-    vals, errs = _k15_panels(f, lo, hi)
-    neval = 15 * len(lo)
-    store, key = _SPLITS.get(), tuple(edges)
-    predicted = store.get(key, []) if store is not None else []
-    if predicted:
-        s_lo, s_hi = np.array(predicted).T
-        s_mid = 0.5 * (s_lo + s_hi)
-        pvals, perrs = _k15_panels(f, np.stack([s_lo, s_mid], 1), np.stack([s_mid, s_hi], 1))
-        neval += 30 * len(predicted)
-    batch_row = {split: i for i, split in enumerate(predicted)}
-    splits = []
-    counter = 0
+    return tuple(sorted(set(edges)))
+
+
+def _refinement(lo, hi, vals, errs, base_value, max_panels, ahead):
+    """The heap loop of one row of ``_refine_rows``, as a generator.
+
+    It starts from the panels [lo, hi] with their K15 values and errors,
+    yields each split (a, mid, b) whose halves it needs and is sent back
+    their (values, errors); ``ahead`` maps predicted splits (a, b) to their
+    halves evaluated beforehand.  It returns (total, diagnostics, splits).
+    """
     heap = []
     for i in range(len(lo)):
-        heapq.heappush(heap, (-errs[i], counter, lo[i], hi[i], vals[i], errs[i]))
-        counter += 1
+        heapq.heappush(heap, (-errs[i], i, lo[i], hi[i], vals[i], errs[i]))
+    counter = len(lo)
     total = float(np.sum(vals))
     total_err = float(np.sum(errs))
     floor_err = 0.0  # error stuck on panels too narrow to split
     panels = len(lo)
+    neval = 15 * len(lo) + 30 * len(ahead)
+    splits = []
 
     def tol_now() -> float:
         return max(REL_TOL * abs(total + base_value), ABS_FLOOR)
@@ -230,12 +241,11 @@ def adaptive_quadrature(
             floor_err += perr
             total_err -= perr
             continue
-        row = batch_row.get((pa, pb))
-        if row is None:
-            cvals, cerrs = _k15_panels(f, np.array([pa, mid]), np.array([mid, pb]))
+        halves = ahead.get((pa, pb))
+        if halves is None:
+            halves = yield pa, mid, pb
             neval += 30
-        else:
-            cvals, cerrs = pvals[row], perrs[row]
+        cvals, cerrs = halves
         splits.append((float(pa), float(pb)))
         total += float(cvals.sum() - pval)
         total_err += float(cerrs.sum() - perr)
@@ -257,8 +267,105 @@ def adaptive_quadrature(
     )
     if not diag.converged:
         diag.notes.append(f"panel budget {max_panels} exhausted at error {err:.3e}")
-    elif store is not None:
-        store[key] = splits
+    return total, diag, splits
+
+
+def _refine_rows(f, edge_rows, base_values, *, max_panels=MAX_PANELS, store=None, predict=False):
+    """Adaptive G7/K15 quadrature of a family of integrands in lockstep.
+
+    ``f(x, rows)`` evaluates the integrands ``rows`` (row indices) at the
+    points ``x``, shared by all of them when 1-d and one row of points per
+    integrand when 2-d, and returns one row of values per integrand (a
+    one-row family may return its values flat).  Row r starts from the
+    panels between its sorted edges ``edge_rows[r]``; rows with equal edges
+    share one K15 call.  Each row runs its own heap loop (``_refinement``),
+    so it has the bits of a call on its own.  In every round each live row
+    asks for the halves of its worst panel, and the halves of all rows are
+    evaluated in one call of f and one K15 reduction.
+
+    ``store`` is a split store as ``_reusing_splits`` takes it.  Every
+    converged row records its splits there, in row order.  With
+    ``predict``, a row first evaluates the halves of the splits recorded
+    under its edges in one K15 call and reads them there when it makes
+    those splits.  Returns (total, diagnostics) per row.
+    """
+    blocks: dict[tuple, list[int]] = {}
+    for r, edges in enumerate(edge_rows):
+        blocks.setdefault(edges, []).append(r)
+    rows = [None] * len(edge_rows)
+    for edges, members in blocks.items():
+        lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+        vals, errs = _k15_panels(lambda x: f(x, members), lo, hi)
+        vals, errs = vals.reshape(len(members), -1), errs.reshape(len(members), -1)
+        for j, r in enumerate(members):
+            predicted = store.get(edges) if predict and store is not None else None
+            ahead = {}
+            if predicted:
+                s_lo, s_hi = np.array(predicted).T
+                s_mid = 0.5 * (s_lo + s_hi)
+                pvals, perrs = _k15_panels(
+                    lambda x: f(x, [r]), np.stack([s_lo, s_mid], 1), np.stack([s_mid, s_hi], 1)
+                )
+                ahead = {split: (pvals[i], perrs[i]) for i, split in enumerate(predicted)}
+            rows[r] = _refinement(lo, hi, vals[j], errs[j], base_values[r], max_panels, ahead)
+    results: list = [None] * len(rows)
+    wanted: dict[int, tuple] = {}
+
+    def advance(r: int, halves) -> None:
+        try:
+            wanted[r] = rows[r].send(halves)
+        except StopIteration as stop:
+            results[r] = stop.value
+
+    for r in range(len(rows)):
+        advance(r, None)
+    while wanted:
+        live = list(wanted)
+        cuts = np.array([wanted.pop(r) for r in live])
+        vals, errs = _k15_panels(
+            lambda x: f(x.reshape(len(live), -1), live), cuts[:, :2], cuts[:, 1:]
+        )
+        for j, r in enumerate(live):
+            advance(r, (vals[j], errs[j]))
+    out = []
+    for edges, (total, diag, splits) in zip(edge_rows, results):
+        if diag.converged and store is not None:
+            store[edges] = splits
+        out.append((total, diag))
+    return out
+
+
+def adaptive_quadrature(
+    f,
+    a: float,
+    b: float,
+    *,
+    max_panels: int = MAX_PANELS,
+    initial_edges=None,
+    base_value: float = 0.0,
+) -> tuple[float, QuadratureDiagnostics]:
+    """Integrate f over [a, b] to relative tolerance REL_TOL.
+
+    ``initial_edges`` seeds extra panel boundaries (used to pin down sharp
+    interior peaks before the first error estimate is trusted).
+    ``base_value`` is added to the integral when converting the relative
+    tolerance to an absolute one, so a sub-range can be integrated to a
+    tolerance relative to a larger total.  This is the one-row case of
+    ``_refine_rows``, predicting its splits inside a ``_reusing_splits``
+    scope.
+    """
+    if not (b > a):
+        if b == a:
+            return 0.0, QuadratureDiagnostics()
+        raise QuadratureError(f"bad interval [{a}, {b}]")
+    ((total, diag),) = _refine_rows(
+        _one_row(f),
+        [_panel_edges(a, b, initial_edges)],
+        [base_value],
+        max_panels=max_panels,
+        store=_SPLITS.get(),
+        predict=True,
+    )
     return total, diag
 
 
@@ -272,12 +379,65 @@ def _power_weighted(g, gamma_exp: float):
     return lambda t: np.asarray(t, dtype=float) ** gamma_exp * np.asarray(g(t), dtype=float)
 
 
-def _jacobi_head(g, gamma_exp: float, eps: float, n: int) -> float:
-    """int_0^eps t^gamma g(t) dt by Gauss-Jacobi (exact in the weight)."""
-    x, w = _jacobi_rule(n, gamma_exp)
-    t = 0.5 * eps * (1.0 + x)
-    gv = np.asarray(g(t), dtype=float)
-    return (0.5 * eps) ** (gamma_exp + 1.0) * float(np.dot(w, gv))
+def _head_eps(upper: float, initial_edges) -> float:
+    """Initial width of the Gauss-Jacobi head: upper / 256, or half the
+    first seeded edge when that is nearer to 0."""
+    eps = upper / 256.0
+    if initial_edges is not None:
+        inner = [x for x in initial_edges if 0.0 < x < upper]
+        if inner:
+            eps = min(eps, min(inner) / 2.0)
+    return eps
+
+
+@lru_cache(maxsize=256)
+def _head_rules(gamma_exp: float):
+    """The nodes 1 + x of the 24- and 48-point Gauss-Jacobi rules side by
+    side, and the two weight vectors."""
+    x24, w24 = _jacobi_rule(24, gamma_exp)
+    x48, w48 = _jacobi_rule(48, gamma_exp)
+    return np.concatenate([1.0 + x24, 1.0 + x48]), w24, w48
+
+
+def _jacobi_heads(f, gamma_exp: float, eps) -> list:
+    """int_0^eps t^gamma f(t) dt by Gauss-Jacobi (exact in the weight) for
+    each row of the family ``f(x, rows)`` of ``_refine_rows``, starting from
+    its ``eps``.
+
+    A row halves its eps until the 48-point rule agrees with the 24-point
+    one, so sharp structure near 0 cannot hide inside the head.  Each round
+    evaluates both rules of every unsettled row in one call of f.  Returns
+    (head, eps, neval) per row, or the QuadratureError of a row whose head
+    never settled.
+    """
+    nodes, w24, w48 = _head_rules(gamma_exp)
+    eps = list(eps)
+    out: list = [None] * len(eps)
+    live = list(range(len(eps)))
+    for attempt in range(80):
+        if not live:
+            break
+        t = 0.5 * np.array([eps[r] for r in live])[:, None] * nodes
+        gv = f(t, live).reshape(len(live), 1, -1)
+        coarse, fine = gv[..., :24] @ w24, gv[..., 24:] @ w48
+        unsettled = []
+        for j, r in enumerate(live):
+            scale = (0.5 * eps[r]) ** (gamma_exp + 1.0)
+            head, check = scale * float(coarse[j, 0]), scale * float(fine[j, 0])
+            if abs(check - head) <= max(REL_TOL * abs(check), ABS_FLOOR):
+                out[r] = (check, eps[r], 72 * (attempt + 1))
+            else:
+                eps[r] *= 0.5
+                unsettled.append(r)
+        live = unsettled
+    for r in live:
+        out[r] = QuadratureError("head panel failed to stabilize near 0")
+    return out
+
+
+def _check_weight(gamma_exp: float) -> None:
+    if gamma_exp <= -1.0:
+        raise QuadratureError(f"weight exponent {gamma_exp} is not integrable at 0")
 
 
 def integrate_power_weighted(
@@ -290,34 +450,19 @@ def integrate_power_weighted(
     """int_0^upper t^gamma_exp g(t) dt with the endpoint weight handled exactly.
 
     gamma_exp > -1 is required for integrability.  The head panel [0, eps]
-    uses a Gauss-Jacobi rule in the weight t^gamma_exp; eps is halved until
-    a doubled rule agrees, so sharp structure near 0 cannot hide inside the
-    head.  The remainder carries t^gamma_exp folded into the integrand.
+    uses a Gauss-Jacobi rule in the weight t^gamma_exp (``_jacobi_heads``);
+    the remainder carries t^gamma_exp folded into the integrand and goes
+    to ``adaptive_quadrature``.  ``_integrate_rows`` is the same integral
+    for a family of integrands at once.
     """
-    if gamma_exp <= -1.0:
-        raise QuadratureError(f"weight exponent {gamma_exp} is not integrable at 0")
+    _check_weight(gamma_exp)
     if upper <= 0.0:
         return 0.0, QuadratureDiagnostics()
     if gamma_exp == 0.0:
         return adaptive_quadrature(g, 0.0, upper, initial_edges=initial_edges)
-    eps = upper / 256.0
-    if initial_edges is not None:
-        inner = [x for x in initial_edges if 0.0 < x < upper]
-        if inner:
-            eps = min(eps, min(inner) / 2.0)
-    head = _jacobi_head(g, gamma_exp, eps, 24)
-    neval_head = 24
-    for _ in range(80):
-        check = _jacobi_head(g, gamma_exp, eps, 48)
-        neval_head += 48
-        if abs(check - head) <= max(REL_TOL * abs(check), ABS_FLOOR):
-            head = check
-            break
-        eps *= 0.5
-        head = _jacobi_head(g, gamma_exp, eps, 24)
-        neval_head += 24
-    else:
-        raise QuadratureError("head panel failed to stabilize near 0")
+    head, eps, neval_head = _raise_error(
+        _jacobi_heads(_one_row(g), gamma_exp, [_head_eps(upper, initial_edges)])[0]
+    )
     body, diag = adaptive_quadrature(
         _power_weighted(g, gamma_exp),
         eps,
@@ -328,6 +473,59 @@ def integrate_power_weighted(
     diag.neval += neval_head
     diag.panels += 1
     return head + body, diag
+
+
+def _rows_of(f, rows):
+    """The family f(x, rows) restricted to ``rows``, renumbered from 0."""
+    return lambda x, which: f(x, [rows[j] for j in which])
+
+
+def _integrate_rows(f, gamma_exp: float, uppers, edge_lists, store=None) -> list:
+    """integrate_power_weighted for each row r of the family ``f(x, rows)``
+    of ``_refine_rows``: int_0^uppers[r] t^gamma_exp f_r(t) dt, seeded with
+    ``edge_lists[r]`` (None for none).
+
+    The heads run in lockstep (``_jacobi_heads``) and the bodies in one
+    ``_refine_rows`` batch that predicts no splits and records them in
+    ``store`` (None for none).  Every row gets the value and diagnostics of
+    its own integrate_power_weighted call, or the QuadratureError that call
+    raises.
+    """
+    _check_weight(gamma_exp)
+    out: list = [(0.0, QuadratureDiagnostics()) for _ in uppers]
+    rows = [r for r, upper in enumerate(uppers) if upper > 0.0]
+    if gamma_exp == 0.0:
+        heads = {r: (0.0, 0.0, 0) for r in rows}
+        body = f
+    else:
+        heads = {}
+        settled = _jacobi_heads(
+            _rows_of(f, rows), gamma_exp, [_head_eps(uppers[r], edge_lists[r]) for r in rows]
+        )
+        for r, head in zip(rows, settled):
+            if isinstance(head, Exception):
+                out[r] = head
+            else:
+                heads[r] = head
+
+        def body(x, which):
+            return x**gamma_exp * f(x, which)
+
+    rows = list(heads)
+    bodies = _refine_rows(
+        _rows_of(body, rows),
+        [_panel_edges(heads[r][1], uppers[r], edge_lists[r]) for r in rows],
+        [heads[r][0] for r in rows],
+        store=store,
+    )
+    for r, (total, diag) in zip(rows, bodies):
+        if gamma_exp != 0.0:
+            head, _, neval_head = heads[r]
+            total = head + total
+            diag.neval += neval_head
+            diag.panels += 1
+        out[r] = (total, diag)
+    return out
 
 
 def extend_tail(

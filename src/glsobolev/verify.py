@@ -290,14 +290,16 @@ def check_morrey(
     c2: float = 1.0,
     slack: float = DEFAULT_SLACK,
     gradient: SupremumResult | None = None,
+    modulus: float | None = None,
 ) -> VerificationReport:
     """Sampled modulus of continuity against the grand Morrey bound.
 
     ``gradient`` is passed on to ``morrey_bound``: the SupremumResult of
     ``gls_gradient_norm(u, psi, A, details=True)``, computed there when None.
+    ``modulus`` is ``modulus_of_continuity(u, delta)``, sampled here when None.
     """
     A = as_exponent_tuple(A)
-    omega = modulus_of_continuity(u, delta)
+    omega = modulus_of_continuity(u, delta) if modulus is None else modulus
     bound, info = morrey_bound(u, psi, A, delta, c2=c2, details=True, gradient=gradient)
     diag = info.pop("quadrature")
     return VerificationReport(
@@ -470,6 +472,15 @@ def _read_check(idx: int, check, seed: int) -> tuple:
                 raise InputError(f"{where}: '{key}' must be a list of numbers, got {value!r}")
         if kind == "trace":
             _whole_number(where, "r", check["r"])
+        try:
+            as_exponent_tuple(check["A"])
+            if kind in ("trace", "scaling") and "B" in check:
+                as_exponent_tuple(check["B"])
+            if kind == "trace":
+                for p in check["p-values"]:
+                    trace_exponent(check["A"], check["B"], check["r"], p)
+        except (DomainError, InputError) as exc:
+            raise InputError(f"{where}: {exc}") from exc
         psi = _psi_from_spec(check["psi"]) if "psi" in _CHECK_KEYS[kind] else None
     except KeyError as exc:
         raise InputError(f"{where} is missing key {exc}") from exc
@@ -483,9 +494,11 @@ def run_campaign(config: dict | None = None, *, jsonl_path=None, csv_path=None) 
 
     The config layout matches ``default_campaign_config``.  Every check's
     entry is read before any check runs, and a malformed one raises
-    InputError, as does a slack outside [0, inf), an unknown variant or a
-    fractional seed, count or trace dimension r.  Reports are sorted by input digest; with a fixed seed the
-    written artifacts are byte-identical across runs.
+    InputError, as does a slack outside [0, inf), an unknown variant, a
+    fractional seed, count or trace dimension r, an exponent tuple A or B
+    outside the domain, or a trace check whose exponent law rejects its
+    A, B, r or p.  Reports are sorted by input digest; with a fixed seed
+    the written artifacts are byte-identical across runs.
     """
     cfg = config if config is not None else default_campaign_config()
     try:
@@ -517,23 +530,25 @@ def run_campaign(config: dict | None = None, *, jsonl_path=None, csv_path=None) 
                     )
         elif kind == "morrey":
             deltas = check["deltas"]
-            # one gradient grand norm per profile serves the calibration and every
-            # delta; looked up on grand, as morrey_bound does, so wrappers see each scan
+            # one gradient grand norm per profile and one sampled modulus per
+            # (profile, delta) serve the calibration and every check; the norm is
+            # looked up on grand, as morrey_bound does, so wrappers see each scan
             gradients = [
                 grand.gls_gradient_norm(u, psi, check["A"], details=True)[1]
                 for u in profiles
             ]
+            moduli = [[modulus_of_continuity(u, delta) for delta in deltas] for u in profiles]
             c2 = check.get("c2")
             if c2 is None:
                 c2 = calibrate_morrey_constant(
-                    profiles, psi, check["A"], deltas, gradients=gradients
+                    profiles, psi, check["A"], deltas, gradients=gradients, moduli=moduli
                 )
-            for u, gradient in zip(profiles, gradients):
-                for delta in deltas:
+            for u, gradient, omegas in zip(profiles, gradients, moduli):
+                for delta, omega in zip(deltas, omegas):
                     reports.append(
                         check_morrey(
                             u, psi, check["A"], delta, c2=c2, slack=slack,
-                            gradient=gradient,
+                            gradient=gradient, modulus=omega,
                         )
                     )
         else:  # scaling

@@ -31,7 +31,15 @@ from glsobolev.norms import (
     weighted_gradient_norm,
     weighted_lp_norm,
 )
-from glsobolev.profiles import _SCAN_POINTS, bump, gaussian, power_tail, step, tent
+from glsobolev.profiles import (
+    _SCAN_POINTS,
+    bump,
+    gaussian,
+    power_tail,
+    smoothed_step,
+    step,
+    tent,
+)
 
 
 class TestPsiFamilies:
@@ -418,6 +426,15 @@ class TestWorkNotRepeated:
                 return (value, diag) if details else value
 
             monkeypatch.setattr(grand_module, name, recording)
+        real_rows = grand_module._slice_rows
+
+        def recording_rows(u, gradient, A, ps, splits):
+            outcomes = real_rows(u, gradient, A, ps, splits)
+            log = calls["weighted_gradient_norm" if gradient else "weighted_lp_norm"]
+            log.extend((float(p), diag.neval) for p, (_, diag) in zip(ps, outcomes))
+            return outcomes
+
+        monkeypatch.setattr(grand_module, "_slice_rows", recording_rows)
         report = verify_gls_sobolev(
             bump(1.0, 1.0), power_endpoint_psi(1.3, 3.4, 0.4, 0.4), [1.0, 2.0]
         )
@@ -425,6 +442,13 @@ class TestWorkNotRepeated:
         assert len(gradient_ps) == len(set(gradient_ps))
         computed = sum(neval for log in calls.values() for _, neval in log)
         assert report.quadrature["neval"] == computed
+
+    def test_verify_gls_probes_each_grid_in_few_profile_calls(self):
+        # the slices of each probe grid share their profile calls; computing
+        # every slice alone takes 1,330 calls here
+        u, sizes = _recording_profile(bump(1.0, 1.0))
+        verify_gls_sobolev(u, power_endpoint_psi(1.3, 3.4, 0.4, 0.4), (1.0, 2.0))
+        assert len(sizes["value"]) + len(sizes["derivative"]) <= 700
 
     def test_shared_gradient_gives_the_same_morrey_numbers(self):
         A = [1.0, 1.0]
@@ -458,14 +482,28 @@ class TestSliceTableReuse:
         [
             (bump(1.0, 1.0), power_endpoint_psi(1.3, 3.4, 0.4, 0.4)),
             (gaussian(1.0), constant_psi(2.0, 300.0)),
+            (power_tail(3.0, 1.0), constant_psi(1.2, 4.0)),
+            (tent(1.5), constant_psi(1.5, 3.0)),
+            (smoothed_step(1.0, 0.3), power_endpoint_psi(1.3, 3.4, 0.4, 0.4)),
+            (bump(1.0, 1.5), constant_psi(100.0, 160.0)),
         ],
-        ids=["bump-power-endpoint", "gaussian-past-seeding"],
+        ids=[
+            "bump-power-endpoint",
+            "gaussian-past-seeding",
+            "power-tail-divergent-low-p",
+            "tent",
+            "smoothed-step",
+            "bump-window-crossing-128",
+        ],
     )
     def test_scan_slices_equal_standalone_norms(self, monkeypatch, u, psi):
-        """Split reuse inside a scan changes how many points are evaluated
-        and nothing else: each slice's value and diagnostics keep their bits."""
+        """The batched grid probe and split reuse inside a scan change how
+        many points are evaluated and nothing else: every slice of the scan,
+        grid rows included, has the value (or the exception) and the
+        diagnostics of a standalone call, and a grid row its neval too."""
         A = (1.0, 2.0)
         real_norm = grand_module.weighted_lp_norm
+        real_rows = grand_module._slice_rows
         real_k15 = quadrature_module._k15_panels
         k15_calls = [0]
 
@@ -477,19 +515,37 @@ class TestSliceTableReuse:
 
         def recording(*args, **kwargs):
             out = real_norm(*args, **kwargs)
-            seen.append((args[2], out))
+            seen.append((args[2], out, False))
             return out
+
+        def recording_rows(u, gradient, A, ps, splits):
+            outcomes = real_rows(u, gradient, A, ps, splits)
+            seen.extend((p, out, True) for p, out in zip(ps, outcomes))
+            return outcomes
 
         monkeypatch.setattr(quadrature_module, "_k15_panels", counted)
         monkeypatch.setattr(grand_module, "weighted_lp_norm", recording)
-        gls_norm(u, psi, A)
+        monkeypatch.setattr(grand_module, "_slice_rows", recording_rows)
+        result = gls_norm(u, psi, A, details=True)[1]
         in_scan = k15_calls[0]
         k15_calls[0] = 0
-        assert len(seen) > 64
-        for p, (value, diag) in seen:
+        assert sum(batched for _, _, batched in seen) == grand_module.SUP_GRID_POINTS
+        if not result.diverged:
+            assert len(seen) > grand_module.SUP_GRID_POINTS
+        for p, outcome, batched in seen:
+            if isinstance(outcome, Exception):
+                with pytest.raises(type(outcome)) as alone_exc:
+                    real_norm(u, A, p, details=True)
+                assert str(alone_exc.value) == str(outcome)
+                continue
+            value, diag = outcome
             alone, alone_diag = real_norm(u, A, p, details=True)
             assert value == alone
             fields, alone_fields = diag.to_dict(), alone_diag.to_dict()
-            assert fields.pop("neval") >= alone_fields.pop("neval")
+            neval, alone_neval = fields.pop("neval"), alone_fields.pop("neval")
+            if batched:
+                assert neval == alone_neval
+            else:
+                assert neval >= alone_neval
             assert fields == alone_fields
         assert in_scan < k15_calls[0]

@@ -5,7 +5,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from glsobolev.errors import DivergentIntegralError, DomainError
+import glsobolev.norms as norms_module
+
+from glsobolev.errors import DivergentIntegralError, DomainError, QuadratureError
 from glsobolev.exponents import as_exponent_tuple
 from glsobolev.norms import (
     WeightedMeasure,
@@ -16,6 +18,7 @@ from glsobolev.norms import (
     weighted_lp_norm,
 )
 from glsobolev.profiles import bump, gaussian, power_tail, step, tent
+from glsobolev.quadrature import _raise_error
 
 mpmath.mp.dps = 30
 
@@ -236,3 +239,29 @@ class TestPeakPerProfile:
         broken = dataclasses.replace(u, value=lambda r: np.full_like(r, np.nan), check=False)
         with pytest.raises(DomainError, match="non-finite"):
             weighted_lp_norm(broken, A, 2.0)
+
+
+def _outcome(run):
+    """(repr of the value, diagnostics dict), or (exception type, message)."""
+    try:
+        value, diag = run()
+    except (DomainError, QuadratureError) as exc:
+        return type(exc).__name__, str(exc)
+    return repr(value), diag.to_dict()
+
+
+class TestSliceRows:
+    @pytest.mark.parametrize("make", [bump, gaussian, tent, power_tail, step])
+    @pytest.mark.parametrize("A", [(1.0, 2.0), (0.0,), (0.0, 0.0, 0.0)])
+    @pytest.mark.parametrize("gradient", [False, True])
+    def test_each_row_is_its_standalone_norm(self, make, A, gradient):
+        # p = 2 squares, p >= 128 seeds the peak, p = 0.5 and inf are rejected,
+        # and power_tail diverges at low p
+        ps = [0.5, 1.0, 1.7, 2.0, 2.0, 3.3, 127.0, 128.0, 500.0, math.inf]
+        u = make()
+        rows = norms_module._slice_rows(u, gradient, A, ps)
+        for p, row in zip(ps, rows):
+            got = _outcome(lambda: _raise_error(row))
+            alone = _outcome(lambda: norms_module._norm(u, gradient, A, p, True))
+            assert got == alone, p
+

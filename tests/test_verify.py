@@ -190,6 +190,17 @@ class TestNegativeControls:
         assert report.status == "fail"
         assert report.ratio == pytest.approx(1.0625, abs=1e-3)
 
+    def test_gls_literal_constant_fails_on_the_extremal(self):
+        # psi pins p near 2, where the extremal attains the corrected constant
+        u, psi = extremal_profile(5.0, 2.0), constant_psi(1.99, 2.01)
+        literal = verify_gls_sobolev(u, psi, (1.0, 2.0), variant="literal")
+        assert literal.quadrature["converged"]
+        assert literal.status == "fail"
+        assert literal.ratio == pytest.approx(1.06247, abs=1e-4)
+        corrected = verify_gls_sobolev(u, psi, (1.0, 2.0), variant="corrected")
+        assert corrected.status == "pass"
+        assert corrected.ratio == pytest.approx(0.99998, abs=1e-4)
+
     def test_morrey_with_a_tiny_c2_fails(self):
         report = check_morrey(bump(1.0, 1.0), constant_psi(5.0, 9.0), (1.0, 1.0), 0.4, c2=1e-3)
         assert report.quadrature["converged"]
@@ -421,3 +432,60 @@ class TestCampaign:
         with pytest.raises(InputError, match="campaign check 1 .* 'A' must be a list"):
             run_campaign({"checks": [good, dict(good, A="12")]})
         assert ran == []
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (
+                {
+                    "kind": "trace",
+                    "A": [1.0, 1.0],
+                    "B": [1.0, 1.0],
+                    "r": 1,
+                    "p-values": [1.5],
+                    "family": {"generator": "bump", "count": 1},
+                },
+                "campaign check 1 .* expected r = 1",
+            ),
+            (
+                {
+                    "kind": "sobolev",
+                    "A": [-1.0, 1.0],
+                    "p-values": [1.5],
+                    "family": {"generator": "bump", "count": 1},
+                },
+                "campaign check 1 .* finite and >= 0",
+            ),
+        ],
+        ids=["trace-B-longer-than-r", "negative-A"],
+    )
+    def test_exponent_tuples_are_checked_before_any_check_runs(self, monkeypatch, bad, message):
+        ran = []
+        monkeypatch.setattr(verify_module, "check_scaling", lambda *a, **k: ran.append(a))
+        scaling = {
+            "kind": "scaling",
+            "A": [1.0, 2.0],
+            "p-values": [2.0],
+            "family": {"generator": "bump", "count": 1},
+        }
+        with pytest.raises(InputError, match=message):
+            run_campaign({"checks": [scaling, bad]})
+        assert ran == []
+
+    def test_campaign_samples_each_morrey_modulus_once(self, monkeypatch):
+        real = verify_module.modulus_of_continuity
+        sampled = []
+
+        def counting(u, delta):
+            value = real(u, delta)
+            sampled.append((u.name, delta, value))
+            return value
+
+        monkeypatch.setattr(verify_module, "modulus_of_continuity", counting)
+        monkeypatch.setattr(grand_module, "modulus_of_continuity", counting)
+        cfg = default_campaign_config()
+        cfg["checks"] = [c for c in cfg["checks"] if c["kind"] == "morrey"]
+        reports = run_campaign(cfg)
+        assert len(reports) == 4  # two profiles, two deltas
+        assert len(sampled) == len({(name, delta) for name, delta, _ in sampled}) == 4
+        assert sorted(report.lhs for report in reports) == sorted(v for _, _, v in sampled)
