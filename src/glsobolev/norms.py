@@ -99,6 +99,16 @@ def _body_upper(profile: RadialProfile, initial_edges) -> float:
     return upper
 
 
+def _add_tail(fn, gamma_exp: float, profile: RadialProfile, upper: float, value: float, diag):
+    """The body integral (value, diag) of fn up to ``upper``, with the
+    geometric tail past ``upper`` added when the profile decays."""
+    if isinstance(profile.support, Decaying):
+        tail, tdiag = extend_tail(_power_weighted(fn, gamma_exp), upper, base_value=value)
+        diag.merge(tdiag)
+        value += tail
+    return value, diag
+
+
 def radial_integral(
     fn,
     gamma_exp: float,
@@ -114,25 +124,18 @@ def radial_integral(
     """
     upper = _body_upper(profile, initial_edges)
     value, diag = integrate_power_weighted(fn, gamma_exp, upper, initial_edges=initial_edges)
-    if isinstance(profile.support, Decaying):
-        tail, tdiag = extend_tail(_power_weighted(fn, gamma_exp), upper, base_value=value)
-        diag.merge(tdiag)
-        value += tail
-    return value, diag
+    return _add_tail(fn, gamma_exp, profile, upper, value, diag)
 
 
-def _slice_source(u: RadialProfile, gradient: bool):
-    """(values_fn, peak scan) of u, or of u' with ``gradient``; DomainError
-    when the peak is not finite."""
+def _slice_source(u: RadialProfile, gradient: bool, p: float):
+    """(values_fn, peak scan) of u, or of u' with ``gradient``, for the
+    p-norm; DomainError for p outside [1, inf) or a non-finite peak."""
+    if not (p >= 1.0 and math.isfinite(p)):
+        raise DomainError(f"norm exponent p must satisfy 1 <= p < inf, got {p}")
     values_fn, scan = (u.derivative, u.derivative_peak) if gradient else (u.value, u.value_peak)
     if not np.isfinite(scan.value):
         raise DomainError("profile takes non-finite values on its support")
     return values_fn, scan
-
-
-def _check_exponent(p: float) -> None:
-    if not (p >= 1.0 and math.isfinite(p)):
-        raise DomainError(f"norm exponent p must satisfy 1 <= p < inf, got {p}")
 
 
 def _seeded_edges(scan, p: float):
@@ -158,13 +161,12 @@ def _slice_value(peak: float, A: ExponentTuple, integral: float, p: float) -> fl
 
 def _norm(u: RadialProfile, gradient: bool, A, p: float, details: bool):
     """||u||_{p, A}, or || |u'| ||_{p, A} with ``gradient``: the body of
-    weighted_lp_norm and weighted_gradient_norm, and the one-row case of
-    ``_slice_rows``.  It runs through radial_integral and the public
-    quadrature entries, so their wrappers see it, and inside a
-    ``quadrature._reusing_splits`` scope it predicts its splits."""
+    weighted_lp_norm and weighted_gradient_norm.  It runs through
+    radial_integral and the public quadrature entries, so their wrappers
+    see it, and inside a ``quadrature._reusing_splits`` scope it predicts
+    its splits.  ``_slice_rows`` takes the same steps for many p at once."""
     A = as_exponent_tuple(A)
-    _check_exponent(p)
-    values_fn, scan = _slice_source(u, gradient)
+    values_fn, scan = _slice_source(u, gradient, p)
     peak = scan.value
     if peak == 0.0:
         return (0.0, QuadratureDiagnostics()) if details else 0.0
@@ -193,21 +195,14 @@ def _slice_rows(u: RadialProfile, gradient: bool, A, ps, splits=None) -> list:
     A = as_exponent_tuple(A)
     gamma_exp = A.effective_dimension - 1.0
     out: list = [None] * len(ps)
-    try:
-        values_fn, scan = _slice_source(u, gradient)
-        source_error = None
-    except DomainError as exc:
-        source_error = exc
     rows = []
     for i, p in enumerate(ps):
         try:
-            _check_exponent(p)
+            values_fn, scan = _slice_source(u, gradient, p)
         except DomainError as exc:
             out[i] = exc
             continue
-        if source_error is not None:
-            out[i] = source_error
-        elif scan.value == 0.0:
+        if scan.value == 0.0:
             out[i] = (0.0, QuadratureDiagnostics())
         else:
             rows.append(i)
@@ -232,18 +227,15 @@ def _slice_rows(u: RadialProfile, gradient: bool, A, ps, splits=None) -> list:
     integrals = _integrate_rows(g, gamma_exp, uppers, edges, splits)
     for i, upper, outcome in zip(rows, uppers, integrals):
         p = ps[i]
-        if isinstance(u.support, Decaying) and not isinstance(outcome, Exception):
-            value, diag = outcome
-            tail_fn = _power_weighted(_slice_integrand(values_fn, peak, p), gamma_exp)
+        if not isinstance(outcome, Exception):
             try:
-                tail, tdiag = extend_tail(tail_fn, upper, base_value=value)
+                integral, diag = _add_tail(
+                    _slice_integrand(values_fn, peak, p), gamma_exp, u, upper, *outcome
+                )
             except QuadratureError as exc:
                 outcome = exc
             else:
-                diag.merge(tdiag)
-                outcome = (value + tail, diag)
-        if not isinstance(outcome, Exception):
-            outcome = (_slice_value(peak, A, outcome[0], p), outcome[1])
+                outcome = (_slice_value(peak, A, integral, p), diag)
         out[i] = outcome
     return out
 

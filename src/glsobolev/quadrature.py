@@ -25,20 +25,21 @@ each row keeps the bits, diagnostics and neval of a call on its own:
 ``(rows, 2, 15) @ w`` and ``(rows, 1, n) @ w`` reduce each row as a lone
 call would, where ``(rows * 2, 15) @ w`` would not.  ``adaptive_quadrature``
 is the one-row case of ``_refine_rows``, and ``integrate_power_weighted``
-uses the same two pieces as ``_integrate_rows``: there is one heap loop and
-one stopping rule.
+the one-row case of ``_integrate_rows``, which composes the two: there is
+one head loop, one heap loop and one stopping rule.
 
 Inside a ``_reusing_splits(store)`` scope, which grand sets around each slice
 that one sup scan's slice table computes alone (its golden-section steps),
-``adaptive_quadrature`` predicts its splits from the split list that the last
-converged call or batch row on the same (a, b, seeded edges) recorded in
-``store``.  It evaluates the halves of every predicted split in one
-``_k15_panels`` call, then runs the same heap loop, reading each split's
-halves from that batch and evaluating a split outside the prediction
-pairwise.  Heap order, running sums and the stopping rule do not change, so
-every value and error estimate keeps its bits; ``neval`` counts unused
-predicted halves too.  A call that exhausts its panel budget records nothing.
-Batch rows predict nothing and record into the store they are handed.
+``adaptive_quadrature`` and the body of ``integrate_power_weighted`` predict
+their splits from the split list that the last converged call or batch row on
+the same (a, b, seeded edges) recorded in ``store``.  Such a call evaluates
+the halves of every predicted split in one ``_k15_panels`` call, then runs
+the same heap loop, reading each split's halves from that batch and
+evaluating a split outside the prediction pairwise.  Heap order, running
+sums and the stopping rule do not change, so every value and error estimate
+keeps its bits; ``neval`` counts unused predicted halves too.  A call that
+exhausts its panel budget records nothing.  Batch rows predict nothing and
+record into the store they are handed.
 
 The policy is fixed by the module constants: REL_TOL = 1e-10 is the
 relative tolerance of every integral, ABS_FLOOR = 1e-300 the absolute floor
@@ -184,9 +185,9 @@ def _k15_panels(f, lo: np.ndarray, hi: np.ndarray):
     vals = resk * h
     raw = np.abs((resk - resg) * h)
     resasc = resasc * h
-    mask = (resasc != 0.0) & (raw != 0.0)
-    if mask.all():  # the usual case, without the masked copies
+    if np.count_nonzero(resasc) == np.count_nonzero(raw) == raw.size:  # nothing to mask
         return vals, resasc * np.minimum(1.0, (200.0 * raw / resasc) ** 1.5)
+    mask = (resasc != 0.0) & (raw != 0.0)
     errs = raw.copy()
     errs[mask] = resasc[mask] * np.minimum(1.0, (200.0 * raw[mask] / resasc[mask]) ** 1.5)
     return vals, errs
@@ -224,8 +225,8 @@ def _refinement(lo, hi, vals, errs, base_value, max_panels, ahead):
     for i in range(len(lo)):
         heapq.heappush(heap, (-errs[i], i, lo[i], hi[i], vals[i], errs[i]))
     counter = len(lo)
-    total = float(np.sum(vals))
-    total_err = float(np.sum(errs))
+    total = float(np.add.reduce(vals))
+    total_err = float(np.add.reduce(errs))
     floor_err = 0.0  # error stuck on panels too narrow to split
     panels = len(lo)
     neval = 15 * len(lo) + 30 * len(ahead)
@@ -241,14 +242,14 @@ def _refinement(lo, hi, vals, errs, base_value, max_panels, ahead):
             floor_err += perr
             total_err -= perr
             continue
-        halves = ahead.get((pa, pb))
+        halves = ahead.get((pa, pb)) if ahead else None
         if halves is None:
             halves = yield pa, mid, pb
             neval += 30
         cvals, cerrs = halves
         splits.append((float(pa), float(pb)))
-        total += float(cvals.sum() - pval)
-        total_err += float(cerrs.sum() - perr)
+        total += float(np.add.reduce(cvals) - pval)
+        total_err += float(np.add.reduce(cerrs) - perr)
         for j in range(2):
             heapq.heappush(
                 heap,
@@ -297,8 +298,8 @@ def _refine_rows(f, edge_rows, base_values, *, max_panels=MAX_PANELS, store=None
         lo, hi = np.array(edges[:-1]), np.array(edges[1:])
         vals, errs = _k15_panels(lambda x: f(x, members), lo, hi)
         vals, errs = vals.reshape(len(members), -1), errs.reshape(len(members), -1)
+        predicted = store.get(edges) if predict and store is not None else None
         for j, r in enumerate(members):
-            predicted = store.get(edges) if predict and store is not None else None
             ahead = {}
             if predicted:
                 s_lo, s_hi = np.array(predicted).T
@@ -309,22 +310,25 @@ def _refine_rows(f, edge_rows, base_values, *, max_panels=MAX_PANELS, store=None
                 ahead = {split: (pvals[i], perrs[i]) for i, split in enumerate(predicted)}
             rows[r] = _refinement(lo, hi, vals[j], errs[j], base_values[r], max_panels, ahead)
     results: list = [None] * len(rows)
-    wanted: dict[int, tuple] = {}
+    asking: list[int] = []  # the rows that wait for the halves of a split
+    cuts: list[tuple] = []  # their splits (a, mid, b)
 
     def advance(r: int, halves) -> None:
         try:
-            wanted[r] = rows[r].send(halves)
+            cuts.append(rows[r].send(halves))
+            asking.append(r)
         except StopIteration as stop:
             results[r] = stop.value
 
     for r in range(len(rows)):
         advance(r, None)
-    while wanted:
-        live = list(wanted)
-        cuts = np.array([wanted.pop(r) for r in live])
-        vals, errs = _k15_panels(
-            lambda x: f(x.reshape(len(live), -1), live), cuts[:, :2], cuts[:, 1:]
-        )
+    while asking:
+        live, split = asking[:], np.array(cuts)
+        asking.clear()
+        cuts.clear()
+        # a row of points per live row; a lone row's stay flat, as on its own
+        shape = (len(live), -1) if len(live) > 1 else (-1,)
+        vals, errs = _k15_panels(lambda x: f(x.reshape(shape), live), split[:, :2], split[:, 1:])
         for j, r in enumerate(live):
             advance(r, (vals[j], errs[j]))
     out = []
@@ -375,8 +379,11 @@ def _jacobi_rule(n: int, gamma_exp: float):
 
 
 def _power_weighted(g, gamma_exp: float):
-    """The integrand t -> t^gamma_exp g(t), weight folded in."""
-    return lambda t: np.asarray(t, dtype=float) ** gamma_exp * np.asarray(g(t), dtype=float)
+    """The integrand t -> t^gamma_exp g(t), weight folded in; for a family
+    ``g(t, rows)`` of ``_refine_rows``, the same family weighted."""
+    return lambda t, *rows: np.asarray(t, dtype=float) ** gamma_exp * np.asarray(
+        g(t, *rows), dtype=float
+    )
 
 
 def _head_eps(upper: float, initial_edges) -> float:
@@ -451,49 +458,38 @@ def integrate_power_weighted(
 
     gamma_exp > -1 is required for integrability.  The head panel [0, eps]
     uses a Gauss-Jacobi rule in the weight t^gamma_exp (``_jacobi_heads``);
-    the remainder carries t^gamma_exp folded into the integrand and goes
-    to ``adaptive_quadrature``.  ``_integrate_rows`` is the same integral
-    for a family of integrands at once.
+    the remainder carries t^gamma_exp folded into the integrand and is
+    refined adaptively.  This is the one-row case of ``_integrate_rows``,
+    predicting its splits inside a ``_reusing_splits`` scope.
     """
-    _check_weight(gamma_exp)
-    if upper <= 0.0:
-        return 0.0, QuadratureDiagnostics()
-    if gamma_exp == 0.0:
-        return adaptive_quadrature(g, 0.0, upper, initial_edges=initial_edges)
-    head, eps, neval_head = _raise_error(
-        _jacobi_heads(_one_row(g), gamma_exp, [_head_eps(upper, initial_edges)])[0]
+    return _raise_error(
+        _integrate_rows(
+            _one_row(g), gamma_exp, [upper], [initial_edges], store=_SPLITS.get(), predict=True
+        )[0]
     )
-    body, diag = adaptive_quadrature(
-        _power_weighted(g, gamma_exp),
-        eps,
-        upper,
-        initial_edges=initial_edges,
-        base_value=head,
-    )
-    diag.neval += neval_head
-    diag.panels += 1
-    return head + body, diag
 
 
 def _rows_of(f, rows):
     """The family f(x, rows) restricted to ``rows``, renumbered from 0."""
+    if not rows or rows[-1] == len(rows) - 1:  # rows ascend, so this is 0, 1, ...
+        return f
     return lambda x, which: f(x, [rows[j] for j in which])
 
 
-def _integrate_rows(f, gamma_exp: float, uppers, edge_lists, store=None) -> list:
-    """integrate_power_weighted for each row r of the family ``f(x, rows)``
-    of ``_refine_rows``: int_0^uppers[r] t^gamma_exp f_r(t) dt, seeded with
-    ``edge_lists[r]`` (None for none).
+def _integrate_rows(f, gamma_exp: float, uppers, edge_lists, store=None, predict=False) -> list:
+    """int_0^uppers[r] t^gamma_exp f_r(t) dt for each row r of the family
+    ``f(x, rows)`` of ``_refine_rows``, seeded with ``edge_lists[r]`` (None
+    for none).
 
-    The heads run in lockstep (``_jacobi_heads``) and the bodies in one
-    ``_refine_rows`` batch that predicts no splits and records them in
-    ``store`` (None for none).  Every row gets the value and diagnostics of
-    its own integrate_power_weighted call, or the QuadratureError that call
-    raises.
+    The heads run in lockstep (``_jacobi_heads``) and the bodies, past each
+    row's head, in one ``_refine_rows`` batch with ``store`` and
+    ``predict`` as it takes them.  Returns (value, diagnostics) per row, or
+    the QuadratureError of a row whose head never settled.  Each row has the
+    bits of a one-row call, which is integrate_power_weighted.
     """
     _check_weight(gamma_exp)
-    out: list = [(0.0, QuadratureDiagnostics()) for _ in uppers]
-    rows = [r for r, upper in enumerate(uppers) if upper > 0.0]
+    out: list = [(0.0, QuadratureDiagnostics()) if upper <= 0.0 else None for upper in uppers]
+    rows = [r for r, done in enumerate(out) if done is None]
     if gamma_exp == 0.0:
         heads = {r: (0.0, 0.0, 0) for r in rows}
         body = f
@@ -507,9 +503,7 @@ def _integrate_rows(f, gamma_exp: float, uppers, edge_lists, store=None) -> list
                 out[r] = head
             else:
                 heads[r] = head
-
-        def body(x, which):
-            return x**gamma_exp * f(x, which)
+        body = _power_weighted(f, gamma_exp)
 
     rows = list(heads)
     bodies = _refine_rows(
@@ -517,6 +511,7 @@ def _integrate_rows(f, gamma_exp: float, uppers, edge_lists, store=None) -> list
         [_panel_edges(heads[r][1], uppers[r], edge_lists[r]) for r in rows],
         [heads[r][0] for r in rows],
         store=store,
+        predict=predict,
     )
     for r, (total, diag) in zip(rows, bodies):
         if gamma_exp != 0.0:
