@@ -18,7 +18,12 @@ import sys
 from . import __version__, grand
 from .constants import sharp_constant, sharp_constant_p1, talenti_constant, trace_bounds
 from .errors import DivergentIntegralError, InputError, QuadratureError
-from .exponents import as_exponent_tuple, sobolev_exponent, trace_exponent
+from .exponents import (
+    as_exponent_tuple,
+    check_norm_exponent,
+    sobolev_exponent,
+    trace_exponent,
+)
 from .grand import (
     _psi_from_spec,
     fundamental_function,
@@ -154,6 +159,7 @@ def _emit(payload, fmt: str) -> None:
 
 def _cmd_constants(args) -> tuple:
     A = as_exponent_tuple(_parse_floats(args.A))
+    check_norm_exponent(args.p)
     D = A.effective_dimension
     payload = {
         "A": list(A.entries),

@@ -116,6 +116,12 @@ def _guard_open_endpoint(p: float, lo: float, hi: float):
         raise DomainError(f"p = {p} at or within {ENDPOINT_GUARD} of endpoint {hi}")
 
 
+def check_norm_exponent(p: float):
+    """Reject a Lebesgue exponent p outside [1, inf), nan included."""
+    if not (p >= 1.0 and math.isfinite(p)):
+        raise DomainError(f"norm exponent p must satisfy 1 <= p < inf, got {p}")
+
+
 def sobolev_exponent(A, B, p: float) -> float:
     """Embedding exponent q = D(B) * p / (D(A) - p).
 

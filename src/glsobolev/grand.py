@@ -26,6 +26,9 @@ exponent law q = D p / (D - p) and multiplies in the sharp constant, so
 the embedding theorem takes the normalized form ||u||_{G(zeta)} <=
 ||grad u||_{G(psi)}.  ``morrey_transform`` builds the companion weight
 c2 * p / (p - D) * psi(p) used for the continuity-modulus bound.
+
+scipy.interpolate is imported inside ``tabulated_psi``, its one user, so
+that only a tabulated psi pays for loading it.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .constants import sharp_constant
 from .errors import DivergentIntegralError, DomainError, InputError, QuadratureError
@@ -147,6 +149,8 @@ def tabulated_psi(exponents, values) -> PsiFunction:
     if np.any(~np.isfinite(vs) | (vs <= 0.0)):
         raise InputError("tabulated psi values must be positive and finite")
     vs = vs / np.min(vs)
+    from scipy.interpolate import PchipInterpolator
+
     interp = PchipInterpolator(ps, vs, extrapolate=False)
 
     def func(p):

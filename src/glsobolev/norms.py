@@ -28,7 +28,7 @@ import numpy as np
 
 from .constants import _log_gamma_product
 from .errors import DomainError, QuadratureError
-from .exponents import ExponentTuple, as_exponent_tuple
+from .exponents import ExponentTuple, as_exponent_tuple, check_norm_exponent
 from .gammafn import log_gamma
 from .profiles import Decaying, RadialProfile
 from .quadrature import (
@@ -130,8 +130,7 @@ def radial_integral(
 def _slice_source(u: RadialProfile, gradient: bool, p: float):
     """(values_fn, peak scan) of u, or of u' with ``gradient``, for the
     p-norm; DomainError for p outside [1, inf) or a non-finite peak."""
-    if not (p >= 1.0 and math.isfinite(p)):
-        raise DomainError(f"norm exponent p must satisfy 1 <= p < inf, got {p}")
+    check_norm_exponent(p)
     values_fn, scan = (u.derivative, u.derivative_peak) if gradient else (u.value, u.value_peak)
     if not np.isfinite(scan.value):
         raise DomainError("profile takes non-finite values on its support")

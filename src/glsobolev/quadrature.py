@@ -49,6 +49,9 @@ running total, and raises QuadratureError at radius TAIL_CAP = 2^40.
 
 Integrand callables must accept a 1-d ndarray and return a same-length
 ndarray.
+
+scipy.special is imported inside ``_jacobi_rule``, on a cache miss, so that
+importing the package and the closed-form commands load no scipy.
 """
 
 from __future__ import annotations
@@ -60,7 +63,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import DivergentIntegralError, QuadratureError
 
@@ -375,6 +377,8 @@ def adaptive_quadrature(
 
 @lru_cache(maxsize=256)
 def _jacobi_rule(n: int, gamma_exp: float):
+    from scipy.special import roots_jacobi
+
     return roots_jacobi(n, 0.0, gamma_exp)
 
 

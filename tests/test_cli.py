@@ -58,6 +58,18 @@ class TestConstantsCommand:
     def test_bad_exponent_list(self, capsys):
         assert main(["constants", "--A", "1,zap", "--p", "2"]) == 2
 
+    @pytest.mark.parametrize("p", ["nan", "inf", "-1", "0.5"])
+    def test_meaningless_p_exits_two(self, capsys, p):
+        assert main(["constants", "--A", "1,2", "--p", p]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: norm exponent p must satisfy 1 <= p < inf")
+
+    def test_p_one_keeps_c1(self, capsys):
+        code, payload = run_json(capsys, ["constants", "--A", "1,2", "--p", "1"])
+        assert code == 0
+        assert payload["C1"] > 0.0 and payload["C"] is None
+
 
 class TestNormCommand:
     def test_lp_norm_value(self, capsys):
