@@ -11,15 +11,15 @@ infinite) and refined by golden section; a divergent slice norm makes the
 whole supremum +inf, which is reported as a first-class value rather than
 an error.
 
-Each scan probes its grid with one vector call of its objective: the slice
-table computes the 64 slices in one lockstep batch (norms._slice_rows),
-each p keeping its own refinement tree, diagnostics and every bit of a
-standalone norm, and psi is evaluated once on the whole grid.  A slice's
-diagnostics merge into the report when the scan first reads it, so the
-merge order is the one of slices computed one at a time.  Golden-section
-steps compute their slices one at a time through this module's
-weighted_lp_norm / weighted_gradient_norm, predicting their refinement
-from the splits the grid recorded.
+Every scan runs one protocol from slice to supremum: its objective maps a
+1-d array of exponents to one outcome each, a value or the QuadratureError
+of that slice.  The 64-point grid is one call, whose slices the slice table
+computes in one lockstep batch (norms._slice_rows), each p keeping its own
+refinement tree, diagnostics and every bit of a standalone norm; psi is
+evaluated once on the whole grid.  Each golden-section step is a call on a
+one-element array, whose slice goes through this module's weighted_lp_norm
+/ weighted_gradient_norm and predicts its refinement from the splits the
+grid recorded.  A slice's diagnostics merge once, when it is computed.
 
 ``zeta_transform`` pushes a gradient-side weight forward through the
 exponent law q = D p / (D - p) and multiplies in the sharp constant, so
@@ -49,7 +49,7 @@ from .exponents import (
 )
 from .norms import _slice_rows, weighted_gradient_norm, weighted_lp_norm
 from .profiles import Compact, RadialProfile
-from .quadrature import REL_TOL, QuadratureDiagnostics, _raise_error, _reusing_splits
+from .quadrature import REL_TOL, QuadratureDiagnostics, _reusing_splits
 from .reports import DEFAULT_SLACK, VerificationReport
 
 SUP_GRID_POINTS = 64
@@ -79,15 +79,14 @@ class PsiFunction:
             )
 
     def __call__(self, p):
-        arr = np.atleast_1d(np.asarray(p, dtype=float))
-        if np.any(arr <= self.a) or np.any(arr >= self.b):
+        arr = np.asarray(p, dtype=float)
+        outside = ~((arr > self.a) & (arr < self.b))  # nan is outside too
+        if np.any(outside):
             raise DomainError(
-                f"exponent outside psi support ({self.a}, {self.b})"
+                f"exponent {arr[outside].flat[0]} outside psi support ({self.a}, {self.b})"
             )
-        out = np.asarray(self.func(arr), dtype=float)
-        if np.ndim(p) == 0:
-            return float(out[0])
-        return out.reshape(np.shape(p))
+        out = np.asarray(self.func(np.atleast_1d(arr)), dtype=float).reshape(arr.shape)
+        return float(out) if arr.ndim == 0 else out
 
     def describe(self) -> dict:
         return {
@@ -202,29 +201,17 @@ class SupremumResult:
     quadrature: QuadratureDiagnostics = field(default_factory=QuadratureDiagnostics)
 
 
-def _outcomes(read, n: int) -> list:
-    """[read(0), ..., read(n - 1)], with the DivergentIntegralError or
-    QuadratureError of a slice standing as that entry."""
-    out = []
-    for i in range(n):
-        try:
-            out.append(read(i))
-        except QuadratureError as exc:
-            out.append(exc)
-    return out
-
-
 def _scan_sup(objective, a: float, b: float) -> SupremumResult:
     """Grid scan plus golden-section refinement of sup objective(p).
 
-    The 64-point grid is probed with one call ``objective(grid)``, which
-    returns per grid point its value or the exception its slice raised
-    (see ``_outcomes``); each golden-section step calls ``objective(p)`` on
-    one float.  DivergentIntegralError from a slice makes the supremum
-    +inf.  A slice that merely fails certification (QuadratureError) is
-    tolerated only if some other slice proved divergence; otherwise the
-    error is re-raised once the scan finishes, since an uncertified slice
-    could hide the true supremum.
+    ``objective`` maps a 1-d float array of exponents to one outcome per
+    exponent: its value, or the QuadratureError its slice raised.  The
+    64-point grid is one call, and each golden-section step a call on a
+    one-element array.  ``settle`` turns an outcome into a number: a
+    DivergentIntegralError makes the supremum +inf.  A slice that merely
+    fails certification is tolerated only if some other slice proved
+    divergence; otherwise the error is re-raised once the scan finishes,
+    since an uncertified slice could hide the true supremum.
     """
     pending: list[QuadratureError] = []
 
@@ -237,11 +224,8 @@ def _scan_sup(objective, a: float, b: float) -> SupremumResult:
         v = float(v)
         return v if not math.isnan(v) else -math.inf
 
-    def safe(p: float) -> float:
-        try:
-            return settle(objective(p))
-        except QuadratureError as exc:
-            return settle(exc)
+    def probe(x: float) -> float:
+        return settle(objective(np.array([x]))[0])
 
     grid = _exponent_grid(a, b, SUP_GRID_POINTS)
     vals = np.array([settle(v) for v in objective(grid)])
@@ -260,7 +244,7 @@ def _scan_sup(objective, a: float, b: float) -> SupremumResult:
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
-    f1, f2 = safe(x1), safe(x2)
+    f1, f2 = probe(x1), probe(x2)
     for _ in range(200):
         for x, v in ((x1, f1), (x2, f2)):
             if math.isinf(v) and v > 0:
@@ -272,11 +256,11 @@ def _scan_sup(objective, a: float, b: float) -> SupremumResult:
         if f1 >= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - invphi * (hi - lo)
-            f1 = safe(x1)
+            f1 = probe(x1)
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + invphi * (hi - lo)
-            f2 = safe(x2)
+            f2 = probe(x2)
     if pending:
         raise QuadratureError(
             f"refinement hit an uncertified slice (first: {pending[0]})"
@@ -292,56 +276,53 @@ def _scan_sup(objective, a: float, b: float) -> SupremumResult:
 class _SliceTable:
     """p -> slice norm of u (of |u'| with ``gradient``) for one grand call.
 
-    Each p is computed once, and its diagnostics merge into ``diag`` once,
-    when the table is first read at that p; so the merge order is the read
-    order.  ``compute(ps)`` computes the missing p of a probe grid in one
-    lockstep batch (norms._slice_rows, looked up here) and only stores each
-    row's outcome.  A p that no batch computed is computed alone by this
-    module's weighted_lp_norm or weighted_gradient_norm as looked up at
-    that moment, so wrappers of either see each such slice.  The table's
-    slices share one split store: a converged slice records its refinement
-    and a slice computed alone predicts its own from it (see
-    ``quadrature``); the store dies with the table.  A batch row predicts
-    nothing, tail included, so it has the neval of a standalone call.
+    ``outcomes(ps)`` gives per p its value or the QuadratureError of its
+    slice; a DomainError raises.  Each p is computed once: several missing p
+    in one lockstep batch (norms._slice_rows), a lone one, a golden-section
+    step, by this module's weighted_lp_norm or weighted_gradient_norm, both
+    looked up at call time so wrappers see each such slice.  A slice's
+    diagnostics merge into ``diag`` once, when it is computed, in the order
+    of ``ps``.  A converged slice records its refinement in the table's
+    split store, and a lone slice predicts its own from it (see
+    ``quadrature``); a batch row predicts nothing, so it has the neval of a
+    standalone call.
     """
 
     def __init__(self, gradient: bool, u, A, diag: QuadratureDiagnostics):
         self.gradient, self.u, self.A, self.diag = gradient, u, A, diag
-        self.values: dict[float, float] = {}
-        self.computed: dict = {}  # p -> outcome of a batch row not yet read
+        self.known: dict = {}  # p -> value or QuadratureError
         self.splits: dict = {}
 
-    def compute(self, ps) -> None:
-        missing = [p for p in dict.fromkeys(ps) if p not in self.values and p not in self.computed]
-        if missing:
-            outcomes = _slice_rows(self.u, self.gradient, self.A, missing, self.splits)
-            self.computed.update(zip(missing, outcomes))
+    def outcomes(self, ps) -> list:
+        missing = [p for p in dict.fromkeys(ps) if p not in self.known]
+        if len(missing) > 1:
+            computed = _slice_rows(self.u, self.gradient, self.A, missing, self.splits)
+        else:
+            computed = [self._alone(p) for p in missing]
+        for p, outcome in zip(missing, computed):
+            if isinstance(outcome, DomainError):
+                raise outcome
+            if not isinstance(outcome, QuadratureError):
+                outcome, slice_diag = outcome
+                self.diag.merge(slice_diag)
+            self.known[p] = outcome
+        return [self.known[p] for p in ps]
 
-    def __call__(self, p: float) -> float:
-        if p not in self.values:
-            outcome = self.computed.pop(p, None)
-            if outcome is None:
-                norm_fn = weighted_gradient_norm if self.gradient else weighted_lp_norm
-                with _reusing_splits(self.splits):
-                    outcome = norm_fn(self.u, self.A, p, details=True)
-            value, slice_diag = _raise_error(outcome)
-            self.diag.merge(slice_diag)
-            self.values[p] = value
-        return self.values[p]
+    def _alone(self, p):
+        norm_fn = weighted_gradient_norm if self.gradient else weighted_lp_norm
+        try:
+            with _reusing_splits(self.splits):
+                return norm_fn(self.u, self.A, float(p), details=True)
+        except QuadratureError as exc:
+            return exc
 
 
 def _over_psi(slices: _SliceTable, psi: PsiFunction):
-    """The objective p -> slices(p) / psi(p); on a probe grid the slices
-    come from one batch and psi from one call."""
-
-    def objective(p):
-        if np.ndim(p) == 0:
-            return slices(p) / psi(p)
-        slices.compute(p)
-        weights = psi(p)
-        return _outcomes(lambda i: slices(p[i]) / weights[i], len(p))
-
-    return objective
+    """The objective ps -> slice(p) / psi(p), psi evaluated once on ps."""
+    return lambda ps: [
+        v if isinstance(v, QuadratureError) else v / w
+        for v, w in zip(slices.outcomes(ps), psi(ps))
+    ]
 
 
 def _gls(gradient: bool, u, psi: PsiFunction, A, details: bool):
@@ -398,10 +379,8 @@ def fundamental_function(
         raise DomainError(f"delta must be positive and finite, got {delta}")
     log_delta = math.log(delta)
 
-    def objective(p):
-        if np.ndim(p) == 0:
-            return math.exp(log_delta / p) / psi(p)
-        return [math.exp(log_delta / x) / w for x, w in zip(p, psi(p))]
+    def objective(ps):
+        return [math.exp(log_delta / p) / w for p, w in zip(ps, psi(ps))]
 
     res = _scan_sup(objective, psi.a, psi.b)
     return (res.value, res) if details else res.value
@@ -626,19 +605,19 @@ def verify_gls_sobolev(
     diag.merge(lhs_res.quadrature)
     lp = _SliceTable(False, u, A, diag)
 
-    def slice_ratio(p: float, q: float) -> float:
-        num = lp(q)
-        den = gradient(p)
+    def slice_objective(ps):
+        # a gradient slice is read only where its lp slice succeeded
+        nums = lp.outcomes([sobolev_exponent(A, A, p) for p in ps])
+        good = [p for p, num in zip(ps, nums) if not isinstance(num, QuadratureError)]
+        dens = dict(zip(good, gradient.outcomes(good)))
+        return [slice_ratio(p, num, dens.get(p, num)) for p, num in zip(ps, nums)]
+
+    def slice_ratio(p: float, num, den):
+        """num / (C(p) den), or the error of a failed slice standing as den."""
+        if isinstance(den, QuadratureError):
+            return den
         c = sharp_constant(A, p, variant=variant)
         return num / (c * den) if den > 0.0 else math.nan
-
-    def slice_objective(p):
-        if np.ndim(p) == 0:
-            return slice_ratio(p, sobolev_exponent(A, A, p))
-        qs = [sobolev_exponent(A, A, x) for x in p]
-        lp.compute(qs)
-        gradient.compute(p)
-        return _outcomes(lambda i: slice_ratio(p[i], qs[i]), len(p))
 
     slice_res = _scan_sup(slice_objective, psi.a, min(psi.b, D))
 

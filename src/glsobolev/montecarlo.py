@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureError
-from .exponents import as_exponent_tuple
+from .exponents import as_exponent_tuple, check_norm_exponent
 
 _MIN_ESS_FRACTION = 1e-3
 
@@ -126,8 +126,7 @@ def monte_carlo_lp_norm(
     its standard error are propagated with the delta method.
     """
     A = as_exponent_tuple(A)
-    if not (p >= 1.0 and math.isfinite(p)):
-        raise ValueError(f"need 1 <= p < inf, got {p}")
+    check_norm_exponent(p)
 
     def integrand(x):
         r = np.sqrt(np.sum(x * x, axis=1))

@@ -150,6 +150,34 @@ class TestGlsCommands:
         code = main(["zeta", "--psi", "constant:1.5,2.5", "--A", "1,2", "--q", "2"])
         assert code == 2
 
+    @pytest.mark.parametrize("q", ["nan", "-1"])
+    def test_zeta_names_the_rejected_q(self, capsys, q):
+        code = main(["zeta", "--psi", "power:1.3,2.9,0.4,0.4", "--A", "1,2", "--q", q])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"exponent {float(q)} outside psi support" in err
+        assert "p must be finite" not in err
+
+    def test_divergent_single_exponent_norm_exits_three(self, capsys):
+        code = main(["norm", "--profile", "power_tail:1,1", "--A", "1,2", "--p", "1.5"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("divergent:")
+
+    def test_uncertified_scan_exits_three(self, capsys):
+        code = main(
+            [
+                "gls-norm",
+                "--profile", "extremal:3,2",
+                "--psi", "constant:1.6,2.5",
+                "--A", "0,0,0",
+                "--gradient",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("not certified:")
+        assert "slices could not be certified" in err
+
     def test_morrey_with_measurement(self, capsys):
         code, payload = run_json(
             capsys,

@@ -9,7 +9,7 @@ import glsobolev.grand as grand_module
 import glsobolev.quadrature as quadrature_module
 
 from glsobolev.constants import sharp_constant
-from glsobolev.errors import DomainError, InputError, QuadratureError
+from glsobolev.errors import DivergentIntegralError, DomainError, InputError, QuadratureError
 from glsobolev.exponents import sobolev_exponent
 from glsobolev.grand import (
     PsiFunction,
@@ -40,6 +40,7 @@ from glsobolev.profiles import (
     step,
     tent,
 )
+from glsobolev.verify import extremal_profile
 
 
 class TestPsiFamilies:
@@ -112,6 +113,24 @@ class TestPsiFamilies:
             psi(1.5)
         with pytest.raises(DomainError):
             psi(3.5)
+
+    def test_call_rejects_nan_and_names_the_exponent(self):
+        psi = constant_psi(1.5, 2.5)
+        with pytest.raises(DomainError, match=r"exponent nan outside psi support \(1.5, 2.5\)$"):
+            psi(math.nan)
+        with pytest.raises(DomainError, match="exponent nan outside"):
+            psi(np.array([2.0, math.nan]))
+        with pytest.raises(DomainError, match="exponent -1.0 outside"):
+            psi(-1.0)
+        with pytest.raises(DomainError, match="exponent 3.0 outside"):
+            psi(np.array([[2.0, 3.0]]))
+
+    def test_call_keeps_the_shape_of_p(self):
+        psi = power_endpoint_psi(1.5, 3.0, 0.5, 1.0)
+        assert isinstance(psi(2.0), float)
+        assert psi(np.array([2.0, 2.5])).shape == (2,)
+        assert psi(np.array([[2.0], [2.5]])).shape == (2, 1)
+        assert psi(2.0) == psi(np.array([2.0]))[0]
 
     def test_describe_round_trip(self):
         psi = power_endpoint_psi(1.5, 3.0, 0.5, 1.0)
@@ -401,6 +420,83 @@ def _recording_profile(u):
         check=False,
     )
     return copy, sizes
+
+
+class TestScanProtocol:
+    """_scan_sup calls its objective with 1-d float arrays and reads one
+    outcome per exponent: a value or the QuadratureError of its slice."""
+
+    @staticmethod
+    def _peaked(ps):
+        return [-((p - 2.0) ** 2) for p in ps]
+
+    def test_grid_is_one_call_and_each_step_one_exponent(self):
+        calls = []
+
+        def objective(ps):
+            calls.append(ps)
+            return self._peaked(ps)
+
+        res = grand_module._scan_sup(objective, 1.5, 3.0)
+        assert all(isinstance(ps, np.ndarray) and ps.ndim == 1 for ps in calls)
+        assert len(calls[0]) == grand_module.SUP_GRID_POINTS
+        assert all(len(ps) == 1 for ps in calls[1:]) and len(calls) > 2
+        assert res.argmax == pytest.approx(2.0, rel=1e-7) and not res.diverged
+
+    def test_uncertified_grid_slices_raise(self):
+        def objective(ps):
+            return [QuadratureError(f"at {p:.3f}") if p < 2.0 else -p for p in ps]
+
+        expected = r"of 64 slices could not be certified \(first: at 1.5"
+        with pytest.raises(QuadratureError, match=expected):
+            grand_module._scan_sup(objective, 1.5, 3.0)
+
+    def test_a_divergent_grid_slice_outranks_uncertified_ones(self):
+        def objective(ps):
+            out = [QuadratureError("uncertified") for _ in ps]
+            out[-1] = DivergentIntegralError("diverges")
+            return out
+
+        res = grand_module._scan_sup(objective, 1.5, 3.0)
+        assert res.diverged and res.value == math.inf
+        assert res.argmax == pytest.approx(3.0, rel=1e-7)
+
+    def test_divergent_golden_step_makes_the_sup_inf(self):
+        def objective(ps):
+            if len(ps) > 1:
+                return self._peaked(ps)
+            return [DivergentIntegralError("diverges")]
+
+        res = grand_module._scan_sup(objective, 1.5, 3.0)
+        assert res.diverged and res.value == math.inf and not res.at_boundary
+        assert 1.9 < res.argmax < 2.1
+
+    def test_uncertified_golden_step_raises(self):
+        def objective(ps):
+            if len(ps) > 1:
+                return self._peaked(ps)
+            return [QuadratureError("uncertified step")]
+
+        expected = r"refinement hit an uncertified slice \(first: uncertified step"
+        with pytest.raises(QuadratureError, match=expected):
+            grand_module._scan_sup(objective, 1.5, 3.0)
+
+    def test_slice_table_keeps_each_outcome_and_raises_domain_errors(self):
+        diag = grand_module.QuadratureDiagnostics()
+        table = grand_module._SliceTable(False, power_tail(3.0, 1.0), (1.0, 2.0), diag)
+        first = table.outcomes([1.4, 3.0, 1.4])
+        assert isinstance(first[0], DivergentIntegralError) and first[2] is first[0]
+        assert first[1] == weighted_lp_norm(power_tail(3.0, 1.0), (1.0, 2.0), 3.0)
+        assert table.outcomes([3.0, 1.4]) == [first[1], first[0]]
+        neval = diag.neval
+        assert neval > 0
+        with pytest.raises(DomainError):
+            table.outcomes([0.5, 4.0])
+        assert diag.neval == neval
+
+    def test_uncertified_gradient_slices_raise_from_the_real_scan(self):
+        with pytest.raises(QuadratureError, match="33 of 64 slices could not be certified"):
+            gls_gradient_norm(extremal_profile(3.0, 2.0), constant_psi(1.6, 2.5), (0, 0, 0))
 
 
 class TestWorkNotRepeated:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from glsobolev.errors import QuadratureError
+from glsobolev.errors import DomainError, QuadratureError
 from glsobolev.montecarlo import (
     MonteCarloResult,
     SamplerConfig,
@@ -114,6 +114,11 @@ class TestLpNorm:
             gaussian(), [1.0, 1.0], 2.0, config=SamplerConfig(n_samples=400_000, seed=5)
         )
         assert large.std_error < 0.45 * small.std_error
+
+    @pytest.mark.parametrize("p", [math.nan, 0.5, math.inf])
+    def test_rejects_a_meaningless_exponent(self, p):
+        with pytest.raises(DomainError, match="norm exponent p must satisfy"):
+            monte_carlo_lp_norm(tent(1.0), (1.0, 1.0), p)
 
 
 class TestResultType:

@@ -273,3 +273,22 @@ class TestSplitReuse:
             with _reusing_splits({}):
                 adaptive_quadrature(np.exp, 1.0, 0.0)
         assert quadrature_module._SPLITS.get() is None
+
+
+class TestRowBatch:
+    def test_a_row_whose_head_fails_leaves_the_others_alone(self):
+        funcs = (lambda t: np.sin(1.0 / t), lambda t: np.exp(-t))
+
+        def family(x, rows):
+            if x.ndim == 1:
+                return np.stack([funcs[r](x) for r in rows])
+            return np.stack([funcs[r](x[k]) for k, r in enumerate(rows)])
+
+        failed, (value, diag) = quadrature_module._integrate_rows(
+            family, 2.0, [1.0, 1.0], [None, None]
+        )
+        assert isinstance(failed, QuadratureError)
+        assert str(failed) == "head panel failed to stabilize near 0"
+        alone, alone_diag = integrate_power_weighted(lambda t: np.exp(-t), 2.0, 1.0)
+        assert value == alone
+        assert diag.to_dict() == alone_diag.to_dict()
