@@ -312,6 +312,8 @@ def _cmd_campaign(args) -> tuple:
     else:
         cfg = default_campaign_config()
     if args.seed is not None:
+        if not isinstance(cfg, dict):
+            raise InputError(f"malformed campaign config: expected an object, got {cfg!r}")
         cfg["seed"] = args.seed
     reports = run_campaign(cfg, jsonl_path=args.jsonl, csv_path=args.csv)
     code = exit_status(reports)

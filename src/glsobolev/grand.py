@@ -364,6 +364,12 @@ def gls_gradient_norm(
     return _gls(True, u, psi, A, details)
 
 
+def _check_delta(delta: float) -> None:
+    """Reject a distance or measure delta that is not positive and finite."""
+    if not (delta > 0.0 and math.isfinite(delta)):
+        raise DomainError(f"delta must be positive and finite, got {delta}")
+
+
 def fundamental_function(
     psi: PsiFunction,
     delta: float,
@@ -375,8 +381,7 @@ def fundamental_function(
     This is the grand norm of the indicator of a set of measure delta, so
     it is nondecreasing in delta and scales the Morrey continuity bound.
     """
-    if not (delta > 0.0 and math.isfinite(delta)):
-        raise DomainError(f"delta must be positive and finite, got {delta}")
+    _check_delta(delta)
     log_delta = math.log(delta)
 
     def objective(ps):
@@ -482,8 +487,7 @@ def morrey_bound(
     """
     A = as_exponent_tuple(A)
     D = A.effective_dimension
-    if not (delta > 0.0 and math.isfinite(delta)):
-        raise DomainError(f"delta must be positive and finite, got {delta}")
+    _check_delta(delta)
     psi_d = morrey_transform(psi, A, c2)
     if gradient is None:
         _, gradient = gls_gradient_norm(u, psi, A, details=True)
@@ -508,8 +512,7 @@ def modulus_of_continuity(u: RadialProfile, delta: float) -> float:
     the scan runs over a 4096-point radial grid shifted by the 16 offsets
     delta * j / 16, j = 1, ..., 16.
     """
-    if not (delta > 0.0 and math.isfinite(delta)):
-        raise DomainError(f"delta must be positive and finite, got {delta}")
+    _check_delta(delta)
     if isinstance(u.support, Compact):
         r_hi = u.support.radius + delta
     else:

@@ -22,11 +22,14 @@ from .exponents import as_exponent_tuple, sobolev_exponent, trace_exponent
 from .grand import (
     PsiFunction,
     SupremumResult,
+    _check_delta,
     _psi_from_spec,
     calibrate_morrey_constant,
     modulus_of_continuity,
     morrey_bound,
+    morrey_transform,
     verify_gls_sobolev,
+    zeta_transform,
 )
 from .norms import radial_integral, weighted_gradient_norm, weighted_lp_norm
 from .profiles import Decaying, RadialProfile, _as_radial, make_profile
@@ -361,8 +364,7 @@ class ProfileFamily:
         if self.count < 1:
             raise InputError("count must be at least 1")
         for pair in self.box:
-            lo, hi = pair
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            if not (len(pair) == 2 and all(map(math.isfinite, pair)) and pair[0] <= pair[1]):
                 raise InputError(f"bad parameter range {pair}")
 
     def profiles(self) -> list:
@@ -427,135 +429,126 @@ def default_campaign_config() -> dict:
     }
 
 
-# the keys each check kind reads besides "kind" and "family"
-_CHECK_KEYS = {
-    "sobolev": ("A", "p-values"),
-    "gls": ("A", "psi"),
-    "trace": ("A", "B", "r", "p-values"),
-    "morrey": ("A", "psi", "deltas"),
-    "scaling": ("A", "p-values"),
-}
-_NUMBER_LISTS = ("A", "B", "p-values", "deltas")
-
-
-def _whole_number(where: str, key: str, value) -> int:
-    """``value`` as an int; InputError naming ``where`` unless it is a whole
-    number (int() would truncate 2.5 to 2)."""
+def _whole_number(key: str, value) -> int:
+    """``value`` as an int; InputError unless it is a whole number (int()
+    would truncate 2.5 to 2)."""
     if not (isinstance(value, numbers.Real) and float(value).is_integer()):
-        raise InputError(f"{where}: '{key}' must be a whole number, got {value!r}")
+        raise InputError(f"'{key}' must be a whole number, got {value!r}")
     return int(value)
 
 
-def _read_check(idx: int, check, seed: int) -> tuple:
-    """(kind, profiles, psi) of campaign check ``idx``, read before any check
-    runs; a malformed entry raises InputError naming ``idx``."""
+def _morrey_reports(profiles, psi, A, deltas, c2, slack) -> list:
+    """The reports of one campaign Morrey check, c2 calibrated when None.
+
+    One gradient grand norm per profile and one sampled modulus per
+    (profile, delta) serve the calibration and every check; the norm is
+    looked up on grand, as morrey_bound does, so wrappers see each scan.
+    """
+    gradients = [grand.gls_gradient_norm(u, psi, A, details=True)[1] for u in profiles]
+    moduli = [[modulus_of_continuity(u, delta) for delta in deltas] for u in profiles]
+    if c2 is None:
+        c2 = calibrate_morrey_constant(profiles, psi, A, deltas, gradients=gradients, moduli=moduli)
+    return [
+        check_morrey(u, psi, A, delta, c2=c2, slack=slack, gradient=gradient, modulus=omega)
+        for u, gradient, omegas in zip(profiles, gradients, moduli)
+        for delta, omega in zip(deltas, omegas)
+    ]
+
+
+def _read_check(idx: int, check, seed: int, variant: str, slack: float):
+    """Campaign check ``idx`` as a function of no arguments giving its reports.
+
+    Every input of the check's calls is built here and put through the law
+    the check applies, so a malformed entry raises InputError naming
+    ``idx`` before any check runs; the calls look up this module's check
+    functions when the plan runs.
+    """
     if not isinstance(check, dict):
         raise InputError(f"campaign check {idx} must be an object, got {check!r}")
     kind = check.get("kind")
     where = f"campaign check {idx} (kind {kind!r})"
-    if not (isinstance(kind, str) and kind in _CHECK_KEYS):
-        raise InputError(f"{where}: unknown check kind")
+
+    def numbers_at(key):
+        value = check[key]
+        if isinstance(value, (list, tuple)) and all(isinstance(x, numbers.Real) for x in value):
+            return value
+        raise InputError(f"'{key}' must be a list of numbers, got {value!r}")
+
     try:
         spec = check["family"]
-        family = ProfileFamily(
+        profiles = ProfileFamily(
             generator=spec["generator"],
             box=tuple(tuple(pair) for pair in spec.get("box", [])),
-            count=_whole_number(where, "count", spec.get("count", 4)),
-            seed=_whole_number(where, "seed", spec.get("seed", seed)),
-        )
-        for key in _CHECK_KEYS[kind]:
-            value = check[key]
-            if key in _NUMBER_LISTS and not (
-                isinstance(value, (list, tuple))
-                and all(isinstance(x, numbers.Real) for x in value)
-            ):
-                raise InputError(f"{where}: '{key}' must be a list of numbers, got {value!r}")
+            count=_whole_number("count", spec.get("count", 4)),
+            seed=_whole_number("seed", spec.get("seed", seed)),
+        ).profiles()
+        A = as_exponent_tuple(numbers_at("A"))
+        if kind == "sobolev":
+            ps = numbers_at("p-values")
+            for p in ps:
+                sharp_constant(A, p, variant=variant)
+            return lambda: [
+                check_sobolev(u, A, p, variant=variant, slack=slack) for u in profiles for p in ps
+            ]
+        if kind == "scaling":
+            B = as_exponent_tuple(numbers_at("B")) if "B" in check else A
+            ps = numbers_at("p-values")
+            for p in ps:
+                sobolev_exponent(A, B, p)
+            return lambda: [check_scaling(u, A, B, p) for u in profiles for p in ps]
         if kind == "trace":
-            _whole_number(where, "r", check["r"])
-        try:
-            as_exponent_tuple(check["A"])
-            if kind in ("trace", "scaling") and "B" in check:
-                as_exponent_tuple(check["B"])
-            if kind == "trace":
-                for p in check["p-values"]:
-                    trace_exponent(check["A"], check["B"], check["r"], p)
-        except (DomainError, InputError) as exc:
-            raise InputError(f"{where}: {exc}") from exc
-        psi = _psi_from_spec(check["psi"]) if "psi" in _CHECK_KEYS[kind] else None
+            B, r, ps = as_exponent_tuple(numbers_at("B")), check["r"], numbers_at("p-values")
+            _whole_number("r", r)
+            for p in ps:
+                trace_bounds(A, B, r, p)
+            return lambda: [
+                check_trace_radial(u, A, B, r, p, slack=slack) for u in profiles for p in ps
+            ]
+        if kind == "gls":
+            psi = _psi_from_spec(check["psi"])
+            zeta_transform(psi, A, variant)
+            return lambda: [
+                verify_gls_sobolev(u, psi, A, variant=variant, slack=slack) for u in profiles
+            ]
+        if kind == "morrey":
+            psi, deltas, c2 = _psi_from_spec(check["psi"]), numbers_at("deltas"), check.get("c2")
+            for delta in deltas:
+                _check_delta(delta)
+            morrey_transform(psi, A, 1.0 if c2 is None else c2)
+            return lambda: _morrey_reports(profiles, psi, A, deltas, c2, slack)
+        raise InputError("unknown check kind")
     except KeyError as exc:
         raise InputError(f"{where} is missing key {exc}") from exc
     except (AttributeError, TypeError) as exc:
         raise InputError(f"{where} is malformed: {exc}") from exc
-    return kind, family.profiles(), psi
+    except ValueError as exc:  # DomainError and InputError too
+        raise InputError(f"{where}: {exc}") from exc
 
 
 def run_campaign(config: dict | None = None, *, jsonl_path=None, csv_path=None) -> list:
     """Run a configured battery of checks; returns sorted reports.
 
-    The config layout matches ``default_campaign_config``.  Every check's
-    entry is read before any check runs, and a malformed one raises
-    InputError, as does a slack outside [0, inf), an unknown variant, a
-    fractional seed, count or trace dimension r, an exponent tuple A or B
-    outside the domain, or a trace check whose exponent law rejects its
-    A, B, r or p.  Reports are sorted by input digest; with a fixed seed
-    the written artifacts are byte-identical across runs.
+    The config layout matches ``default_campaign_config``.  Every check is
+    read before any check runs, and each input passes the law of the check
+    that uses it (see ``_read_check``); a malformed entry raises InputError
+    naming the check, as do a slack outside [0, inf), an unknown variant
+    and a fractional seed.  Reports are sorted by input digest; with a
+    fixed seed the written artifacts are byte-identical across runs.
     """
     cfg = config if config is not None else default_campaign_config()
     try:
-        seed = _whole_number("campaign config", "seed", cfg.get("seed", 0))
+        seed = _whole_number("seed", cfg.get("seed", 0))
         slack = valid_slack(float(cfg.get("slack", DEFAULT_SLACK)))
     except (AttributeError, TypeError) as exc:
         raise InputError(f"malformed campaign config: {exc}") from exc
+    except ValueError as exc:
+        raise InputError(f"campaign config: {exc}") from exc
     variant = _valid_variant(cfg.get("variant", "corrected"))
     checks = cfg.get("checks", [])
     if not isinstance(checks, (list, tuple)):
         raise InputError(f"campaign config 'checks' must be a list, got {checks!r}")
-    plan = [_read_check(idx, check, seed) for idx, check in enumerate(checks)]
-    reports = []
-    for (kind, profiles, psi), check in zip(plan, checks):
-        if kind == "sobolev":
-            for u in profiles:
-                for p in check["p-values"]:
-                    reports.append(check_sobolev(u, check["A"], p, variant=variant, slack=slack))
-        elif kind == "gls":
-            for u in profiles:
-                reports.append(
-                    verify_gls_sobolev(u, psi, check["A"], variant=variant, slack=slack)
-                )
-        elif kind == "trace":
-            for u in profiles:
-                for p in check["p-values"]:
-                    reports.append(
-                        check_trace_radial(u, check["A"], check["B"], check["r"], p, slack=slack)
-                    )
-        elif kind == "morrey":
-            deltas = check["deltas"]
-            # one gradient grand norm per profile and one sampled modulus per
-            # (profile, delta) serve the calibration and every check; the norm is
-            # looked up on grand, as morrey_bound does, so wrappers see each scan
-            gradients = [
-                grand.gls_gradient_norm(u, psi, check["A"], details=True)[1]
-                for u in profiles
-            ]
-            moduli = [[modulus_of_continuity(u, delta) for delta in deltas] for u in profiles]
-            c2 = check.get("c2")
-            if c2 is None:
-                c2 = calibrate_morrey_constant(
-                    profiles, psi, check["A"], deltas, gradients=gradients, moduli=moduli
-                )
-            for u, gradient, omegas in zip(profiles, gradients, moduli):
-                for delta, omega in zip(deltas, omegas):
-                    reports.append(
-                        check_morrey(
-                            u, psi, check["A"], delta, c2=c2, slack=slack,
-                            gradient=gradient, modulus=omega,
-                        )
-                    )
-        else:  # scaling
-            for u in profiles:
-                for p in check["p-values"]:
-                    reports.append(check_scaling(u, check["A"], check.get("B", check["A"]), p))
-    reports = sort_reports(reports)
+    plan = [_read_check(idx, check, seed, variant, slack) for idx, check in enumerate(checks)]
+    reports = sort_reports([report for run in plan for report in run()])
     if jsonl_path is not None:
         write_jsonl(reports, jsonl_path)
     if csv_path is not None:

@@ -515,15 +515,28 @@ class TestCampaignCommand:
                              "family": "bump"}]},
                 "campaign check 1",
             ),
+            (
+                {"checks": [{"kind": "morrey", "A": [1.0, 0.5], "deltas": [0.5], "c2": "x",
+                             "psi": {"family": "constant", "a": 4.0, "b": 7.0},
+                             "family": {"generator": "bump", "count": 1}}]},
+                "campaign check 0",
+            ),
         ],
         ids=["checks-string", "check-number", "top-level-list", "p-values-number",
-             "family-string"],
+             "family-string", "morrey-c2-string"],
     )
     def test_malformed_config_shape_exits_2(self, capsys, tmp_path, cfg, where):
         path = tmp_path / "shape.json"
         path.write_text(json.dumps(cfg))
         assert main(["campaign", "--config", str(path)]) == 2
         assert where in capsys.readouterr().err
+
+    def test_seed_over_a_config_that_is_not_an_object_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([1, 2]))
+        for seed in ([], ["--seed", "3"]):
+            assert main(["campaign", "--config", str(path), *seed]) == 2
+            assert "malformed campaign config" in capsys.readouterr().err
 
 
 class TestOutputFormats:

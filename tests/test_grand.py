@@ -494,6 +494,17 @@ class TestScanProtocol:
             table.outcomes([0.5, 4.0])
         assert diag.neval == neval
 
+    def test_a_lone_slice_that_fails_stands_as_its_outcome(self, monkeypatch):
+        # grid slices are one batch; each golden step's lone slice goes
+        # through grand.weighted_lp_norm, and its error becomes its outcome
+        def failing(u, A, p, *, details):
+            raise QuadratureError(f"lone slice at {p}")
+
+        monkeypatch.setattr(grand_module, "weighted_lp_norm", failing)
+        expected = r"refinement hit an uncertified slice \(first: lone slice at"
+        with pytest.raises(QuadratureError, match=expected):
+            gls_norm(bump(1.0, 1.0), constant_psi(1.5, 2.5), (1.0, 2.0))
+
     def test_uncertified_gradient_slices_raise_from_the_real_scan(self):
         with pytest.raises(QuadratureError, match="33 of 64 slices could not be certified"):
             gls_gradient_norm(extremal_profile(3.0, 2.0), constant_psi(1.6, 2.5), (0, 0, 0))

@@ -456,8 +456,106 @@ class TestCampaign:
                 },
                 "campaign check 1 .* finite and >= 0",
             ),
+            (
+                {
+                    "kind": "sobolev",
+                    "A": [1.0, 2.0],
+                    "p-values": [1.0],
+                    "family": {"generator": "bump", "count": 1},
+                },
+                "campaign check 1 .* of endpoint 1.0",
+            ),
+            (
+                {
+                    "kind": "sobolev",
+                    "A": [1.0, 2.0],
+                    "p-values": [6.0],
+                    "family": {"generator": "bump", "count": 1},
+                },
+                "campaign check 1 .* of endpoint 5.0",
+            ),
+            (
+                {
+                    "kind": "scaling",
+                    "A": [1.0, 2.0],
+                    "p-values": [6.0],
+                    "family": {"generator": "bump", "count": 1},
+                },
+                "campaign check 1 .* of endpoint 5.0",
+            ),
+            (
+                {
+                    "kind": "gls",
+                    "A": [1.0, 2.0],
+                    "psi": {"family": "constant", "a": 0.5, "b": 3.0},
+                    "family": {"generator": "bump", "count": 1},
+                },
+                "campaign check 1 .* must start at p >= 1",
+            ),
+            (
+                {
+                    "kind": "gls",
+                    "A": [1.0, 2.0],
+                    "psi": {"family": "constant", "a": 1.5, "b": 7.0},
+                    "family": {"generator": "bump", "count": 1},
+                },
+                "campaign check 1 .* must end at or below the effective dimension",
+            ),
+            (
+                {
+                    "kind": "morrey",
+                    "A": [1.0, 0.5],
+                    "psi": {"family": "constant", "a": 4.0, "b": 7.0},
+                    "deltas": [0.5, 0.0],
+                    "family": {"generator": "bump", "count": 1},
+                },
+                "campaign check 1 .* delta must be positive and finite",
+            ),
+            (
+                {
+                    "kind": "morrey",
+                    "A": [1.0, 0.5],
+                    "psi": {"family": "constant", "a": 2.0, "b": 7.0},
+                    "deltas": [0.5],
+                    "family": {"generator": "bump", "count": 1},
+                },
+                "campaign check 1 .* psi support above the effective dimension",
+            ),
+            (
+                {
+                    "kind": "morrey",
+                    "A": [1.0, 0.5],
+                    "psi": {"family": "constant", "a": 4.0, "b": 7.0},
+                    "deltas": [0.5],
+                    "c2": "x",
+                    "family": {"generator": "bump", "count": 1},
+                },
+                "campaign check 1 .* is malformed",
+            ),
+            (
+                {
+                    "kind": "morrey",
+                    "A": [1.0, 0.5],
+                    "psi": {"family": "constant", "a": 4.0, "b": 7.0},
+                    "deltas": [0.5],
+                    "c2": -1,
+                    "family": {"generator": "bump", "count": 1},
+                },
+                "campaign check 1 .* c2 must be positive and finite",
+            ),
+            (
+                {
+                    "kind": "scaling",
+                    "A": [1.0, 2.0],
+                    "p-values": [2.0],
+                    "family": {"generator": "bump", "box": [[1, 2, 3]], "count": 1},
+                },
+                r"campaign check 1 .* bad parameter range \(1, 2, 3\)",
+            ),
         ],
-        ids=["trace-B-longer-than-r", "negative-A"],
+        ids=["trace-B-longer-than-r", "negative-A", "sobolev-p-1", "sobolev-p-above-D",
+             "scaling-p-above-D", "gls-psi-below-1", "gls-psi-above-D", "morrey-delta-0",
+             "morrey-psi-below-D", "morrey-c2-string", "morrey-c2-negative", "box-triple"],
     )
     def test_exponent_tuples_are_checked_before_any_check_runs(self, monkeypatch, bad, message):
         ran = []
