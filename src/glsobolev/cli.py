@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Every subcommand parses its arguments, calls one library entry point, and
-serializes the result; no numerics happen here.  Exit codes: 0 success,
-1 an inequality check failed, 2 bad input, 3 the numerics could not
-certify an answer (unconverged quadrature or a divergent norm).  A grand
-norm with a divergent slice is the certified value inf and exits 0.
+``build_parser`` gives each subcommand its handler, which calls one library
+entry point and serializes the result; no numerics happen here.  In the
+``constants`` output, C, q or K is null where its own guard rejects p.
+Exit codes: 0 success, 1 an inequality check failed, 2 bad input, 3 the
+numerics could not certify an answer (unconverged quadrature or a divergent
+norm).  A grand norm with a divergent slice is certified as inf and exits 0.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ import os
 import sys
 
 from . import __version__, grand
-from .constants import sharp_constant, sharp_constant_p1, talenti_constant, trace_bounds
+from .constants import (
+    _where_defined, sharp_constant, sharp_constant_p1, talenti_constant, trace_bounds
+)
 from .errors import DivergentIntegralError, InputError, QuadratureError
 from .exponents import (
     as_exponent_tuple,
@@ -160,25 +163,19 @@ def _emit(payload, fmt: str) -> None:
 def _cmd_constants(args) -> tuple:
     A = as_exponent_tuple(_parse_floats(args.A))
     check_norm_exponent(args.p)
-    D = A.effective_dimension
+    C = _where_defined(sharp_constant, A, args.p, variant=args.variant)
     payload = {
         "A": list(A.entries),
-        "effective-dimension": D,
+        "effective-dimension": A.effective_dimension,
         "p": args.p,
         "variant": args.variant,
         "C1": sharp_constant_p1(A, variant=args.variant),
-        "C": None,
-        "q": None,
-        "K": None,
+        "C": C,
+        "q": None if C is None else sobolev_exponent(A, A, args.p),
+        "K": _where_defined(talenti_constant, A.dimension, args.p),
         "M": None,
         "Q": None,
     }
-    if 1.0 < args.p < D:
-        payload["C"] = sharp_constant(A, args.p, variant=args.variant)
-        payload["q"] = sobolev_exponent(A, A, args.p)
-    m = A.dimension
-    if m >= 3 and 1.0 <= args.p < m:
-        payload["K"] = talenti_constant(m, args.p)
     if args.B is not None or args.r is not None:
         if args.B is None or args.r is None:
             raise InputError("trace constants need both --B and --r")
@@ -340,41 +337,42 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, summary: str):
+    def command(name: str, summary: str, handler):
         p = sub.add_parser(name, help=summary)
         p.add_argument("--output", choices=("json", "csv", "pretty"), default="json")
+        p.set_defaults(handler=handler)
         return p
 
-    p = command("constants", "sharp constants and exponent laws")
+    p = command("constants", "sharp constants and exponent laws", _cmd_constants)
     p.add_argument("--A", required=True, help="comma-separated weight exponents")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--B", help="trace-side exponents (with --r)")
     p.add_argument("--r", type=int, help="trace subspace dimension")
     p.add_argument("--variant", choices=("corrected", "literal"), default="corrected")
 
-    p = command("norm", "weighted Lp norm of a radial profile")
+    p = command("norm", "weighted Lp norm of a radial profile", _cmd_norm)
     p.add_argument("--profile", required=True, help="e.g. bump:1.0,2.0")
     p.add_argument("--A", required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--gradient", action="store_true")
 
-    p = command("gls-norm", "grand Lebesgue norm")
+    p = command("gls-norm", "grand Lebesgue norm", _cmd_gls_norm)
     p.add_argument("--profile", required=True)
     p.add_argument("--psi", required=True, help="constant:a[,b] | power:a,b,alpha,beta | table:p=v,...")
     p.add_argument("--A", required=True)
     p.add_argument("--gradient", action="store_true")
 
-    p = command("fundamental", "fundamental function of a grand space")
+    p = command("fundamental", "fundamental function of a grand space", _cmd_fundamental)
     p.add_argument("--psi", required=True)
     p.add_argument("--delta", required=True, help="comma-separated measures")
 
-    p = command("zeta", "exponent-law transform of a weight")
+    p = command("zeta", "exponent-law transform of a weight", _cmd_zeta)
     p.add_argument("--psi", required=True)
     p.add_argument("--A", required=True)
     p.add_argument("--q", required=True, help="comma-separated evaluation points")
     p.add_argument("--variant", choices=("corrected", "literal"), default="corrected")
 
-    p = command("morrey", "continuity-modulus bound")
+    p = command("morrey", "continuity-modulus bound", _cmd_morrey)
     p.add_argument("--profile", required=True)
     p.add_argument("--psi", required=True)
     p.add_argument("--A", required=True)
@@ -382,14 +380,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c2", type=float, default=1.0)
     p.add_argument("--measure", action="store_true", help="also sample the modulus")
 
-    p = command("scaling", "dilation exponents of both sides")
+    p = command("scaling", "dilation exponents of both sides", _cmd_scaling)
     p.add_argument("--profile", required=True)
     p.add_argument("--A", required=True)
     p.add_argument("--B")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--q", type=float)
 
-    p = command("trace", "radial trace inequality check")
+    p = command("trace", "radial trace inequality check", _cmd_trace)
     p.add_argument("--profile", required=True)
     p.add_argument("--A", required=True)
     p.add_argument("--B", required=True)
@@ -397,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--slack", type=float, default=DEFAULT_SLACK)
 
-    p = command("campaign", "run a battery of inequality checks")
+    p = command("campaign", "run a battery of inequality checks", _cmd_campaign)
     p.add_argument("--config", help=f"JSON config (relative paths use ${CONFIG_DIR_ENV})")
     p.add_argument("--seed", type=int)
     p.add_argument("--jsonl", help="write full reports here")
@@ -406,24 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "constants": _cmd_constants,
-    "norm": _cmd_norm,
-    "gls-norm": _cmd_gls_norm,
-    "fundamental": _cmd_fundamental,
-    "zeta": _cmd_zeta,
-    "morrey": _cmd_morrey,
-    "scaling": _cmd_scaling,
-    "trace": _cmd_trace,
-    "campaign": _cmd_campaign,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        payload, code = _HANDLERS[args.command](args)
+        payload, code = args.handler(args)
     except DivergentIntegralError as exc:
         print(f"divergent: {exc}", file=sys.stderr)
         return 3

@@ -41,6 +41,14 @@ def _valid_variant(variant: str) -> str:
     return variant
 
 
+def _where_defined(constant, *args, **kwargs):
+    """``constant(*args, **kwargs)``, or None where its own guard raises DomainError."""
+    try:
+        return constant(*args, **kwargs)
+    except DomainError:
+        return None
+
+
 def talenti_constant(m: int, p: float) -> float:
     """Sharp constant of the Sobolev inequality on R^m, 1 <= p < m, m >= 3.
 
@@ -53,11 +61,10 @@ def talenti_constant(m: int, p: float) -> float:
         raise DomainError(f"talenti_constant requires integer m >= 3, got {m}")
     m = int(m)
     p = float(p)
-    if p != 1.0:
-        _guard_open_endpoint(p, 1.0, float(m))
     if p == 1.0:
         log_mid = 0.0
     else:
+        _guard_open_endpoint(p, 1.0, float(m))
         log_mid = (1.0 - 1.0 / p) * math.log((p - 1.0) / (m - p))
     log_bracket = (
         log_gamma(1.0 + m / 2.0)

@@ -364,10 +364,17 @@ def gls_gradient_norm(
     return _gls(True, u, psi, A, details)
 
 
-def _check_delta(delta: float) -> None:
-    """Reject a distance or measure delta that is not positive and finite."""
+def _check_delta(delta: float, D: float = 1.0) -> float:
+    """delta**D; DomainError unless delta and delta**D are positive and finite."""
     if not (delta > 0.0 and math.isfinite(delta)):
         raise DomainError(f"delta must be positive and finite, got {delta}")
+    try:
+        measure = delta**D
+    except OverflowError:  # a float power raises here instead of giving inf
+        measure = math.inf
+    if not 0.0 < measure < math.inf:
+        raise DomainError(f"delta^D must be positive and finite, got delta = {delta}, D = {D}")
+    return measure
 
 
 def fundamental_function(
@@ -381,8 +388,7 @@ def fundamental_function(
     This is the grand norm of the indicator of a set of measure delta, so
     it is nondecreasing in delta and scales the Morrey continuity bound.
     """
-    _check_delta(delta)
-    log_delta = math.log(delta)
+    log_delta = math.log(_check_delta(delta))
 
     def objective(ps):
         return [math.exp(log_delta / p) / w for p, w in zip(ps, psi(ps))]
@@ -486,13 +492,12 @@ def morrey_bound(
     ``gradient`` carries, shared and not copied).
     """
     A = as_exponent_tuple(A)
-    D = A.effective_dimension
-    _check_delta(delta)
+    measure = _check_delta(delta, A.effective_dimension)
     psi_d = morrey_transform(psi, A, c2)
     if gradient is None:
         _, gradient = gls_gradient_norm(u, psi, A, details=True)
     grad = gradient.value
-    phi, phi_res = fundamental_function(psi_d, delta**D, details=True)
+    phi, phi_res = fundamental_function(psi_d, measure, details=True)
     bound = grad * delta / phi
     if details:
         return bound, {

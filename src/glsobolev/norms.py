@@ -151,11 +151,14 @@ def _slice_integrand(values_fn, peak: float, p: float):
     return lambda r: (np.abs(np.asarray(values_fn(r), dtype=float)) / peak) ** p
 
 
-def _slice_value(peak: float, A: ExponentTuple, integral: float, p: float) -> float:
-    """The norm, from the integral of (|f| / peak)^p against rho^(D-1)."""
-    if not integral > 0.0:
-        return 0.0
-    return math.exp(math.log(peak) + (_log_angular_mass(A.entries) + math.log(integral)) / p)
+def _slice_value(peak: float, A: ExponentTuple, integral: float, diag, p: float) -> float:
+    """The norm, from the integral of (|f| / peak)^p against rho^(D-1); that
+    integrand is 1 at the positive peak, so a zero integral flags ``diag``."""
+    if integral > 0.0:
+        return math.exp(math.log(peak) + (_log_angular_mass(A.entries) + math.log(integral)) / p)
+    diag.converged = False
+    diag.notes.append(f"integral {integral} under a positive peak: every node missed the peak")
+    return 0.0
 
 
 def _norm(u: RadialProfile, gradient: bool, A, p: float, details: bool):
@@ -175,7 +178,7 @@ def _norm(u: RadialProfile, gradient: bool, A, p: float, details: bool):
         u,
         initial_edges=_seeded_edges(scan, p),
     )
-    value = _slice_value(peak, A, integral, p)
+    value = _slice_value(peak, A, integral, diag, p)
     return (value, diag) if details else value
 
 
@@ -234,7 +237,7 @@ def _slice_rows(u: RadialProfile, gradient: bool, A, ps, splits=None) -> list:
             except QuadratureError as exc:
                 outcome = exc
             else:
-                outcome = (_slice_value(peak, A, integral, p), diag)
+                outcome = (_slice_value(peak, A, integral, diag, p), diag)
         out[i] = outcome
     return out
 

@@ -16,7 +16,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import grand
-from .constants import _valid_variant, sharp_constant, talenti_constant, trace_bounds
+from .constants import (
+    _valid_variant, _where_defined, sharp_constant, talenti_constant, trace_bounds
+)
 from .errors import DomainError, InputError
 from .exponents import as_exponent_tuple, sobolev_exponent, trace_exponent
 from .grand import (
@@ -83,8 +85,8 @@ def check_sobolev(
 ) -> VerificationReport:
     """||u||_{q, A} <= C(p) || |u'| ||_{p, A} at the critical q.
 
-    When the plain-dimension constant is defined (integer dimension >= 3,
-    p < dimension) it is logged alongside for comparison.
+    Where the plain-dimension constant talenti_constant(dimension, p) is
+    defined, it is logged alongside for comparison.
     """
     A = as_exponent_tuple(A)
     q = sobolev_exponent(A, A, p)
@@ -93,9 +95,8 @@ def check_sobolev(
     rhs, rdiag = weighted_gradient_norm(u, A, p, details=True)
     ldiag.merge(rdiag)
     extra = {"q": q, "effective-dimension": A.effective_dimension}
-    m = A.dimension
-    if m >= 3 and 1.0 <= p < m:
-        extra["unweighted-constant"] = talenti_constant(m, p)
+    if (k := _where_defined(talenti_constant, A.dimension, p)) is not None:
+        extra["unweighted-constant"] = k
     return VerificationReport(
         inequality_id="sobolev-1.6a",
         lhs=lhs,
@@ -513,7 +514,7 @@ def _read_check(idx: int, check, seed: int, variant: str, slack: float):
         if kind == "morrey":
             psi, deltas, c2 = _psi_from_spec(check["psi"]), numbers_at("deltas"), check.get("c2")
             for delta in deltas:
-                _check_delta(delta)
+                _check_delta(delta, A.effective_dimension)
             morrey_transform(psi, A, 1.0 if c2 is None else c2)
             return lambda: _morrey_reports(profiles, psi, A, deltas, c2, slack)
         raise InputError("unknown check kind")

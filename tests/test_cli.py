@@ -70,6 +70,22 @@ class TestConstantsCommand:
         assert code == 0
         assert payload["C1"] > 0.0 and payload["C"] is None
 
+    def test_p_inside_talentis_guard_keeps_c(self, capsys):
+        # 3 - 1e-13 is within 1e-12 of Talenti's endpoint m = 3, but well
+        # inside the sharp constant's range (1, D) = (1, 4.5)
+        code, payload = run_json(
+            capsys, ["constants", "--A", "0.5,0.5,0.5", "--p", "2.9999999999999"]
+        )
+        assert code == 0
+        assert payload["K"] is None
+        assert payload["C"] > 0.0 and payload["q"] > 0.0
+
+    @pytest.mark.parametrize("p", ["1.0000000000001", "4.9999999999999"])
+    def test_p_inside_the_sharp_constants_guard_leaves_nulls(self, capsys, p):
+        code, payload = run_json(capsys, ["constants", "--A", "1,2", "--p", p])
+        assert code == 0
+        assert payload["C"] is None and payload["q"] is None
+
 
 class TestNormCommand:
     def test_lp_norm_value(self, capsys):
@@ -213,6 +229,19 @@ class TestGlsCommands:
         assert [entry["delta"] for entry in payload] == [0.125, 0.25, 0.5]
         assert len(scanned) == 1
 
+    @pytest.mark.parametrize("delta", ["1e200", "1e-200"])
+    def test_morrey_delta_whose_measure_is_not_finite_exits_2(self, capsys, delta):
+        # delta^D overflows at 1e200 and underflows to 0 at 1e-200 (D = 3.5)
+        code = main(
+            ["morrey", "--profile", "bump:1,1", "--psi", "power:4,7,0.3,0.3", "--A", "1,0.5",
+             "--delta", delta]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: delta^D must be positive and finite")
+        assert f"delta = {float(delta)}, D = 3.5" in captured.err
+
     def test_table_psi_spec(self, capsys):
         code, payload = run_json(
             capsys,
@@ -274,6 +303,14 @@ class TestUnconvergedExitCodes:
         code, payload = run_json(
             capsys,
             ["gls-norm", "--profile", "bump:1,1", "--psi", "constant:1.5,2.5", "--A", "1,2"],
+        )
+        assert code == 3
+        assert payload["diagnostics"]["converged"] is False
+
+    def test_norm_whose_nodes_all_miss_the_peak(self, capsys):
+        # at p = 1e20 no node sees the bump's peak, so the integral is 0
+        code, payload = run_json(
+            capsys, ["norm", "--profile", "bump:1,1", "--A", "1,2", "--p", "1e20"]
         )
         assert code == 3
         assert payload["diagnostics"]["converged"] is False

@@ -149,6 +149,17 @@ class TestLargeExponents:
             peak, rel=1e-4
         )
 
+    def test_a_zero_integral_under_the_peak_is_not_certified(self):
+        # at p = 1e20 every node misses the bump's peak and the integral is
+        # 0, although the norm is about 1 (0.99999999999990 at p = 1e15);
+        # the batched row flags it the same way
+        u, A, p = bump(1.0, 1.0), (1.0, 2.0), 1e20
+        value, diag = weighted_lp_norm(u, A, p, details=True)
+        assert not diag.converged
+        assert diag.notes == ["integral 0.0 under a positive peak: every node missed the peak"]
+        [(row_value, row_diag)] = norms_module._slice_rows(u, False, A, [p])
+        assert (row_value, row_diag.to_dict()) == (value, diag.to_dict())
+
     def test_large_p_closed_form(self):
         # gaussian closed form still holds at p = 512
         A = [1.0, 2.0]

@@ -80,6 +80,13 @@ class TestCheckSobolev:
             report.constant, rel=1e-12
         )
 
+    def test_unweighted_constant_left_out_inside_its_guard(self):
+        # p = 3 - 1e-13 is inside Talenti's 1e-12 guard at m = 3, but the
+        # sharp constant exists there (D = 4.5)
+        report = check_sobolev(bump(1.0, 1.0), (0.5, 0.5, 0.5), 3 - 1e-13)
+        assert "unweighted-constant" not in report.extra
+        assert report.constant > 0.0
+
 
 class TestScaling:
     def test_fitted_slopes_match_exponent_laws(self):
@@ -552,10 +559,31 @@ class TestCampaign:
                 },
                 r"campaign check 1 .* bad parameter range \(1, 2, 3\)",
             ),
+            (
+                {
+                    "kind": "morrey",
+                    "A": [1.0, 0.5],
+                    "psi": {"family": "constant", "a": 4.0, "b": 7.0},
+                    "deltas": [1e-200],
+                    "family": {"generator": "bump", "count": 1},
+                },
+                r"campaign check 1 .* delta\^D must be .* delta = 1e-200, D = 3.5",
+            ),
+            (
+                {
+                    "kind": "morrey",
+                    "A": [1.0, 0.5],
+                    "psi": {"family": "constant", "a": 4.0, "b": 7.0},
+                    "deltas": [1e200],
+                    "family": {"generator": "bump", "count": 1},
+                },
+                r"campaign check 1 .* delta\^D must be .* delta = 1e\+200, D = 3.5",
+            ),
         ],
         ids=["trace-B-longer-than-r", "negative-A", "sobolev-p-1", "sobolev-p-above-D",
              "scaling-p-above-D", "gls-psi-below-1", "gls-psi-above-D", "morrey-delta-0",
-             "morrey-psi-below-D", "morrey-c2-string", "morrey-c2-negative", "box-triple"],
+             "morrey-psi-below-D", "morrey-c2-string", "morrey-c2-negative", "box-triple",
+             "morrey-delta-underflow", "morrey-delta-overflow"],
     )
     def test_exponent_tuples_are_checked_before_any_check_runs(self, monkeypatch, bad, message):
         ran = []
@@ -569,6 +597,22 @@ class TestCampaign:
         with pytest.raises(InputError, match=message):
             run_campaign({"checks": [scaling, bad]})
         assert ran == []
+
+    def test_sobolev_p_inside_talentis_guard_runs_after_earlier_checks(self):
+        scaling = {
+            "kind": "scaling",
+            "A": [1.0, 2.0],
+            "p-values": [2.0],
+            "family": {"generator": "bump", "count": 1},
+        }
+        sobolev = {
+            "kind": "sobolev",
+            "A": [0.5, 0.5, 0.5],
+            "p-values": [3 - 1e-13],
+            "family": {"generator": "bump", "count": 1},
+        }
+        reports = run_campaign({"checks": [scaling, sobolev]})
+        assert sorted(r.inequality_id for r in reports) == ["scaling-2.4", "sobolev-1.6a"]
 
     def test_campaign_samples_each_morrey_modulus_once(self, monkeypatch):
         real = verify_module.modulus_of_continuity
