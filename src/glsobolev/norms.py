@@ -151,13 +151,19 @@ def _slice_integrand(values_fn, peak: float, p: float):
     return lambda r: (np.abs(np.asarray(values_fn(r), dtype=float)) / peak) ** p
 
 
+def _flag_missed_peak(integral: float, diag) -> None:
+    """Mark ``diag`` unconverged: an integral of 0 under an integrand with a
+    positive peak means every node missed that peak."""
+    diag.converged = False
+    diag.notes.append(f"integral {integral} under a positive peak: every node missed the peak")
+
+
 def _slice_value(peak: float, A: ExponentTuple, integral: float, diag, p: float) -> float:
     """The norm, from the integral of (|f| / peak)^p against rho^(D-1); that
     integrand is 1 at the positive peak, so a zero integral flags ``diag``."""
     if integral > 0.0:
         return math.exp(math.log(peak) + (_log_angular_mass(A.entries) + math.log(integral)) / p)
-    diag.converged = False
-    diag.notes.append(f"integral {integral} under a positive peak: every node missed the peak")
+    _flag_missed_peak(integral, diag)
     return 0.0
 
 
@@ -166,7 +172,9 @@ def _norm(u: RadialProfile, gradient: bool, A, p: float, details: bool):
     weighted_lp_norm and weighted_gradient_norm.  It runs through
     radial_integral and the public quadrature entries, so their wrappers
     see it, and inside a ``quadrature._reusing_splits`` scope it predicts
-    its splits.  ``_slice_rows`` takes the same steps for many p at once."""
+    its splits.  Without ``details`` an unconverged norm raises
+    QuadratureError with its diagnostics.  ``_slice_rows`` takes the same
+    steps for many p at once."""
     A = as_exponent_tuple(A)
     values_fn, scan = _slice_source(u, gradient, p)
     peak = scan.value
@@ -179,7 +187,11 @@ def _norm(u: RadialProfile, gradient: bool, A, p: float, details: bool):
         initial_edges=_seeded_edges(scan, p),
     )
     value = _slice_value(peak, A, integral, diag, p)
-    return (value, diag) if details else value
+    if details:
+        return value, diag
+    if not diag.converged:
+        raise QuadratureError(diag.notes[0], diagnostics=diag.to_dict())
+    return value
 
 
 def _slice_rows(u: RadialProfile, gradient: bool, A, ps, splits=None) -> list:
@@ -271,7 +283,8 @@ def weighted_lp_norm(
     DivergentIntegralError
         If the tail blocks stop decaying (the norm is infinite or nearly so).
     QuadratureError
-        If the tolerance ``quadrature.REL_TOL`` cannot be certified.
+        If the tolerance ``quadrature.REL_TOL`` cannot be certified and
+        ``details`` is false; with ``details`` the diagnostics say so.
     """
     return _norm(u, False, A, p, details)
 
@@ -283,7 +296,8 @@ def weighted_gradient_norm(
     *,
     details: bool = False,
 ):
-    """|| |grad u| ||_{p, A}; for radial u this is the norm of |u'(rho)|."""
+    """|| |grad u| ||_{p, A}; for radial u this is the norm of |u'(rho)|.
+    Parameters, returns and errors are those of weighted_lp_norm."""
     return _norm(u, True, A, p, details)
 
 

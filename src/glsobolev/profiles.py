@@ -172,10 +172,6 @@ class RadialProfile:
         )
 
 
-def dilate(profile: RadialProfile, lam: float) -> RadialProfile:
-    return profile.dilated(lam)
-
-
 def bump(radius: float = 1.0, sharpness: float = 1.0) -> RadialProfile:
     """Smooth compactly supported bump exp(k (1 - 1/(1 - t^2))), t = rho/R."""
     if radius <= 0.0 or sharpness <= 0.0:

@@ -43,15 +43,17 @@ record into the store they are handed.
 
 The policy is fixed by the module constants: REL_TOL = 1e-10 is the
 relative tolerance of every integral, ABS_FLOOR = 1e-300 the absolute floor
-under every tolerance and MAX_PANELS = 4096 the default panel budget; the tail
-stops once its last block contributes less than TAIL_REL = 1e-12 of the
-running total, and raises QuadratureError at radius TAIL_CAP = 2^40.
+under every tolerance and MAX_PANELS = 4096 the panel budget of every
+adaptive body and tail block; the tail stops once its last block contributes
+less than TAIL_REL = 1e-12 of the running total, and raises QuadratureError
+at radius TAIL_CAP = 2^40.  Each is read where it applies, at call time.
 
 Integrand callables must accept a 1-d ndarray and return a same-length
 ndarray.
 
-scipy.special is imported inside ``_jacobi_rule``, on a cache miss, so that
-importing the package and the closed-form commands load no scipy.
+scipy.special is imported inside ``_jacobi_rule``, on a miss of the cached
+``_head_rules``, so that importing the package and the closed-form commands
+load no scipy.
 """
 
 from __future__ import annotations
@@ -215,7 +217,7 @@ def _panel_edges(a: float, b: float, initial_edges) -> tuple:
     return tuple(sorted(set(edges)))
 
 
-def _refinement(lo, hi, vals, errs, base_value, max_panels, ahead):
+def _refinement(lo, hi, vals, errs, base_value, ahead):
     """The heap loop of one row of ``_refine_rows``, as a generator.
 
     It starts from the panels [lo, hi] with their K15 values and errors,
@@ -237,7 +239,7 @@ def _refinement(lo, hi, vals, errs, base_value, max_panels, ahead):
     def tol_now() -> float:
         return max(REL_TOL * abs(total + base_value), ABS_FLOOR)
 
-    while total_err + floor_err > tol_now() and panels < max_panels and heap:
+    while total_err + floor_err > tol_now() and panels < MAX_PANELS and heap:
         neg_err, _, pa, pb, pval, perr = heapq.heappop(heap)
         mid = 0.5 * (pa + pb)
         if not (pa < mid < pb):
@@ -269,11 +271,11 @@ def _refinement(lo, hi, vals, errs, base_value, max_panels, ahead):
         converged=bool(err <= tol_now()),  # base_value may be a numpy scalar
     )
     if not diag.converged:
-        diag.notes.append(f"panel budget {max_panels} exhausted at error {err:.3e}")
+        diag.notes.append(f"panel budget {MAX_PANELS} exhausted at error {err:.3e}")
     return total, diag, splits
 
 
-def _refine_rows(f, edge_rows, base_values, *, max_panels=MAX_PANELS, store=None, predict=False):
+def _refine_rows(f, edge_rows, base_values, *, store=None, predict=False):
     """Adaptive G7/K15 quadrature of a family of integrands in lockstep.
 
     ``f(x, rows)`` evaluates the integrands ``rows`` (row indices) at the
@@ -310,7 +312,7 @@ def _refine_rows(f, edge_rows, base_values, *, max_panels=MAX_PANELS, store=None
                     lambda x: f(x, [r]), np.stack([s_lo, s_mid], 1), np.stack([s_mid, s_hi], 1)
                 )
                 ahead = {split: (pvals[i], perrs[i]) for i, split in enumerate(predicted)}
-            rows[r] = _refinement(lo, hi, vals[j], errs[j], base_values[r], max_panels, ahead)
+            rows[r] = _refinement(lo, hi, vals[j], errs[j], base_values[r], ahead)
     results: list = [None] * len(rows)
     asking: list[int] = []  # the rows that wait for the halves of a split
     cuts: list[tuple] = []  # their splits (a, mid, b)
@@ -328,9 +330,9 @@ def _refine_rows(f, edge_rows, base_values, *, max_panels=MAX_PANELS, store=None
         live, split = asking[:], np.array(cuts)
         asking.clear()
         cuts.clear()
-        # a row of points per live row; a lone row's stay flat, as on its own
-        shape = (len(live), -1) if len(live) > 1 else (-1,)
-        vals, errs = _k15_panels(lambda x: f(x.reshape(shape), live), split[:, :2], split[:, 1:])
+        vals, errs = _k15_panels(
+            lambda x: f(x.reshape(len(live), -1), live), split[:, :2], split[:, 1:]
+        )
         for j, r in enumerate(live):
             advance(r, (vals[j], errs[j]))
     out = []
@@ -346,11 +348,11 @@ def adaptive_quadrature(
     a: float,
     b: float,
     *,
-    max_panels: int = MAX_PANELS,
     initial_edges=None,
     base_value: float = 0.0,
 ) -> tuple[float, QuadratureDiagnostics]:
-    """Integrate f over [a, b] to relative tolerance REL_TOL.
+    """Integrate f over [a, b] to relative tolerance REL_TOL within
+    MAX_PANELS panels; a call that exhausts them is flagged unconverged.
 
     ``initial_edges`` seeds extra panel boundaries (used to pin down sharp
     interior peaks before the first error estimate is trusted).
@@ -368,14 +370,12 @@ def adaptive_quadrature(
         _one_row(f),
         [_panel_edges(a, b, initial_edges)],
         [base_value],
-        max_panels=max_panels,
         store=_SPLITS.get(),
         predict=True,
     )
     return total, diag
 
 
-@lru_cache(maxsize=256)
 def _jacobi_rule(n: int, gamma_exp: float):
     from scipy.special import roots_jacobi
 

@@ -33,7 +33,7 @@ from .grand import (
     verify_gls_sobolev,
     zeta_transform,
 )
-from .norms import radial_integral, weighted_gradient_norm, weighted_lp_norm
+from .norms import _flag_missed_peak, radial_integral, weighted_gradient_norm, weighted_lp_norm
 from .profiles import Decaying, RadialProfile, _as_radial, make_profile
 from .quadrature import REL_TOL, QuadratureDiagnostics
 from .reports import (
@@ -261,9 +261,15 @@ def check_trace_radial(
         0.0,
         g,
     )
+    # a side whose integral is 0 while its integrand peaks above 0 missed
+    # that peak with every node; the peak is scanned only then
+    if lhs_int == 0.0 and g.value_peak.value > 0.0:
+        _flag_missed_peak(lhs_int, ldiag)
+    if rhs_int == 0.0 and g.derivative_peak.value > 0.0:
+        _flag_missed_peak(rhs_int, rdiag)
     ldiag.merge(rdiag)
-    lhs = lhs_int ** (1.0 / q) if lhs_int > 0.0 else 0.0
-    rhs = rhs_int ** (1.0 / p) if rhs_int > 0.0 else 0.0
+    lhs = lhs_int ** (1.0 / q)
+    rhs = rhs_int ** (1.0 / p)
     return VerificationReport(
         inequality_id="trace-6.3a",
         lhs=lhs,

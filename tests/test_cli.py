@@ -253,6 +253,18 @@ class TestGlsCommands:
     def test_bad_psi_spec(self, capsys):
         assert main(["fundamental", "--psi", "wavelet:1,2", "--delta", "1"]) == 2
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("constant:1,2,3", "constant psi takes a[,b]"),
+            ("power:4,7,0.3", "power psi takes a,b,alpha,beta"),
+            ("table:1.5=1,x", "bad table entry 'x', expected p=value"),
+        ],
+    )
+    def test_malformed_psi_parameters(self, capsys, spec, message):
+        assert main(["fundamental", "--psi", spec, "--delta", "1"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_one_sided_power_psi(self, capsys):
         code, payload = run_json(
             capsys,
@@ -314,6 +326,17 @@ class TestUnconvergedExitCodes:
         )
         assert code == 3
         assert payload["diagnostics"]["converged"] is False
+
+    def test_trace_whose_nodes_all_miss_the_peak(self, capsys):
+        # the lhs integral of bump(1, 1e14) is about 5e-15, but no node sees it
+        code, payload = run_json(
+            capsys,
+            ["trace", "--profile", "bump:1,1e14", "--A", "1,1", "--B", "1", "--r", "1",
+             "--p", "2"],
+        )
+        assert code == 3
+        assert payload["status"] == "inconclusive"
+        assert payload["quadrature-diagnostics"]["converged"] is False
 
     def test_gls_norm_notes_name_the_panel_budget(self, capsys):
         # the p = 1e8 end of the table makes slices exhaust the panel budget

@@ -505,6 +505,26 @@ class TestScanProtocol:
         with pytest.raises(QuadratureError, match=expected):
             gls_norm(bump(1.0, 1.0), constant_psi(1.5, 2.5), (1.0, 2.0))
 
+    def test_uncertified_lp_slices_of_the_slice_scan_raise(self, monkeypatch):
+        # the lhs grand norm's grid is the first lp batch and certifies; the
+        # slice scan's grid is the second, and each of its failed lp slices
+        # stands as the outcome of its ratio, so the report raises
+        real = grand_module._slice_rows
+        lp_batches = []
+
+        def second_lp_batch_fails(u, gradient, A, ps, splits=None):
+            if not gradient:
+                lp_batches.append(list(ps))
+                if len(lp_batches) == 2:
+                    return [QuadratureError(f"lp slice at {p}") for p in ps]
+            return real(u, gradient, A, ps, splits)
+
+        monkeypatch.setattr(grand_module, "_slice_rows", second_lp_batch_fails)
+        expected = r"64 of 64 slices could not be certified \(first: lp slice at"
+        with pytest.raises(QuadratureError, match=expected):
+            verify_gls_sobolev(bump(1.0, 1.0), constant_psi(1.5, 2.5), (1.0, 2.0))
+        assert len(lp_batches) == 2
+
     def test_uncertified_gradient_slices_raise_from_the_real_scan(self):
         with pytest.raises(QuadratureError, match="33 of 64 slices could not be certified"):
             gls_gradient_norm(extremal_profile(3.0, 2.0), constant_psi(1.6, 2.5), (0, 0, 0))
@@ -580,6 +600,15 @@ class TestWorkNotRepeated:
         with pytest.raises(InputError, match="one gradient norm per profile"):
             calibrate_morrey_constant(
                 [tent(1.5), bump(1.0, 1.0)], psi, [1.0, 1.0], (0.5,), gradients=[gradient]
+            )
+
+
+    @pytest.mark.parametrize("moduli", [[[0.1]], [[0.1, 0.2], [0.3, 0.4]]])
+    def test_calibration_needs_one_modulus_per_profile_and_delta(self, moduli):
+        with pytest.raises(InputError, match="need one sampled modulus per profile and delta"):
+            calibrate_morrey_constant(
+                [tent(1.5), bump(1.0, 1.0)], constant_psi(5.0, 9.0), [1.0, 1.0], (0.5,),
+                moduli=moduli,
             )
 
 

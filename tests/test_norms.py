@@ -160,6 +160,25 @@ class TestLargeExponents:
         [(row_value, row_diag)] = norms_module._slice_rows(u, False, A, [p])
         assert (row_value, row_diag.to_dict()) == (value, diag.to_dict())
 
+    @pytest.mark.parametrize(
+        "p, note",
+        [
+            (1e8, "panel budget 4096 exhausted"),
+            (1e20, "integral 0.0 under a positive peak"),
+        ],
+    )
+    def test_bare_value_of_an_unconverged_norm_raises(self, p, note):
+        # without details there is no diagnostics object to carry the flag,
+        # so the norm raises instead of returning an uncertified number
+        u, A = bump(1.0, 1.0), (1.0, 2.0)
+        _, diag = weighted_lp_norm(u, A, p, details=True)
+        assert not diag.converged
+        with pytest.raises(QuadratureError) as info:
+            weighted_lp_norm(u, A, p)
+        assert str(info.value) == diag.notes[0]
+        assert str(info.value).startswith(note)
+        assert info.value.diagnostics == diag.to_dict()
+
     def test_large_p_closed_form(self):
         # gaussian closed form still holds at p = 512
         A = [1.0, 2.0]

@@ -9,7 +9,6 @@ from glsobolev.profiles import (
     Decaying,
     RadialProfile,
     bump,
-    dilate,
     gaussian,
     generator_names,
     make_profile,
@@ -64,7 +63,7 @@ class TestSupports:
     def test_scan_radius(self):
         assert Compact(2.0).scan_radius == 2.0
         assert Decaying(tail_exponent=3.0, radius=2.0).scan_radius == 8.0
-        assert dilate(gaussian(1.0), 0.5).support.scan_radius == pytest.approx(24.0)
+        assert gaussian(1.0).dilated(0.5).support.scan_radius == pytest.approx(24.0)
         with pytest.raises(AttributeError):
             Compact(2.0).scan_radius = 3.0
 
@@ -139,24 +138,24 @@ class TestFactories:
 class TestDilation:
     def test_values_transform(self):
         u = bump(1.0, 1.0)
-        v = dilate(u, 2.0)
+        v = u.dilated(2.0)
         r = np.linspace(0.0, 0.49, 9)
         assert np.allclose(v.value(r), u.value(2.0 * r))
         assert np.allclose(v.derivative(r), 2.0 * u.derivative(2.0 * r))
 
     def test_support_shrinks(self):
-        v = dilate(bump(1.0, 1.0), 4.0)
+        v = bump(1.0, 1.0).dilated(4.0)
         assert isinstance(v.support, Compact)
         assert v.support.radius == pytest.approx(0.25)
 
     def test_decaying_support_radius(self):
-        v = dilate(gaussian(1.0), 0.5)
+        v = gaussian(1.0).dilated(0.5)
         assert isinstance(v.support, Decaying)
         assert v.support.radius == pytest.approx(6.0)
         assert v.support.tail_exponent == gaussian(1.0).support.tail_exponent
 
     def test_bad_factor(self):
         with pytest.raises(InputError):
-            dilate(bump(), 0.0)
+            bump().dilated(0.0)
         with pytest.raises(InputError):
-            dilate(bump(), math.inf)
+            bump().dilated(math.inf)

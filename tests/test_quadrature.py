@@ -73,17 +73,19 @@ class TestAdaptiveQuadrature:
         with pytest.raises(QuadratureError):
             adaptive_quadrature(np.exp, 1.0, 0.0)
 
-    def test_budget_exhaustion_reported(self):
+    def test_budget_exhaustion_reported(self, monkeypatch):
         # highly oscillatory beyond a tiny budget: flagged, not silently wrong
         def f(x):
             return np.sin(10000.0 * x)
 
-        val, diag = adaptive_quadrature(f, 0.0, 1.0, max_panels=4)
+        monkeypatch.setattr(quadrature_module, "MAX_PANELS", 4)
+        val, diag = adaptive_quadrature(f, 0.0, 1.0)
         assert not diag.converged
         assert diag.notes
 
-    def test_notes_reach_to_dict(self):
-        _, diag = adaptive_quadrature(lambda x: np.sin(1e4 * x), 0.0, 1.0, max_panels=4)
+    def test_notes_reach_to_dict(self, monkeypatch):
+        monkeypatch.setattr(quadrature_module, "MAX_PANELS", 4)
+        _, diag = adaptive_quadrature(lambda x: np.sin(1e4 * x), 0.0, 1.0)
         notes = diag.to_dict()["notes"]
         assert notes and all(isinstance(note, str) for note in notes)
         assert "panel budget 4 exhausted" in notes[0]
@@ -260,10 +262,11 @@ class TestSplitReuse:
         def f(x):
             return np.sin(1e4 * x)
 
+        monkeypatch.setattr(quadrature_module, "MAX_PANELS", 64)
         store = {}
         with _reusing_splits(store):
-            _, first = adaptive_quadrature(f, 0.0, 1.0, max_panels=64)
-            _, second = adaptive_quadrature(f, 0.0, 1.0, max_panels=64)
+            _, first = adaptive_quadrature(f, 0.0, 1.0)
+            _, second = adaptive_quadrature(f, 0.0, 1.0)
         assert not first.converged
         assert store == {}
         assert second.neval == first.neval

@@ -154,6 +154,18 @@ class TestTrace:
         assert report.status == "fail"
         assert report.ratio > 1.0
 
+    def test_a_zero_integral_under_a_positive_peak_is_inconclusive(self):
+        # at sharpness 1e14 the bump's lhs integral is about 1/(2k) = 5e-15,
+        # but every node misses it; the report must not certify lhs = 0
+        report = check_trace_radial(bump(1.0, 1e14), [1.0, 1.0], [1.0], r=1, p=2.0)
+        assert report.lhs == 0.0
+        assert report.status == "inconclusive"
+        assert report.quadrature["converged"] is False
+        assert "integral 0.0 under a positive peak: every node missed the peak" in (
+            report.quadrature["notes"]
+        )
+        assert exit_status([report]) == 3
+
     def test_bracket_ordering_on_grid(self):
         A = [1.0, 1.0, 0.5]
         B = [1.5, 0.5]
