@@ -1,183 +1,74 @@
 """Sharp Sobolev constants for monomial weights, grand Lebesgue norms,
 and numerical verification of the associated inequalities on radial
-profiles."""
+profiles.
+
+Each public name is read off the submodule that defines it, which is
+imported on first access (PEP 562).  ``import glsobolev`` therefore loads
+neither numpy nor scipy; the first numeric call does.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .constants import (
-    TraceBoundPair,
-    sharp_constant,
-    sharp_constant_p1,
-    talenti_constant,
-    trace_bounds,
-)
-from .errors import (
-    DivergentIntegralError,
-    DomainError,
-    GlsobolevError,
-    InputError,
-    QuadratureError,
-)
-from .exponents import (
-    ExponentTuple,
-    as_exponent_tuple,
-    effective_dimension,
-    monomial_weight,
-    sobolev_exponent,
-    sobolev_exponent_inverse,
-    trace_exponent,
-)
-from .gammafn import gamma, log_gamma
-from .grand import (
-    PsiFunction,
-    SupremumResult,
-    calibrate_morrey_constant,
-    constant_psi,
-    fundamental_function,
-    gls_gradient_norm,
-    gls_norm,
-    modulus_of_continuity,
-    morrey_bound,
-    morrey_transform,
-    power_endpoint_psi,
-    tabulated_psi,
-    verify_gls_sobolev,
-    zeta_transform,
-)
-from .montecarlo import (
-    MonteCarloResult,
-    SamplerConfig,
-    monte_carlo_lp_norm,
-    monte_carlo_weighted_integral,
-)
-from .norms import (
-    WeightedMeasure,
-    angular_mass,
-    radial_integral,
-    sup_norm,
-    weighted_gradient_norm,
-    weighted_lp_norm,
-)
-from .profiles import (
-    Compact,
-    Decaying,
-    RadialProfile,
-    bump,
-    gaussian,
-    generator_names,
-    make_profile,
-    power_tail,
-    smoothed_step,
-    step,
-    tent,
-)
-from .quadrature import (
-    QuadratureDiagnostics,
-    adaptive_quadrature,
-    extend_tail,
-    integrate_power_weighted,
-)
-from .reports import (
-    INEQUALITY_IDS,
-    VerificationReport,
-    canonical_digest,
-    exit_status,
-    format_float,
-    sort_reports,
-    write_csv,
-    write_jsonl,
-)
-from .verify import (
-    ProfileFamily,
-    ScalingFit,
-    check_morrey,
-    check_scaling,
-    check_sobolev,
-    check_trace_radial,
-    default_campaign_config,
-    extremal_profile,
-    fit_scaling_exponents,
-    rd_sequence,
-    run_campaign,
-)
+# submodule -> the public names it defines
+_EXPORTS = {
+    "constants": (
+        "TraceBoundPair", "sharp_constant", "sharp_constant_p1", "talenti_constant",
+        "trace_bounds",
+    ),
+    "errors": (
+        "DivergentIntegralError", "DomainError", "GlsobolevError", "InputError",
+        "QuadratureError",
+    ),
+    "exponents": (
+        "ExponentTuple", "as_exponent_tuple", "effective_dimension", "monomial_weight",
+        "sobolev_exponent", "sobolev_exponent_inverse", "trace_exponent",
+    ),
+    "gammafn": ("gamma", "log_gamma"),
+    "grand": (
+        "PsiFunction", "SupremumResult", "calibrate_morrey_constant", "constant_psi",
+        "fundamental_function", "gls_gradient_norm", "gls_norm", "modulus_of_continuity",
+        "morrey_bound", "morrey_transform", "power_endpoint_psi", "tabulated_psi",
+        "verify_gls_sobolev", "zeta_transform",
+    ),
+    "montecarlo": (
+        "MonteCarloResult", "SamplerConfig", "monte_carlo_lp_norm",
+        "monte_carlo_weighted_integral",
+    ),
+    "norms": (
+        "WeightedMeasure", "angular_mass", "radial_integral", "sup_norm",
+        "weighted_gradient_norm", "weighted_lp_norm",
+    ),
+    "profiles": (
+        "Compact", "Decaying", "RadialProfile", "bump", "gaussian", "generator_names",
+        "make_profile", "power_tail", "smoothed_step", "step", "tent",
+    ),
+    "quadrature": (
+        "QuadratureDiagnostics", "adaptive_quadrature", "extend_tail",
+        "integrate_power_weighted",
+    ),
+    "reports": (
+        "INEQUALITY_IDS", "VerificationReport", "canonical_digest", "exit_status",
+        "format_float", "sort_reports", "write_csv", "write_jsonl",
+    ),
+    "verify": (
+        "ProfileFamily", "ScalingFit", "check_morrey", "check_scaling", "check_sobolev",
+        "check_trace_radial", "default_campaign_config", "extremal_profile",
+        "fit_scaling_exponents", "rd_sequence", "run_campaign",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "Compact",
-    "Decaying",
-    "DivergentIntegralError",
-    "DomainError",
-    "ExponentTuple",
-    "GlsobolevError",
-    "INEQUALITY_IDS",
-    "InputError",
-    "MonteCarloResult",
-    "ProfileFamily",
-    "PsiFunction",
-    "QuadratureDiagnostics",
-    "QuadratureError",
-    "RadialProfile",
-    "SamplerConfig",
-    "ScalingFit",
-    "SupremumResult",
-    "TraceBoundPair",
-    "VerificationReport",
-    "WeightedMeasure",
-    "adaptive_quadrature",
-    "angular_mass",
-    "as_exponent_tuple",
-    "bump",
-    "calibrate_morrey_constant",
-    "canonical_digest",
-    "check_morrey",
-    "check_scaling",
-    "check_sobolev",
-    "check_trace_radial",
-    "constant_psi",
-    "default_campaign_config",
-    "effective_dimension",
-    "exit_status",
-    "extend_tail",
-    "extremal_profile",
-    "fit_scaling_exponents",
-    "format_float",
-    "fundamental_function",
-    "gamma",
-    "gaussian",
-    "generator_names",
-    "gls_gradient_norm",
-    "gls_norm",
-    "integrate_power_weighted",
-    "log_gamma",
-    "make_profile",
-    "modulus_of_continuity",
-    "monomial_weight",
-    "monte_carlo_lp_norm",
-    "monte_carlo_weighted_integral",
-    "morrey_bound",
-    "morrey_transform",
-    "power_endpoint_psi",
-    "power_tail",
-    "radial_integral",
-    "rd_sequence",
-    "run_campaign",
-    "sharp_constant",
-    "sharp_constant_p1",
-    "smoothed_step",
-    "sobolev_exponent",
-    "sobolev_exponent_inverse",
-    "sort_reports",
-    "step",
-    "sup_norm",
-    "tabulated_psi",
-    "talenti_constant",
-    "tent",
-    "trace_bounds",
-    "trace_exponent",
-    "verify_gls_sobolev",
-    "weighted_gradient_norm",
-    "weighted_lp_norm",
-    "write_csv",
-    "write_jsonl",
-    "zeta_transform",
-]
+__all__ = ["__version__", *sorted(_MODULE_OF)]
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

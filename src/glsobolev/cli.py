@@ -3,6 +3,8 @@
 ``build_parser`` gives each subcommand its handler, which calls one library
 entry point and serializes the result; no numerics happen here.  In the
 ``constants`` output, C, q or K is null where its own guard rejects p.
+A handler imports the numeric layers it calls when it runs, so
+``constants``, ``--help`` and ``--version`` load neither numpy nor scipy.
 Exit codes: 0 success, 1 an inequality check failed, 2 bad input, 3 the
 numerics could not certify an answer (unconverged quadrature or a divergent
 norm).  A grand norm with a divergent slice is certified as inf and exits 0.
@@ -16,7 +18,7 @@ import json
 import os
 import sys
 
-from . import __version__, grand
+from . import __version__
 from .constants import (
     _where_defined, sharp_constant, sharp_constant_p1, talenti_constant, trace_bounds
 )
@@ -27,25 +29,7 @@ from .exponents import (
     sobolev_exponent,
     trace_exponent,
 )
-from .grand import (
-    _psi_from_spec,
-    fundamental_function,
-    gls_gradient_norm,
-    gls_norm,
-    morrey_bound,
-    modulus_of_continuity,
-    zeta_transform,
-)
-from .norms import weighted_gradient_norm, weighted_lp_norm
-from .profiles import make_profile
 from .reports import DEFAULT_SLACK, dumps, exit_status, format_float
-from .verify import (
-    check_trace_radial,
-    default_campaign_config,
-    extremal_profile,
-    fit_scaling_exponents,
-    run_campaign,
-)
 
 CONFIG_DIR_ENV = "GLSOBOLEV_CONFIG_DIR"
 
@@ -58,6 +42,9 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _parse_profile(text: str):
+    from .profiles import make_profile
+    from .verify import extremal_profile
+
     name, _, raw = text.partition(":")
     params = _parse_floats(raw) if raw else []
     if name == "extremal":
@@ -68,6 +55,8 @@ def _parse_profile(text: str):
 
 
 def _parse_psi(text: str):
+    from .grand import _psi_from_spec
+
     name, _, raw = text.partition(":")
     if name == "constant":
         params = _parse_floats(raw)
@@ -188,6 +177,8 @@ def _cmd_constants(args) -> tuple:
 
 
 def _cmd_norm(args) -> tuple:
+    from .norms import weighted_gradient_norm, weighted_lp_norm
+
     u = _parse_profile(args.profile)
     A = _parse_floats(args.A)
     fn = weighted_gradient_norm if args.gradient else weighted_lp_norm
@@ -204,6 +195,8 @@ def _cmd_norm(args) -> tuple:
 
 
 def _cmd_gls_norm(args) -> tuple:
+    from .grand import gls_gradient_norm, gls_norm
+
     u = _parse_profile(args.profile)
     psi = _parse_psi(args.psi)
     A = _parse_floats(args.A)
@@ -224,6 +217,8 @@ def _cmd_gls_norm(args) -> tuple:
 
 
 def _cmd_fundamental(args) -> tuple:
+    from .grand import fundamental_function
+
     psi = _parse_psi(args.psi)
     payload = []
     for delta in _parse_floats(args.delta):
@@ -233,6 +228,8 @@ def _cmd_fundamental(args) -> tuple:
 
 
 def _cmd_zeta(args) -> tuple:
+    from .grand import zeta_transform
+
     psi = _parse_psi(args.psi)
     A = _parse_floats(args.A)
     zeta = zeta_transform(psi, A, variant=args.variant)
@@ -249,12 +246,12 @@ def _cmd_zeta(args) -> tuple:
 
 
 def _cmd_morrey(args) -> tuple:
+    from .grand import gls_gradient_norm, modulus_of_continuity, morrey_bound
+
     u = _parse_profile(args.profile)
     psi = _parse_psi(args.psi)
     A = _parse_floats(args.A)
-    # looked up on grand, as morrey_bound does, so wrappers of
-    # grand.gls_gradient_norm see the one gradient scan
-    _, gradient = grand.gls_gradient_norm(u, psi, A, details=True)
+    _, gradient = gls_gradient_norm(u, psi, A, details=True)
     payload = []
     for delta in _parse_floats(args.delta):
         bound, info = morrey_bound(
@@ -274,6 +271,8 @@ def _cmd_morrey(args) -> tuple:
 
 
 def _cmd_scaling(args) -> tuple:
+    from .verify import fit_scaling_exponents
+
     u = _parse_profile(args.profile)
     A = _parse_floats(args.A)
     B = _parse_floats(args.B) if args.B is not None else A
@@ -291,6 +290,8 @@ def _cmd_scaling(args) -> tuple:
 
 
 def _cmd_trace(args) -> tuple:
+    from .verify import check_trace_radial
+
     g = _parse_profile(args.profile)
     A = _parse_floats(args.A)
     B = _parse_floats(args.B)
@@ -299,6 +300,8 @@ def _cmd_trace(args) -> tuple:
 
 
 def _cmd_campaign(args) -> tuple:
+    from .verify import default_campaign_config, run_campaign
+
     if args.config is not None:
         path = args.config
         base = os.environ.get(CONFIG_DIR_ENV)

@@ -173,8 +173,8 @@ def trace_bounds(
     if D <= r:
         raise DomainError(f"D(A) = {D} must exceed r = {r} for the M factor")
     _guard_open_endpoint(p, 1.0, D)
-    if q <= 1.0:
-        raise DomainError(f"q = {q} must exceed 1")
+    if not (math.isfinite(q) and q > 1.0):
+        raise DomainError(f"q must be finite and exceed 1, got q = {q}")
     Dr = B.effective_dimension
     M = Dr ** (-1.0 / r) * ((p - 1.0) / (D - r)) ** (1.0 - 1.0 / p)
     Q = (q / (q - 1.0)) ** (1.0 - 1.0 / p) * q ** (1.0 / q)

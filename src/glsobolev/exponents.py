@@ -15,8 +15,6 @@ import math
 import numbers
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, InputError
 
 #: exponents closer to a domain endpoint than this are rejected
@@ -30,7 +28,8 @@ class ExponentTuple:
     Parameters
     ----------
     entries : tuple of float
-        The exponents A(1), ..., A(m); m >= 1, every entry finite and >= 0.
+        The exponents A(1), ..., A(m); m >= 1, every entry finite and >= 0,
+        and D(A) = m + sum_i A(i) finite.
     """
 
     entries: tuple[float, ...]
@@ -43,6 +42,9 @@ class ExponentTuple:
             if not math.isfinite(a) or a < 0:
                 raise DomainError(f"exponent entries must be finite and >= 0, got {a}")
         object.__setattr__(self, "entries", entries)
+        D = self.effective_dimension
+        if not math.isfinite(D):
+            raise DomainError(f"exponent entries {entries} overflow D(A) = m + sum A(i) to {D}")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -78,7 +80,7 @@ def effective_dimension(A) -> float:
     return as_exponent_tuple(A).effective_dimension
 
 
-def monomial_weight(A, x) -> np.ndarray | float:
+def monomial_weight(A, x):
     """Evaluate prod_i |x_i|^{A(i)} with the 0^0 = 1 convention.
 
     Parameters
@@ -90,6 +92,8 @@ def monomial_weight(A, x) -> np.ndarray | float:
     -------
     float or ndarray of shape (n,)
     """
+    import numpy as np
+
     A = as_exponent_tuple(A)
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1

@@ -11,7 +11,6 @@ runs with the same seed produce byte-identical files.
 from __future__ import annotations
 
 import csv
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -96,6 +95,8 @@ def dumps(obj, sort_keys: bool = False) -> str:
 
 def canonical_digest(obj) -> str:
     """sha256 hex digest of the sorted-key canonical encoding."""
+    import hashlib  # here, so the closed-form CLI does not load it
+
     return hashlib.sha256(dumps(obj, sort_keys=True).encode("utf-8")).hexdigest()
 
 

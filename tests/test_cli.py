@@ -65,6 +65,12 @@ class TestConstantsCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: norm exponent p must satisfy 1 <= p < inf")
 
+    def test_exponents_whose_effective_dimension_overflows_exit_two(self, capsys):
+        assert main(["constants", "--A", "1e308,1e308", "--p", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: exponent entries (1e+308, 1e+308) overflow")
+
     def test_p_one_keeps_c1(self, capsys):
         code, payload = run_json(capsys, ["constants", "--A", "1,2", "--p", "1"])
         assert code == 0

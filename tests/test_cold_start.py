@@ -1,7 +1,9 @@
-"""scipy is loaded on first use: never by the import or a closed-form command.
+"""numpy and scipy are loaded on first use: never by the import or the
+closed-form CLI, and scipy never by a command that integrates nothing.
 
-Each case runs in a fresh interpreter, since this test process has scipy
-loaded already, and reports which scipy modules ended up in sys.modules.
+Each case runs in a fresh interpreter, since this test process has both
+loaded already, and reports which numpy and scipy modules ended up in
+sys.modules.
 """
 
 import json
@@ -12,22 +14,63 @@ from pathlib import Path
 
 import pytest
 
+import glsobolev
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 _REPORT = """
 import json, sys
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] in ("numpy", "scipy"))))
 """
 
 
-def _scipy_modules(code: str) -> list:
-    """scipy modules loaded after a fresh interpreter runs ``code``."""
+def _loaded(code: str) -> list:
+    """numpy and scipy modules loaded after a fresh interpreter runs ``code``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code + _REPORT], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _scipy_modules(code: str) -> list:
+    """scipy modules loaded after a fresh interpreter runs ``code``."""
+    return [m for m in _loaded(code) if m.partition(".")[0] == "scipy"]
+
+
+def test_import_loads_no_numpy():
+    assert _loaded("import glsobolev") == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--A", "1,2", "--p", "2"],
+    ["constants", "--A", "1,2", "--p", "2", "--B", "1,1", "--r", "2"],
+    ["--version"],
+    ["--help"],
+], ids=["constants", "constants-trace", "version", "help"])
+def test_closed_form_cli_loads_no_numpy(argv):
+    code = (
+        "import contextlib, io\n"
+        "from glsobolev.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        f"        status = main({argv!r})\n"
+        "    except SystemExit as exc:  # --help and --version\n"
+        "        status = exc.code\n"
+        "assert status == 0, status\n"
+    )
+    assert _loaded(code) == []
+
+
+def test_numeric_call_after_a_bare_import():
+    value = glsobolev.weighted_lp_norm(glsobolev.bump(1.0, 1.0), (1.0, 2.0), 2.0)
+    loaded = _loaded(
+        "import glsobolev as gl\n"
+        "value = gl.weighted_lp_norm(gl.bump(1.0, 1.0), (1.0, 2.0), 2.0)\n"
+        f"assert value == {value!r}, value\n"
+    )
+    assert "numpy" in loaded
 
 
 def test_import_loads_no_scipy():

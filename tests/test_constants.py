@@ -183,6 +183,11 @@ class TestTraceBounds:
         with pytest.raises(InputError):
             trace_bounds([1.0, 1.0], [1.0], 3, 2.0)  # r > dim
 
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf, 1.0, 0.5])
+    def test_rejects_explicit_q_that_is_not_finite_and_above_one(self, q):
+        with pytest.raises(DomainError, match=f"got q = {q}"):
+            trace_bounds((1, 1), (1,), 1, 2.0, q=q)
+
     def test_sobolev_exponent_consistency(self):
         # the default q for the full-dimension trace equals the sobolev law
         A = [1.0, 2.0]

@@ -33,6 +33,13 @@ class TestExponentTuple:
         with pytest.raises(DomainError):
             ExponentTuple(tuple(bad))
 
+    def test_rejects_entries_whose_effective_dimension_overflows(self):
+        # each entry is finite, but D(A) = 2 + 2e308 is not
+        with pytest.raises(DomainError, match=r"\(1e\+308, 1e\+308\).*inf"):
+            ExponentTuple((1e308, 1e308))
+        with pytest.raises(DomainError, match="overflow"):
+            effective_dimension([1e308, 1e308])
+
     def test_helpers(self):
         assert effective_dimension([1.0, 2.0]) == 5.0
         assert len(ExponentTuple((1.0, 2.0))) == 2

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -117,6 +118,13 @@ class TestWeightedLpNorm:
             check=False,
         )
         assert weighted_lp_norm(scaled, [1.0, 2.0], 2.0) == 0.0
+
+    def test_weight_whose_effective_dimension_overflows(self):
+        # rejected before any quadrature runs, so no RuntimeWarning either
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflow"):
+                weighted_lp_norm(bump(1.0, 1.0), [1e308, 1e308], 2.0)
 
     def test_divergent_norm_raises(self):
         with pytest.raises(DivergentIntegralError):
