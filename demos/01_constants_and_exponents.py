@@ -13,7 +13,7 @@
 import numpy as np
 
 from glsobolev import (
-    effective_dimension,
+    ExponentTuple,
     sharp_constant,
     sharp_constant_p1,
     sobolev_exponent,
@@ -27,7 +27,7 @@ from glsobolev import (
 # problem behaves like an unweighted problem in five dimensions.
 
 A = (1.0, 2.0)
-D = effective_dimension(A)
+D = ExponentTuple(A).effective_dimension
 print("D(A) =", D)
 
 # The critical exponent law mirrors the unweighted one with D in place of
@@ -70,7 +70,7 @@ p = 2.8
 print("trace q =", trace_exponent(A3, B2, 2, p))
 pair = trace_bounds(A3, B2, 2, p)
 print("M =", pair.M, " Q =", pair.Q)
-print("bracket = [", pair.W_lower, ",", pair.W_upper, "]")
+print("bracket = [", pair.M, ",", pair.M * pair.Q, "]")
 
 # Expected output ends with M = 0.3765..., Q = 1.8479..., so the constant is
 # pinned to within a factor of about 1.85.

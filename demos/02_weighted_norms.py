@@ -17,10 +17,10 @@ import math
 import numpy as np
 
 from glsobolev import (
+    ExponentTuple,
     SamplerConfig,
-    WeightedMeasure,
     angular_mass,
-    effective_dimension,
+    ball_mass,
     gaussian,
     monte_carlo_lp_norm,
     sup_norm,
@@ -29,7 +29,7 @@ from glsobolev import (
 )
 
 A = (2.0, 3.0)
-D = effective_dimension(A)       # 2 + 5 = 7
+D = ExponentTuple(A).effective_dimension   # 2 + 5 = 7
 u = gaussian()                   # u(rho) = exp(-rho^2)
 p = 2.5
 
@@ -51,8 +51,7 @@ print("closed form:", closed, " rel err:", abs(val - closed) / closed)
 # around 1e-16).  The same angular factor also gives the measure of balls:
 # mu_A(B_R) = sigma_A R^D / D.
 
-meas = WeightedMeasure(A)
-print("ball mass R=1.5:", meas.ball_mass(1.5), "=", sigma * 1.5**D / D)
+print("ball mass R=1.5:", ball_mass(A, 1.5), "=", sigma * 1.5**D / D)
 
 # Route 3: importance sampling in R^2 with no radial reduction at all.  The
 # estimate carries a standard error, so agreement is judged in sigmas; with

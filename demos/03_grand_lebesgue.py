@@ -17,7 +17,7 @@
 import numpy as np
 
 from glsobolev import (
-    WeightedMeasure,
+    ball_mass,
     bump,
     calibrate_morrey_constant,
     constant_psi,
@@ -58,7 +58,7 @@ print("psi(7/3) =", pw(7.0 / 3.0))
 # phi evaluated at the weighted measure of the ball.  Note phi(1) = 1 for
 # any normalized psi.
 
-mass = WeightedMeasure(A).ball_mass(0.8)
+mass = ball_mass(A, 0.8)
 print("||1_B||_G        =", gls_norm(step(0.8), psi, A))
 print("phi(mu(B))       =", fundamental_function(psi, mass))
 print("phi(1)           =", fundamental_function(psi, 1.0))

@@ -22,8 +22,8 @@ _EXPORTS = {
         "QuadratureError",
     ),
     "exponents": (
-        "ExponentTuple", "as_exponent_tuple", "effective_dimension", "monomial_weight",
-        "sobolev_exponent", "sobolev_exponent_inverse", "trace_exponent",
+        "ExponentTuple", "as_exponent_tuple", "monomial_weight", "sobolev_exponent",
+        "sobolev_exponent_inverse", "trace_exponent",
     ),
     "gammafn": ("gamma", "log_gamma"),
     "grand": (
@@ -37,12 +37,12 @@ _EXPORTS = {
         "monte_carlo_weighted_integral",
     ),
     "norms": (
-        "WeightedMeasure", "angular_mass", "radial_integral", "sup_norm",
-        "weighted_gradient_norm", "weighted_lp_norm",
+        "angular_mass", "ball_mass", "radial_integral", "sup_norm", "weighted_gradient_norm",
+        "weighted_lp_norm",
     ),
     "profiles": (
-        "Compact", "Decaying", "RadialProfile", "bump", "gaussian", "generator_names",
-        "make_profile", "power_tail", "smoothed_step", "step", "tent",
+        "Compact", "Decaying", "RadialProfile", "bump", "extremal_profile", "gaussian",
+        "generator_names", "make_profile", "power_tail", "smoothed_step", "step", "tent",
     ),
     "quadrature": (
         "QuadratureDiagnostics", "adaptive_quadrature", "extend_tail",
@@ -54,8 +54,8 @@ _EXPORTS = {
     ),
     "verify": (
         "ProfileFamily", "ScalingFit", "check_morrey", "check_scaling", "check_sobolev",
-        "check_trace_radial", "default_campaign_config", "extremal_profile",
-        "fit_scaling_exponents", "rd_sequence", "run_campaign",
+        "check_trace_radial", "default_campaign_config", "fit_scaling_exponents",
+        "rd_sequence", "run_campaign",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -43,15 +43,9 @@ def _parse_floats(text: str) -> list[float]:
 
 def _parse_profile(text: str):
     from .profiles import make_profile
-    from .verify import extremal_profile
 
     name, _, raw = text.partition(":")
-    params = _parse_floats(raw) if raw else []
-    if name == "extremal":
-        if len(params) != 2:
-            raise InputError("extremal profile takes two parameters: D,p")
-        return extremal_profile(params[0], params[1])
-    return make_profile(name, *params)
+    return make_profile(name, *(_parse_floats(raw) if raw else []))
 
 
 def _parse_psi(text: str):

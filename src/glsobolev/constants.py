@@ -136,16 +136,11 @@ def sharp_constant(A, p: float, variant: str = "corrected") -> float:
 
 @dataclass(frozen=True)
 class TraceBoundPair:
-    """Bracket [M, M*Q] for the radial trace inequality constant W.
-
-    Fields follow the printed bracket: W_lower = M and W_upper = M * Q, with
-    Q >= 1 whenever p > 1 and q > 1.
-    """
+    """Bracket [M, M*Q] for the radial trace inequality constant W, with
+    Q >= 1 whenever p > 1 and q > 1."""
 
     M: float
     Q: float
-    W_lower: float
-    W_upper: float
 
 
 def trace_bounds(
@@ -178,4 +173,4 @@ def trace_bounds(
     Dr = B.effective_dimension
     M = Dr ** (-1.0 / r) * ((p - 1.0) / (D - r)) ** (1.0 - 1.0 / p)
     Q = (q / (q - 1.0)) ** (1.0 - 1.0 / p) * q ** (1.0 / q)
-    return TraceBoundPair(M=M, Q=Q, W_lower=M, W_upper=M * Q)
+    return TraceBoundPair(M=M, Q=Q)

@@ -75,11 +75,6 @@ def as_exponent_tuple(A) -> ExponentTuple:
     return ExponentTuple(tuple(A))
 
 
-def effective_dimension(A) -> float:
-    """Effective dimension D(A) = m + sum_i A(i)."""
-    return as_exponent_tuple(A).effective_dimension
-
-
 def monomial_weight(A, x):
     """Evaluate prod_i |x_i|^{A(i)} with the 0^0 = 1 convention.
 
@@ -148,7 +143,8 @@ def sobolev_exponent(A, B, p: float) -> float:
 def sobolev_exponent_inverse(A, q: float) -> float:
     """Inverse exponent law p(q) = q * D / (q + D) for the B = A case.
 
-    Maps (D/(D-1), inf) back onto (1, D); q at or below D/(D-1) is rejected.
+    Maps (D/(D-1), inf) back onto (1, D); q at or below D/(D-1), and a
+    nan q, are rejected.
     """
     A = as_exponent_tuple(A)
     D = A.effective_dimension
@@ -158,7 +154,7 @@ def sobolev_exponent_inverse(A, q: float) -> float:
     if q == math.inf:
         return D
     q_lo = D / (D - 1.0)
-    if q <= q_lo + ENDPOINT_GUARD:
+    if not q > q_lo + ENDPOINT_GUARD:
         raise DomainError(f"q = {q} must exceed D/(D-1) = {q_lo}")
     return q * D / (q + D)
 

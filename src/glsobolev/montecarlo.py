@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import InputError, QuadratureError
 from .exponents import as_exponent_tuple, check_norm_exponent
 
 _MIN_ESS_FRACTION = 1e-3
@@ -29,9 +29,9 @@ class SamplerConfig:
 
     def __post_init__(self):
         if self.n_samples < 2:
-            raise ValueError("need at least 2 samples")
+            raise InputError(f"need at least 2 samples, got {self.n_samples}")
         if not (self.proposal_scale > 0.0 and math.isfinite(self.proposal_scale)):
-            raise ValueError(f"proposal scale must be positive, got {self.proposal_scale}")
+            raise InputError(f"proposal scale must be positive, got {self.proposal_scale}")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ nodes.  The maximum comes from the profile's ``value_peak`` or
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -54,29 +53,14 @@ def angular_mass(A) -> float:
     return math.exp(_log_angular_mass(A.entries))
 
 
-@dataclass(frozen=True)
-class WeightedMeasure:
-    """The measure x^A dx on R^len(A), with its radial reduction data."""
-
-    A: ExponentTuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "A", as_exponent_tuple(self.A))
-
-    @property
-    def effective_dimension(self) -> float:
-        return self.A.effective_dimension
-
-    @property
-    def angular_mass(self) -> float:
-        return angular_mass(self.A)
-
-    def ball_mass(self, radius: float) -> float:
-        """Measure of the centered ball of the given radius."""
-        if radius < 0.0:
-            raise DomainError(f"radius must be nonnegative, got {radius}")
-        D = self.effective_dimension
-        return self.angular_mass * radius**D / D
+def ball_mass(A, radius: float) -> float:
+    """Measure of the centered ball of the given radius under x^A dx,
+    sigma_A * radius^D / D."""
+    if not radius >= 0.0:
+        raise DomainError(f"radius must be nonnegative, got {radius}")
+    A = as_exponent_tuple(A)
+    D = A.effective_dimension
+    return angular_mass(A) * radius**D / D
 
 
 def _peak_edges(rho_star: float, span: float) -> list[float]:
@@ -283,8 +267,12 @@ def weighted_lp_norm(
     DivergentIntegralError
         If the tail blocks stop decaying (the norm is infinite or nearly so).
     QuadratureError
-        If the tolerance ``quadrature.REL_TOL`` cannot be certified and
-        ``details`` is false; with ``details`` the diagnostics say so.
+        If the Gauss-Jacobi head never settles, or a decaying tail is still
+        unspent at ``quadrature.TAIL_CAP``, with or without ``details``.
+        Without ``details`` also when the body misses the tolerance
+        ``quadrature.REL_TOL`` (panel budget exhausted, or an integral of 0
+        under a positive peak); with ``details`` that norm is returned and
+        its diagnostics say ``converged: False``.
     """
     return _norm(u, False, A, p, details)
 

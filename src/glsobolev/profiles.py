@@ -24,7 +24,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import InputError
+from .errors import DomainError, InputError
 
 _FD_POINTS = 32
 _FD_RTOL = 1e-4
@@ -315,6 +315,33 @@ def power_tail(exponent: float = 3.0, scale: float = 1.0) -> RadialProfile:
     )
 
 
+def extremal_profile(D: float = 5.0, p: float = 2.0) -> RadialProfile:
+    """Optimizer of the sharp embedding at effective dimension D.
+
+    u(rho) = (1 + rho^p')^((p - D)/p) with p' = p/(p - 1); the ratio
+    ||u||_q / (C(p) || |u'| ||_p) equals 1 on this profile, up to the
+    truncation of its power tail.
+    """
+    if not (1.0 < p < D):
+        raise DomainError(f"need 1 < p < D = {D}, got p = {p}")
+    pp = p / (p - 1.0)
+    expo = (p - D) / p
+
+    def u(r):
+        return (1.0 + r**pp) ** expo
+
+    def du(r):
+        return expo * pp * r ** (pp - 1.0) * (1.0 + r**pp) ** (expo - 1.0)
+
+    tail = pp * (D - p) / p
+    return RadialProfile(
+        value=_as_radial(u),
+        derivative=_as_radial(du),
+        support=Decaying(tail_exponent=tail, radius=1.0),
+        name=f"extremal(D={D:g},p={p:g})",
+    )
+
+
 _GENERATORS = {
     "bump": bump,
     "gaussian": gaussian,
@@ -322,6 +349,7 @@ _GENERATORS = {
     "step": step,
     "smoothed_step": smoothed_step,
     "power_tail": power_tail,
+    "extremal": extremal_profile,
 }
 
 

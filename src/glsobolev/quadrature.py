@@ -7,8 +7,8 @@ certifies the relative tolerance REL_TOL.
 Radial measures rho^gamma d rho are handled by two extra pieces:
 
 * a Gauss-Jacobi head panel on [0, eps] that carries the rho^gamma factor
-  in its weight function, so fractional powers near 0 cost nothing (rules
-  cached on the exact (n, gamma)), and
+  in its weight function, so fractional powers near 0 cost nothing (the
+  24- and 48-point rules cached together on the exact gamma), and
 * geometric tail extension [R, 2R] for decaying integrands, with
   non-decreasing blocks reported as divergence.
 

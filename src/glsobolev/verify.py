@@ -15,11 +15,11 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import grand
+from . import grand, profiles
 from .constants import (
     _valid_variant, _where_defined, sharp_constant, talenti_constant, trace_bounds
 )
-from .errors import DomainError, InputError
+from .errors import InputError
 from .exponents import as_exponent_tuple, sobolev_exponent, trace_exponent
 from .grand import (
     PsiFunction,
@@ -34,7 +34,7 @@ from .grand import (
     zeta_transform,
 )
 from .norms import _flag_missed_peak, radial_integral, weighted_gradient_norm, weighted_lp_norm
-from .profiles import Decaying, RadialProfile, _as_radial, make_profile
+from .profiles import RadialProfile, make_profile
 from .quadrature import REL_TOL, QuadratureDiagnostics
 from .reports import (
     DEFAULT_SLACK,
@@ -47,32 +47,8 @@ from .reports import (
 
 SCALING_TOL = 1e-8
 
-
-def extremal_profile(D: float, p: float) -> RadialProfile:
-    """Optimizer of the sharp embedding at effective dimension D.
-
-    u(rho) = (1 + rho^p')^((p - D)/p) with p' = p/(p - 1); the ratio
-    ||u||_q / (C(p) || |u'| ||_p) equals 1 on this profile, up to the
-    truncation of its power tail.
-    """
-    if not (1.0 < p < D):
-        raise DomainError(f"need 1 < p < D = {D}, got p = {p}")
-    pp = p / (p - 1.0)
-    expo = (p - D) / p
-
-    def u(r):
-        return (1.0 + r**pp) ** expo
-
-    def du(r):
-        return expo * pp * r ** (pp - 1.0) * (1.0 + r**pp) ** (expo - 1.0)
-
-    tail = pp * (D - p) / p
-    return RadialProfile(
-        value=_as_radial(u),
-        derivative=_as_radial(du),
-        support=Decaying(tail_exponent=tail, radius=1.0),
-        name=f"extremal(D={D:g},p={p:g})",
-    )
+# defined in profiles, and read here too as verify.extremal_profile
+extremal_profile = profiles.extremal_profile
 
 
 def check_sobolev(
@@ -274,7 +250,7 @@ def check_trace_radial(
         inequality_id="trace-6.3a",
         lhs=lhs,
         rhs=rhs,
-        constant=bounds.W_upper,
+        constant=bounds.M * bounds.Q,
         inputs={
             "check": "trace",
             "profile": g.name,

@@ -119,6 +119,17 @@ class TestNormCommand:
     def test_unknown_profile(self, capsys):
         assert main(["norm", "--profile", "blob:1", "--A", "1", "--p", "2"]) == 2
 
+    def test_extremal_profile_comes_from_the_registry(self, capsys):
+        code, payload = run_json(
+            capsys,
+            ["norm", "--profile", "extremal:5,2", "--A", "1,2", "--p", "2", "--gradient"],
+        )
+        assert code == 0
+        assert payload["value"] == 0.85808553080977534
+        code = main(["norm", "--profile", "extremal:1,1,1", "--A", "1,2", "--p", "2"])
+        assert code == 2
+        assert "bad parameters for profile 'extremal'" in capsys.readouterr().err
+
     def test_subunit_p(self, capsys):
         assert main(["norm", "--profile", "bump:1,1", "--A", "1", "--p", "0.5"]) == 2
 

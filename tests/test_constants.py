@@ -157,8 +157,6 @@ class TestTraceBounds:
         assert isinstance(tb, TraceBoundPair)
         assert tb.M == pytest.approx(2.0 ** (-1.0) * (1.0 / 3.0) ** 0.5)
         assert tb.Q == pytest.approx(2.0 ** 0.5 * 2.0 ** 0.5)
-        assert tb.W_lower == tb.M
-        assert tb.W_upper == pytest.approx(tb.M * tb.Q)
 
     def test_q_defaults_to_trace_law(self):
         explicit = trace_bounds([1.0, 1.0], [1.0], 1, 2.0, q=2.0)
@@ -169,7 +167,7 @@ class TestTraceBounds:
         # p large enough that the trace law lands at q > 1
         for p in (1.5, 1.9, 2.7):
             tb = trace_bounds([1.0, 2.0], [1.5], 1, p)
-            assert 0.0 < tb.W_lower <= tb.W_upper
+            assert 0.0 < tb.M <= tb.M * tb.Q
             assert tb.Q >= 1.0
 
     def test_rejects_subunit_q_from_law(self):

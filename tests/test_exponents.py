@@ -9,7 +9,6 @@ from glsobolev.errors import DomainError, InputError
 from glsobolev.exponents import (
     ExponentTuple,
     as_exponent_tuple,
-    effective_dimension,
     monomial_weight,
     sobolev_exponent,
     sobolev_exponent_inverse,
@@ -38,10 +37,10 @@ class TestExponentTuple:
         with pytest.raises(DomainError, match=r"\(1e\+308, 1e\+308\).*inf"):
             ExponentTuple((1e308, 1e308))
         with pytest.raises(DomainError, match="overflow"):
-            effective_dimension([1e308, 1e308])
+            ExponentTuple([1e308, 1e308])
 
     def test_helpers(self):
-        assert effective_dimension([1.0, 2.0]) == 5.0
+        assert ExponentTuple([1.0, 2.0]).effective_dimension == 5.0
         assert len(ExponentTuple((1.0, 2.0))) == 2
         assert list(ExponentTuple((1.0, 2.0))) == [1.0, 2.0]
 
@@ -87,6 +86,10 @@ class TestExponentLaws:
         # q must exceed D/(D-1), the image of p = 1
         with pytest.raises(DomainError):
             sobolev_exponent_inverse([1.0, 2.0], 1.25)
+
+    def test_rejects_nan_q(self):
+        with pytest.raises(DomainError, match="q = nan must exceed"):
+            sobolev_exponent_inverse([1.0, 2.0], math.nan)
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -27,7 +27,7 @@ from glsobolev.grand import (
     zeta_transform,
 )
 from glsobolev.norms import (
-    WeightedMeasure,
+    ball_mass,
     weighted_gradient_norm,
     weighted_lp_norm,
 )
@@ -147,7 +147,7 @@ class TestGlsNorm:
         A = [1.0, 2.0]
         psi = power_endpoint_psi(1.5, 4.0, 0.3, 0.7)
         for R in (0.5, 2.0):
-            mass = WeightedMeasure(A).ball_mass(R)
+            mass = ball_mass(A, R)
             assert gls_norm(step(R), psi, A) == pytest.approx(
                 fundamental_function(psi, mass), rel=1e-7
             )

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from glsobolev.errors import DomainError, QuadratureError
+from glsobolev.errors import DomainError, InputError, QuadratureError
 from glsobolev.montecarlo import (
     MonteCarloResult,
     SamplerConfig,
     monte_carlo_lp_norm,
     monte_carlo_weighted_integral,
 )
-from glsobolev.norms import WeightedMeasure, weighted_lp_norm
+from glsobolev.norms import ball_mass, weighted_lp_norm
 from glsobolev.profiles import gaussian, step, tent
 
 
@@ -23,7 +23,7 @@ class TestWeightedIntegral:
         # int 1_{|x| < R} x^A dx against the closed form
         A = [1.0, 1.0]
         R = 1.5
-        exact = WeightedMeasure(A).ball_mass(R)
+        exact = ball_mass(A, R)
         res = monte_carlo_weighted_integral(
             lambda x: (_radius(x) < R).astype(float),
             A,
@@ -119,6 +119,21 @@ class TestLpNorm:
     def test_rejects_a_meaningless_exponent(self, p):
         with pytest.raises(DomainError, match="norm exponent p must satisfy"):
             monte_carlo_lp_norm(tent(1.0), (1.0, 1.0), p)
+
+
+class TestSamplerConfig:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n_samples": 1}, "need at least 2 samples, got 1"),
+            ({"proposal_scale": 0.0}, "proposal scale must be positive"),
+            ({"proposal_scale": math.nan}, "proposal scale must be positive"),
+            ({"proposal_scale": math.inf}, "proposal scale must be positive"),
+        ],
+    )
+    def test_malformed_settings_are_input_errors(self, kwargs, message):
+        with pytest.raises(InputError, match=message):
+            SamplerConfig(**kwargs)
 
 
 class TestResultType:

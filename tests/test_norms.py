@@ -11,14 +11,14 @@ import glsobolev.norms as norms_module
 from glsobolev.errors import DivergentIntegralError, DomainError, QuadratureError
 from glsobolev.exponents import as_exponent_tuple
 from glsobolev.norms import (
-    WeightedMeasure,
     angular_mass,
+    ball_mass,
     radial_integral,
     sup_norm,
     weighted_gradient_norm,
     weighted_lp_norm,
 )
-from glsobolev.profiles import bump, gaussian, power_tail, step, tent
+from glsobolev.profiles import bump, extremal_profile, gaussian, power_tail, step, tent
 from glsobolev.quadrature import _raise_error
 
 mpmath.mp.dps = 30
@@ -53,15 +53,18 @@ class TestAngularMass:
         assert angular_mass([a_, b_]) == pytest.approx(ref, rel=1e-12)
 
 
-class TestWeightedMeasure:
+class TestBallMass:
     def test_ball_mass_closed_form(self):
-        mu = WeightedMeasure([1.0, 1.0])
         # sigma = 2, D = 4: |B_R| = 2 R^4 / 4
-        assert mu.ball_mass(2.0) == pytest.approx(2.0 * 16.0 / 4.0, rel=1e-14)
+        assert ball_mass([1.0, 1.0], 2.0) == pytest.approx(2.0 * 16.0 / 4.0, rel=1e-14)
 
     def test_negative_radius(self):
         with pytest.raises(DomainError):
-            WeightedMeasure([1.0, 1.0]).ball_mass(-1.0)
+            ball_mass([1.0, 1.0], -1.0)
+
+    def test_nan_radius(self):
+        with pytest.raises(DomainError, match="radius must be nonnegative, got nan"):
+            ball_mass([1.0, 1.0], math.nan)
 
 
 class TestWeightedLpNorm:
@@ -216,6 +219,14 @@ class TestGradientNorm:
         R, p = 1.5, 2.0
         exact = (angular_mass(A) * R**5.0 / 5.0) ** (1.0 / p) / R
         assert weighted_gradient_norm(tent(R), A, p) == pytest.approx(exact, rel=1e-10)
+
+    def test_a_tail_unspent_at_the_cap_raises_even_with_details(self):
+        # |u'| of extremal(3, 2) decays like rho^-2, so each tail block
+        # [R, 2R] of rho^2 |u'|^2 adds about 1 / (2R): the tail is spent only
+        # past the radius cap, and details gives no number either
+        u = extremal_profile(3.0, 2.0)
+        with pytest.raises(QuadratureError, match="tail below divergence threshold but unspent"):
+            weighted_gradient_norm(u, (0.0, 0.0, 0.0), 2.0, details=True)
 
 
 class TestRadialIntegral:

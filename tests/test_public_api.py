@@ -36,6 +36,12 @@ def test_every_listed_name_is_its_submodules_object():
         assert getattr(value, "__module__", module.__name__) == module.__name__, name
 
 
+def test_extremal_profile_is_still_read_off_verify():
+    import glsobolev.verify
+
+    assert glsobolev.extremal_profile is glsobolev.verify.extremal_profile
+
+
 def test_dir_covers_every_listed_name():
     assert set(glsobolev.__all__) <= set(dir(glsobolev))
 
@@ -43,7 +49,7 @@ def test_dir_covers_every_listed_name():
 def test_star_import_binds_every_listed_name():
     namespace = {}
     exec("from glsobolev import *", namespace)
-    assert len(glsobolev.__all__) == 78
+    assert len(glsobolev.__all__) == 77
     assert set(namespace) - {"__builtins__"} == set(glsobolev.__all__)
 
 

@@ -11,7 +11,7 @@ from glsobolev.errors import DomainError, InputError
 from glsobolev.exponents import trace_exponent
 from glsobolev.grand import constant_psi, verify_gls_sobolev
 from glsobolev.norms import weighted_gradient_norm
-from glsobolev.profiles import bump, gaussian, tent
+from glsobolev.profiles import bump, gaussian, make_profile, tent
 from glsobolev.quadrature import QuadratureDiagnostics
 from glsobolev.reports import INEQUALITY_IDS, exit_status
 from glsobolev.verify import (
@@ -47,6 +47,17 @@ class TestExtremalProfile:
             extremal_profile(3.0, 3.0)
         with pytest.raises(DomainError):
             extremal_profile(3.0, 1.0)
+
+    def test_registered_with_the_other_profiles(self):
+        u, ref = make_profile("extremal", 3.0, 2.0), extremal_profile(3.0, 2.0)
+        r = np.linspace(0.0, 12.0, 97)
+        assert u.name == ref.name == "extremal(D=3,p=2)"
+        assert u.support == ref.support
+        assert np.array_equal(u.value(r), ref.value(r))
+        assert np.array_equal(u.derivative(r), ref.derivative(r))
+
+    def test_defaults_are_d_five_and_p_two(self):
+        assert make_profile("extremal").name == extremal_profile(5.0, 2.0).name
 
 
 class TestCheckSobolev:
@@ -142,7 +153,7 @@ class TestTrace:
         B = [0.5, 0.5]
         report = check_trace_radial(bump(1.0, 1.0), A, B, r=2, p=2.8)
         pair = trace_bounds(A, B, r=2, p=2.8)
-        assert report.constant == pytest.approx(pair.W_upper, rel=1e-14)
+        assert report.constant == pair.M * pair.Q
         assert report.extra["q"] == pytest.approx(
             trace_exponent(A, B, r=2, p=2.8), rel=1e-14
         )
@@ -171,7 +182,7 @@ class TestTrace:
         B = [1.5, 0.5]
         for p in np.linspace(1.3, 2.6, 8):
             pair = trace_bounds(A, B, r=2, p=float(p))
-            assert 0.0 < pair.W_lower <= pair.W_upper
+            assert 0.0 < pair.M <= pair.M * pair.Q
 
 
 class TestMorreyCheck:
@@ -625,6 +636,20 @@ class TestCampaign:
         }
         reports = run_campaign({"checks": [scaling, sobolev]})
         assert sorted(r.inequality_id for r in reports) == ["scaling-2.4", "sobolev-1.6a"]
+
+    def test_a_family_may_use_the_extremal_generator(self):
+        # defaults D = 5, p = 2 match A = (1, 2) at p = 2: the family saturates C(p)
+        sobolev = {
+            "kind": "sobolev",
+            "A": [1.0, 2.0],
+            "p-values": [2.0],
+            "family": {"generator": "extremal", "count": 1},
+        }
+        [report] = run_campaign({"checks": [sobolev]})
+        assert report.inputs["profile"] == "extremal(D=5,p=2)"
+        assert report.ratio == check_sobolev(extremal_profile(5.0, 2.0), [1.0, 2.0], 2.0).ratio
+        assert report.ratio == pytest.approx(1.0, abs=1e-10)
+        assert report.passed
 
     def test_campaign_samples_each_morrey_modulus_once(self, monkeypatch):
         real = verify_module.modulus_of_continuity
