@@ -10,8 +10,6 @@
 # All the scalar laws below depend on the weight only through its effective
 # dimension D(A) = m + sum_i A_i.
 
-import numpy as np
-
 from glsobolev import (
     ExponentTuple,
     sharp_constant,

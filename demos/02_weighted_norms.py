@@ -14,8 +14,6 @@
 
 import math
 
-import numpy as np
-
 from glsobolev import (
     ExponentTuple,
     SamplerConfig,

@@ -14,8 +14,6 @@
 # through the exponent law, and ends with the continuity modulus bound that
 # the supercritical range provides.
 
-import numpy as np
-
 from glsobolev import (
     ball_mass,
     bump,

@@ -13,8 +13,6 @@ import pathlib
 import tempfile
 from collections import Counter
 
-import numpy as np
-
 from glsobolev import (
     bump,
     check_morrey,

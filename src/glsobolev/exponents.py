@@ -105,6 +105,14 @@ def monomial_weight(A, x):
     return float(out[0]) if single else out
 
 
+def _whole_number(key: str, value) -> int:
+    """``value`` as an int; InputError unless it is a whole number (int()
+    would truncate 2.5 to 2)."""
+    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise InputError(f"'{key}' must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _guard_open_endpoint(p: float, lo: float, hi: float):
     """Reject p outside (lo, hi) or within ENDPOINT_GUARD of either endpoint."""
     if not math.isfinite(p):
@@ -170,9 +178,7 @@ def trace_exponent(A, B, r: int, p: float) -> float:
     A = as_exponent_tuple(A)
     B = as_exponent_tuple(B)
     d = A.dimension
-    if not (isinstance(r, numbers.Real) and float(r).is_integer()):
-        raise InputError(f"trace dimension r must be a whole number, got {r!r}")
-    r = int(r)
+    r = _whole_number("r", r)
     if r < 1 or r > d:
         raise InputError(f"trace dimension r = {r} must satisfy 1 <= r <= d = {d}")
     if B.dimension != r:

@@ -49,8 +49,8 @@ from .exponents import (
 )
 from .norms import _slice_rows, weighted_gradient_norm, weighted_lp_norm
 from .profiles import Compact, RadialProfile
-from .quadrature import REL_TOL, QuadratureDiagnostics, _reusing_splits
-from .reports import DEFAULT_SLACK, VerificationReport
+from .quadrature import QuadratureDiagnostics, _reusing_splits
+from .reports import DEFAULT_SLACK, VerificationReport, _check_report
 
 SUP_GRID_POINTS = 64
 SUP_REL_TOL = 1e-8
@@ -165,16 +165,37 @@ def tabulated_psi(exponents, values) -> PsiFunction:
     )
 
 
+# the keys each psi family's config dict may hold besides "family"
+_PSI_KEYS = {
+    "constant": ("a", "b"),
+    "power-endpoint": ("a", "b", "alpha", "beta"),
+    "tabulated": ("nodes", "values"),
+}
+
+
 def _psi_from_spec(spec: dict) -> PsiFunction:
-    """Build a psi weight from its config dict, keyed by ``family``."""
-    family = spec.get("family", "constant")
+    """Build a psi weight from its config dict, keyed by ``family``.
+
+    A missing family, an unknown one, or a key outside the family's own
+    (constant: a and an optional b; power-endpoint: a, b, alpha, beta;
+    tabulated: nodes, values) raises InputError naming it.
+    """
+    if "family" not in spec:
+        raise InputError("psi spec is missing key 'family'")
+    family = spec["family"]
+    if family not in _PSI_KEYS:
+        raise InputError(f"unknown psi family '{family}'")
+    for key in spec:
+        if key != "family" and key not in _PSI_KEYS[family]:
+            raise InputError(
+                f"psi family '{family}' takes no key {key!r}; "
+                f"its keys are {', '.join(_PSI_KEYS[family])}"
+            )
     if family == "constant":
         return constant_psi(spec["a"], spec.get("b", math.inf))
     if family == "power-endpoint":
         return power_endpoint_psi(spec["a"], spec["b"], spec["alpha"], spec["beta"])
-    if family == "tabulated":
-        return tabulated_psi(spec["nodes"], spec["values"])
-    raise InputError(f"unknown psi family '{family}'")
+    return tabulated_psi(spec["nodes"], spec["values"])
 
 
 def _exponent_grid(a: float, b: float, n: int) -> np.ndarray:
@@ -629,28 +650,15 @@ def verify_gls_sobolev(
 
     slice_res = _scan_sup(slice_objective, psi.a, min(psi.b, D))
 
-    return VerificationReport(
-        inequality_id="gls-5.6",
-        lhs=lhs,
-        rhs=rhs_res.value,
-        constant=1.0,
-        inputs={
-            "check": "gls-embedding",
-            "profile": u.name,
-            "A": list(A.entries),
-            "psi": psi.describe(),
-            "variant": variant,
-            "slack": slack,
-        },
-        tolerances={"slack": slack, "sup-rel-tol": SUP_REL_TOL, "quad-rel-tol": REL_TOL},
-        quadrature=diag.to_dict(),
-        extra={
-            "slice-ratio-sup": slice_res.value,
-            "slice-argmax": slice_res.argmax,
-            "lhs-argmax": lhs_res.argmax,
-            "rhs-argmax": rhs_res.argmax,
-            "lhs-at-boundary": lhs_res.at_boundary,
-            "rhs-at-boundary": rhs_res.at_boundary,
-        },
-        slack=slack,
+    extra = {
+        "slice-ratio-sup": slice_res.value,
+        "slice-argmax": slice_res.argmax,
+        "lhs-argmax": lhs_res.argmax,
+        "rhs-argmax": rhs_res.argmax,
+        "lhs-at-boundary": lhs_res.at_boundary,
+        "rhs-at-boundary": rhs_res.at_boundary,
+    }
+    return _check_report(
+        "gls-5.6", "gls-embedding", u, A, lhs, rhs_res.value, 1.0, diag, extra,
+        slack=slack, tolerances={"sup-rel-tol": SUP_REL_TOL}, psi=psi.describe(), variant=variant,
     )

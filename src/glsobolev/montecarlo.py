@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, QuadratureError
-from .exponents import as_exponent_tuple, check_norm_exponent
+from .exponents import as_exponent_tuple, check_norm_exponent, monomial_weight
 
 _MIN_ESS_FRACTION = 1e-3
 
@@ -74,12 +74,9 @@ def monte_carlo_weighted_integral(f, A, config: SamplerConfig | None = None) -> 
     rng = np.random.default_rng(cfg.seed)
     x = rng.normal(0.0, s, size=(cfg.n_samples, m))
 
-    # log of x^A / q(x) with q the proposal density, assembled in log space
-    log_w = np.zeros(cfg.n_samples)
+    # log of x^A / q(x) with q the proposal density
     with np.errstate(divide="ignore"):
-        for j, a in enumerate(A):
-            if a != 0.0:
-                log_w += a * np.log(np.abs(x[:, j]))
+        log_w = np.log(monomial_weight(A, x))
     log_q = (
         -0.5 * m * math.log(2.0 * math.pi * s * s)
         - np.sum(x * x, axis=1) / (2.0 * s * s)

@@ -11,6 +11,7 @@ runs with the same seed produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -49,6 +50,10 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+# escapes exactly '"', '\\' and U+0000-U+001F, so a record stays on one line
+_encode_string = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def _encode(obj, out: list, sort_keys: bool) -> None:
     if obj is None:
         out.append("null")
@@ -64,7 +69,7 @@ def _encode(obj, out: list, sort_keys: bool) -> None:
         else:
             out.append(f'"{format_float(obj)}"')
     elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        out.append(_encode_string(obj))
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):
@@ -170,6 +175,34 @@ class VerificationReport:
             f"[{self.status:>12s}] {self.inequality_id:<14s} "
             f"ratio = {self.ratio:.12g}"
         )
+
+
+def _check_report(
+    inequality_id, check, profile, A, lhs, rhs, constant, diagnostics, extra,
+    *, slack, tolerances=None, **params,
+) -> VerificationReport:
+    """The report of one check, in the layout every family shares.
+
+    ``inputs`` holds the check name, the profile name, A, ``params`` in
+    order and then the slack; ``tolerances`` the slack, the check's own
+    ``tolerances`` and then the quadrature tolerance.  A check without a
+    slack passes ``slack=None``: neither dict shows one and the report
+    compares at slack 0.
+    """
+    from .quadrature import REL_TOL  # here, so that importing reports loads no numpy
+
+    shown = {} if slack is None else {"slack": slack}
+    return VerificationReport(
+        inequality_id=inequality_id,
+        lhs=lhs,
+        rhs=rhs,
+        constant=constant,
+        inputs={"check": check, "profile": profile.name, "A": list(A.entries), **params, **shown},
+        tolerances={**shown, **(tolerances or {}), "quad-rel-tol": REL_TOL},
+        quadrature=diagnostics.to_dict(),
+        extra=extra,
+        slack=0.0 if slack is None else slack,
+    )
 
 
 def sort_reports(reports) -> list:

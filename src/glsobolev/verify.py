@@ -20,7 +20,7 @@ from .constants import (
     _valid_variant, _where_defined, sharp_constant, talenti_constant, trace_bounds
 )
 from .errors import InputError
-from .exponents import as_exponent_tuple, sobolev_exponent, trace_exponent
+from .exponents import _whole_number, as_exponent_tuple, sobolev_exponent, trace_exponent
 from .grand import (
     PsiFunction,
     SupremumResult,
@@ -35,10 +35,11 @@ from .grand import (
 )
 from .norms import _flag_missed_peak, radial_integral, weighted_gradient_norm, weighted_lp_norm
 from .profiles import RadialProfile, make_profile
-from .quadrature import REL_TOL, QuadratureDiagnostics
+from .quadrature import QuadratureDiagnostics
 from .reports import (
     DEFAULT_SLACK,
     VerificationReport,
+    _check_report,
     sort_reports,
     valid_slack,
     write_csv,
@@ -73,23 +74,9 @@ def check_sobolev(
     extra = {"q": q, "effective-dimension": A.effective_dimension}
     if (k := _where_defined(talenti_constant, A.dimension, p)) is not None:
         extra["unweighted-constant"] = k
-    return VerificationReport(
-        inequality_id="sobolev-1.6a",
-        lhs=lhs,
-        rhs=rhs,
-        constant=c,
-        inputs={
-            "check": "sobolev",
-            "profile": u.name,
-            "A": list(A.entries),
-            "p": p,
-            "variant": variant,
-            "slack": slack,
-        },
-        tolerances={"slack": slack, "quad-rel-tol": REL_TOL},
-        quadrature=ldiag.to_dict(),
-        extra=extra,
-        slack=slack,
+    return _check_report(
+        "sobolev-1.6a", "sobolev", u, A, lhs, rhs, c, ldiag, extra,
+        slack=slack, p=p, variant=variant,
     )
 
 
@@ -184,23 +171,10 @@ def check_scaling(
     A = as_exponent_tuple(A)
     B = as_exponent_tuple(B)
     fit = fit_scaling_exponents(u, A, B, p)
-    return VerificationReport(
-        inequality_id="scaling-2.4",
-        lhs=fit.max_deviation,
-        rhs=SCALING_TOL,
-        constant=1.0,
-        inputs={
-            "check": "scaling",
-            "profile": u.name,
-            "A": list(A.entries),
-            "B": list(B.entries),
-            "p": p,
-            "tol": SCALING_TOL,
-        },
-        tolerances={"slope-tol": SCALING_TOL, "quad-rel-tol": REL_TOL},
-        quadrature=fit.quadrature.to_dict(),
-        extra=fit.figures(),
-        slack=0.0,
+    return _check_report(
+        "scaling-2.4", "scaling", u, A, fit.max_deviation, SCALING_TOL, 1.0,
+        fit.quadrature, fit.figures(), slack=None, tolerances={"slope-tol": SCALING_TOL},
+        B=list(B.entries), p=p, tol=SCALING_TOL,
     )
 
 
@@ -225,11 +199,9 @@ def check_trace_radial(
     B = as_exponent_tuple(B)
     q = trace_exponent(A, B, r, p)
     bounds = trace_bounds(A, B, r, p, q)
-    d_r = float(r) + sum(B.entries)
-
     lhs_int, ldiag = radial_integral(
         lambda s: np.abs(np.asarray(g.value(s), dtype=float)),
-        d_r - 1.0,
+        B.effective_dimension - 1.0,
         g,
     )
     rhs_int, rdiag = radial_integral(
@@ -246,24 +218,10 @@ def check_trace_radial(
     ldiag.merge(rdiag)
     lhs = lhs_int ** (1.0 / q)
     rhs = rhs_int ** (1.0 / p)
-    return VerificationReport(
-        inequality_id="trace-6.3a",
-        lhs=lhs,
-        rhs=rhs,
-        constant=bounds.M * bounds.Q,
-        inputs={
-            "check": "trace",
-            "profile": g.name,
-            "A": list(A.entries),
-            "B": list(B.entries),
-            "r": r,
-            "p": p,
-            "slack": slack,
-        },
-        tolerances={"slack": slack, "quad-rel-tol": REL_TOL},
-        quadrature=ldiag.to_dict(),
-        extra={"q": q, "M": bounds.M, "Q": bounds.Q, "sampled-ratio": lhs / rhs if rhs > 0 else math.nan},
-        slack=slack,
+    extra = {"q": q, "M": bounds.M, "Q": bounds.Q, "sampled-ratio": lhs / rhs if rhs > 0 else math.nan}
+    return _check_report(
+        "trace-6.3a", "trace", g, A, lhs, rhs, bounds.M * bounds.Q, ldiag, extra,
+        slack=slack, B=list(B.entries), r=r, p=p,
     )
 
 
@@ -288,28 +246,16 @@ def check_morrey(
     omega = modulus_of_continuity(u, delta) if modulus is None else modulus
     bound, info = morrey_bound(u, psi, A, delta, c2=c2, details=True, gradient=gradient)
     diag = info.pop("quadrature")
-    return VerificationReport(
-        inequality_id="morrey-7.8",
-        lhs=omega,
-        rhs=bound,
-        constant=1.0,
-        inputs={
-            "check": "morrey",
-            "profile": u.name,
-            "A": list(A.entries),
-            "psi": psi.describe(),
-            "delta": delta,
-            "c2": c2,
-            "slack": slack,
-        },
-        tolerances={"slack": slack, "quad-rel-tol": REL_TOL},
-        quadrature=diag.to_dict(),
-        extra=info,
-        slack=slack,
+    return _check_report(
+        "morrey-7.8", "morrey", u, A, omega, bound, 1.0, diag, info,
+        slack=slack, psi=psi.describe(), delta=delta, c2=c2,
     )
 
 
 _RD_LARGE_STRIDE = 1_000_003
+# below this index the float64 products i * alpha keep 2^-21 of resolution
+# in [0, 1); at 2^63 the integer index itself overflows
+_RD_INDEX_LIMIT = 2**32
 
 
 def rd_sequence(dim: int, count: int, seed: int = 0) -> np.ndarray:
@@ -317,10 +263,17 @@ def rd_sequence(dim: int, count: int, seed: int = 0) -> np.ndarray:
 
     The generator is x_i = frac(0.5 + i * alpha) with alpha built from the
     unique real root of x^(dim+1) = x + 1; ``seed`` offsets the index so
-    distinct seeds give distinct but equally uniform batches.
+    distinct seeds give distinct but equally uniform batches.  The largest
+    index, |seed| * 1_000_003 + count, must stay below 2^32, which admits
+    |seed| <= 4294 for any count below 954,414; InputError otherwise.
     """
     if dim < 1 or count < 1:
         raise InputError("need dim >= 1 and count >= 1")
+    if abs(seed) * _RD_LARGE_STRIDE + count >= _RD_INDEX_LIMIT:
+        raise InputError(
+            f"seed {seed} is too large: the low-discrepancy index "
+            f"|seed| * {_RD_LARGE_STRIDE} + count must stay below 2^32"
+        )
     phi = 2.0
     for _ in range(64):
         phi = (1.0 + phi) ** (1.0 / (dim + 1))
@@ -412,14 +365,6 @@ def default_campaign_config() -> dict:
     }
 
 
-def _whole_number(key: str, value) -> int:
-    """``value`` as an int; InputError unless it is a whole number (int()
-    would truncate 2.5 to 2)."""
-    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
-        raise InputError(f"'{key}' must be a whole number, got {value!r}")
-    return int(value)
-
-
 def _morrey_reports(profiles, psi, A, deltas, c2, slack) -> list:
     """The reports of one campaign Morrey check, c2 calibrated when None.
 
@@ -452,10 +397,13 @@ def _read_check(idx: int, check, seed: int, variant: str, slack: float):
     where = f"campaign check {idx} (kind {kind!r})"
 
     def numbers_at(key):
+        # an empty list would run no call, so no law would check the rest
         value = check[key]
-        if isinstance(value, (list, tuple)) and all(isinstance(x, numbers.Real) for x in value):
+        if isinstance(value, (list, tuple)) and value and all(
+            isinstance(x, numbers.Real) for x in value
+        ):
             return value
-        raise InputError(f"'{key}' must be a list of numbers, got {value!r}")
+        raise InputError(f"'{key}' must be a list of numbers, at least one, got {value!r}")
 
     try:
         spec = check["family"]
@@ -481,7 +429,6 @@ def _read_check(idx: int, check, seed: int, variant: str, slack: float):
             return lambda: [check_scaling(u, A, B, p) for u in profiles for p in ps]
         if kind == "trace":
             B, r, ps = as_exponent_tuple(numbers_at("B")), check["r"], numbers_at("p-values")
-            _whole_number("r", r)
             for p in ps:
                 trace_bounds(A, B, r, p)
             return lambda: [

@@ -16,7 +16,7 @@ from glsobolev.grand import constant_psi, fundamental_function, gls_norm, zeta_t
 from glsobolev.norms import weighted_gradient_norm, weighted_lp_norm
 from glsobolev.profiles import bump
 from glsobolev.reports import INEQUALITY_IDS
-from glsobolev.verify import default_campaign_config
+from glsobolev.verify import default_campaign_config, run_campaign
 
 
 def run_json(capsys, argv):
@@ -598,15 +598,61 @@ class TestCampaignCommand:
                              "family": {"generator": "bump", "count": 1}}]},
                 "campaign check 0",
             ),
+            (
+                {"checks": [{"kind": "gls", "A": [1.0, 2.0],
+                             "psi": {"family": "constant", "a": 4, "b": 7, "alpha": 0.3},
+                             "family": {"generator": "bump", "count": 1}}]},
+                "campaign check 0 (kind 'gls'): psi family 'constant' takes no key 'alpha'",
+            ),
+            (
+                {"checks": [{"kind": "morrey", "A": [1.0, 0.5], "deltas": [0.5],
+                             "psi": {"a": 4, "b": 7, "alpha": 0.3, "beta": 0.3},
+                             "family": {"generator": "bump", "count": 1}}]},
+                "campaign check 0 (kind 'morrey'): psi spec is missing key 'family'",
+            ),
         ],
         ids=["checks-string", "check-number", "top-level-list", "p-values-number",
-             "family-string", "morrey-c2-string"],
+             "family-string", "morrey-c2-string", "psi-unknown-key", "psi-without-family"],
     )
     def test_malformed_config_shape_exits_2(self, capsys, tmp_path, cfg, where):
         path = tmp_path / "shape.json"
         path.write_text(json.dumps(cfg))
         assert main(["campaign", "--config", str(path)]) == 2
         assert where in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [10**9, 10**13])
+    def test_seed_past_the_index_limit_exits_2(self, capsys, seed):
+        # 10^13 overflowed the int64 point index (exit 1); 10^9 gave coarse points
+        assert main(["campaign", "--seed", str(seed)]) == 2
+        assert f"campaign check 0 (kind 'sobolev'): seed {seed} is too large" in (
+            capsys.readouterr().err
+        )
+
+    def test_seed_over_a_valid_config_matches_run_campaign(self, capsys, tmp_path):
+        cfg = {
+            "seed": 0,
+            "checks": [
+                {
+                    "kind": "scaling",
+                    "A": [1.0, 2.0],
+                    "p-values": [2.0],
+                    "family": {"generator": "bump", "box": [[0.8, 1.2], [1.0, 2.0]], "count": 2},
+                }
+            ],
+        }
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(cfg))
+        cli_jsonl, cli_csv = tmp_path / "cli.jsonl", tmp_path / "cli.csv"
+        code, payload = run_json(capsys, ["campaign", "--config", str(path), "--seed", "3",
+                                          "--jsonl", str(cli_jsonl), "--csv", str(cli_csv)])
+        api_jsonl, api_csv = tmp_path / "api.jsonl", tmp_path / "api.csv"
+        reports = run_campaign(dict(cfg, seed=3), jsonl_path=api_jsonl, csv_path=api_csv)
+        assert code == 0
+        assert payload == [json.loads(r.to_json()) for r in reports]
+        assert cli_jsonl.read_bytes() == api_jsonl.read_bytes()
+        assert cli_csv.read_bytes() == api_csv.read_bytes()
+        seed_0 = run_campaign(cfg)
+        assert [r.inputs["profile"] for r in reports] != [r.inputs["profile"] for r in seed_0]
 
     def test_seed_over_a_config_that_is_not_an_object_exits_2(self, capsys, tmp_path):
         path = tmp_path / "list.json"

@@ -92,6 +92,16 @@ def test_closed_form_command_loads_no_scipy(argv):
     assert _scipy_modules(code) == []
 
 
+def test_closed_form_demo_loads_no_numpy():
+    demo = SRC.parent / "demos" / "01_constants_and_exponents.py"
+    code = (
+        "import contextlib, io, runpy\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    runpy.run_path({str(demo)!r}, run_name='__main__')\n"
+    )
+    assert _loaded(code) == []
+
+
 def test_first_integral_loads_only_scipy_special():
     loaded = _scipy_modules(
         "import glsobolev as gl\n"

@@ -87,6 +87,13 @@ class TestExponentLaws:
         with pytest.raises(DomainError):
             sobolev_exponent_inverse([1.0, 2.0], 1.25)
 
+    def test_rejects_an_effective_dimension_of_1(self):
+        # D(A) = 1 leaves no p with 1 < p < D
+        with pytest.raises(DomainError, match=r"D\(A\) = 1.0 must exceed 1"):
+            sobolev_exponent((0.0,), (0.0,), 1.0)
+        with pytest.raises(DomainError, match=r"D\(A\) = 1.0 must exceed 1"):
+            sobolev_exponent_inverse((0.0,), 3.0)
+
     def test_rejects_nan_q(self):
         with pytest.raises(DomainError, match="q = nan must exceed"):
             sobolev_exponent_inverse([1.0, 2.0], math.nan)

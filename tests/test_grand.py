@@ -13,6 +13,7 @@ from glsobolev.errors import DivergentIntegralError, DomainError, InputError, Qu
 from glsobolev.exponents import sobolev_exponent
 from glsobolev.grand import (
     PsiFunction,
+    _psi_from_spec,
     constant_psi,
     calibrate_morrey_constant,
     fundamental_function,
@@ -138,6 +139,30 @@ class TestPsiFamilies:
         assert d["family"] == "power-endpoint"
         assert d["a"] == 1.5 and d["b"] == 3.0
         assert ["alpha", 0.5] in d["params"]
+
+    @pytest.mark.parametrize("spec, psi", [
+        ({"family": "constant", "a": 4.0}, constant_psi(4.0, math.inf)),
+        ({"family": "constant", "a": 4.0, "b": 7.0}, constant_psi(4.0, 7.0)),
+        ({"family": "power-endpoint", "a": 1.5, "b": 3.0, "alpha": 0.5, "beta": 1.0},
+         power_endpoint_psi(1.5, 3.0, 0.5, 1.0)),
+        ({"family": "tabulated", "nodes": [1.5, 2.0, 3.0], "values": [2.0, 1.0, 2.0]},
+         tabulated_psi([1.5, 2.0, 3.0], [2.0, 1.0, 2.0])),
+    ], ids=["constant-a", "constant-a-b", "power-endpoint", "tabulated"])
+    def test_spec_with_its_familys_keys(self, spec, psi):
+        assert _psi_from_spec(spec).describe() == psi.describe()
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"family": "constant", "a": 4, "b": 7, "alpha": 0.3},
+         "psi family 'constant' takes no key 'alpha'; its keys are a, b"),
+        ({"family": "tabulated", "nodes": [1.5, 3.0], "values": [1.0, 1.0], "a": 1.5},
+         "psi family 'tabulated' takes no key 'a'"),
+        ({"a": 4, "b": 7, "alpha": 0.3, "beta": 0.3}, "psi spec is missing key 'family'"),
+        ({"family": "power", "a": 4, "b": 7}, "unknown psi family 'power'"),
+    ], ids=["constant-with-alpha", "tabulated-with-a", "no-family", "unknown-family"])
+    def test_spec_rejects_a_key_outside_its_family(self, spec, message):
+        # these once built constant_psi(4, 7) and dropped the exponents
+        with pytest.raises(InputError, match=message):
+            _psi_from_spec(spec)
 
 
 class TestGlsNorm:
@@ -345,6 +370,11 @@ class TestCalibration:
         force_unconverged("glsobolev.grand.weighted_gradient_norm")
         with pytest.raises(QuadratureError, match="tent"):
             calibrate_morrey_constant([tent(1.5)], constant_psi(5.0, 9.0), [1.0, 1.0], (0.5,))
+
+    def test_zero_unit_bound_raises(self):
+        # a step has no gradient, so its unit bound is 0 and no c2 can be taken
+        with pytest.raises(InputError, match=r"degenerate unit bound 0.0 for profile 'step\(R=1\)'"):
+            calibrate_morrey_constant([step(1.0)], constant_psi(5.0, 9.0), (1.0, 1.0), (0.5,))
 
 
 class TestVerifyGlsSobolev:

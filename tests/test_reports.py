@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from glsobolev.errors import InputError
@@ -62,6 +62,18 @@ class TestDumps:
     def test_string_escaping(self):
         s = dumps({"k": 'a"b\\c'})
         assert json.loads(s)["k"] == 'a"b\\c'
+
+    @given(st.text())
+    @example("a\nb\tc\x00\x1f\x7f\u2028")
+    def test_string_round_trip_property(self, s):
+        # control characters are escaped, so the JSON parses and stays one line
+        assert json.loads(dumps(s)) == s
+        assert "\n" not in dumps(s)
+
+    @given(st.text(st.characters(min_codepoint=0x20)))
+    def test_strings_without_control_characters_keep_their_bytes(self, s):
+        # the escaping of '"' and '\\' alone, as every report so far was written
+        assert dumps(s) == '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError):
@@ -172,6 +184,14 @@ class TestArtifacts:
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(rows) == 3
         assert all(row["pass"] is True for row in rows)
+
+    def test_jsonl_keeps_one_record_per_line_for_a_newline_in_a_name(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        reps = [make_report(inputs={"profile": "a\nb", "k": i}) for i in range(2)]
+        write_jsonl(reps, path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines[-1] == "" and len(lines) == 3
+        assert [json.loads(line)["inputs"]["profile"] for line in lines[:2]] == ["a\nb"] * 2
 
     def test_csv_header_and_rows(self, tmp_path):
         path = tmp_path / "out.csv"

@@ -177,6 +177,18 @@ class TestTrace:
         )
         assert exit_status([report]) == 3
 
+    def test_a_zero_rhs_integral_under_a_positive_peak_is_inconclusive(self):
+        # the derivative of smoothed_step(1, 0.002) is a spike of width 0.002
+        # at r = 1 that every node of the rhs integral misses
+        report = check_trace_radial(make_profile("smoothed_step", 1.0, 0.002),
+                                    [1.0, 1.0], [1.0], r=1, p=2.0)
+        assert report.rhs == 0.0
+        assert report.status == "inconclusive"
+        assert report.quadrature["converged"] is False
+        assert "integral 0.0 under a positive peak: every node missed the peak" in (
+            report.quadrature["notes"]
+        )
+
     def test_bracket_ordering_on_grid(self):
         A = [1.0, 1.0, 0.5]
         B = [1.5, 0.5]
@@ -284,6 +296,17 @@ class TestRdSequence:
         pts = rd_sequence(4, 200, seed=0)
         assert pts.shape == (200, 4)
         assert np.all((pts >= 0.0) & (pts < 1.0))
+
+    @pytest.mark.parametrize("seed", [4295, -4295, 10**9, 10**12])
+    def test_rejects_a_seed_past_the_index_limit(self, seed):
+        # past index 2^32 the float64 products i * alpha lose their low bits:
+        # seed 10^9 gave points on a 1/8 grid, seed 10^12 four rows of zeros
+        with pytest.raises(InputError, match=f"seed {seed} is too large"):
+            rd_sequence(2, 4, seed=seed)
+
+    def test_largest_admitted_seed_keeps_distinct_points(self):
+        pts = rd_sequence(2, 4, seed=4294)
+        assert len({tuple(row) for row in pts}) == 4
 
     def test_equidistribution(self):
         # Kronecker sequences fill the box; cell counts should be balanced
@@ -602,11 +625,63 @@ class TestCampaign:
                 },
                 r"campaign check 1 .* delta\^D must be .* delta = 1e\+200, D = 3.5",
             ),
+            (
+                {
+                    "kind": "gls",
+                    "A": [1.0, 2.0],
+                    "psi": {"family": "constant", "a": 1.5, "b": 4.0, "alpha": 0.3},
+                    "family": {"generator": "bump", "count": 1},
+                },
+                "campaign check 1 .* psi family 'constant' takes no key 'alpha'",
+            ),
+            (
+                {
+                    "kind": "morrey",
+                    "A": [1.0, 0.5],
+                    "psi": {"a": 4.0, "b": 7.0, "alpha": 0.3, "beta": 0.3},
+                    "deltas": [0.5],
+                    "family": {"generator": "bump", "count": 1},
+                },
+                "campaign check 1 .* psi spec is missing key 'family'",
+            ),
+            (
+                {
+                    "kind": "trace",
+                    "A": [1.0, 1.0],
+                    "B": [1.0],
+                    "r": 1.5,
+                    "p-values": [],
+                    "family": {"generator": "bump", "count": 1},
+                },
+                r"campaign check 1 .* 'p-values' must be a list of numbers, at least one, got \[\]",
+            ),
+            (
+                {
+                    "kind": "morrey",
+                    "A": [1.0, 0.5],
+                    "psi": {"family": "constant", "a": 4.0, "b": 7.0},
+                    "deltas": [],
+                    "family": {"generator": "bump", "count": 1},
+                },
+                r"campaign check 1 .* 'deltas' must be a list of numbers, at least one",
+            ),
+            (
+                {
+                    "kind": "scaling",
+                    "A": [1.0, 2.0],
+                    "p-values": [2.0],
+                    "family": {"generator": "gaussian", "box": [[0.5, 2.0]], "count": 1,
+                               "seed": 10**9},
+                },
+                "campaign check 1 .* seed 1000000000 is too large",
+            ),
         ],
         ids=["trace-B-longer-than-r", "negative-A", "sobolev-p-1", "sobolev-p-above-D",
              "scaling-p-above-D", "gls-psi-below-1", "gls-psi-above-D", "morrey-delta-0",
              "morrey-psi-below-D", "morrey-c2-string", "morrey-c2-negative", "box-triple",
-             "morrey-delta-underflow", "morrey-delta-overflow"],
+             "morrey-delta-underflow", "morrey-delta-overflow", "gls-psi-unknown-key",
+             "morrey-psi-without-family", "trace-no-p-values", "morrey-no-deltas",
+             "family-seed-past-the-index-limit"],
     )
     def test_exponent_tuples_are_checked_before_any_check_runs(self, monkeypatch, bad, message):
         ran = []
