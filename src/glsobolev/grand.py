@@ -16,10 +16,15 @@ Every scan runs one protocol from slice to supremum: its objective maps a
 of that slice.  The 64-point grid is one call, whose slices the slice table
 computes in one lockstep batch (norms._slice_rows), each p keeping its own
 refinement tree, diagnostics and every bit of a standalone norm; psi is
-evaluated once on the whole grid.  Each golden-section step is a call on a
-one-element array, whose slice goes through this module's weighted_lp_norm
-/ weighted_gradient_norm and predicts its refinement from the splits the
-grid recorded.  A slice's diagnostics merge once, when it is computed.
+evaluated once on the whole grid.  The golden-section probes are computed
+ahead in batches too: a probe not yet computed goes in one call with the
+next SUP_LOOKAHEAD points that the golden loop takes on a parabolic model
+of the objective (Brent's model step), which are bitwise the points it
+asks for whenever the objective orders its probes as the model does.  A
+batch of several slices is again one _slice_rows batch; a lone slice goes
+through this module's weighted_lp_norm / weighted_gradient_norm.  A
+slice's diagnostics merge once, when it is computed, so they count the
+work of computed points the loop never probes.
 
 ``zeta_transform`` pushes a gradient-side weight forward through the
 exponent law q = D p / (D - p) and multiplies in the sharp constant, so
@@ -33,6 +38,7 @@ that only a tabulated psi pays for loading it.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -49,11 +55,14 @@ from .exponents import (
 )
 from .norms import _slice_rows, weighted_gradient_norm, weighted_lp_norm
 from .profiles import Compact, RadialProfile
-from .quadrature import QuadratureDiagnostics, _reusing_splits
+from .quadrature import QuadratureDiagnostics
 from .reports import DEFAULT_SLACK, VerificationReport, _check_report
 
 SUP_GRID_POINTS = 64
+SUP_LOOKAHEAD = 12
 SUP_REL_TOL = 1e-8
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -222,14 +231,66 @@ class SupremumResult:
     quadrature: QuadratureDiagnostics = field(default_factory=QuadratureDiagnostics)
 
 
+def _bracketed(lo: float, hi: float) -> bool:
+    """Whether the golden bracket [lo, hi] has reached SUP_REL_TOL."""
+    return hi - lo <= SUP_REL_TOL * max(abs(lo), abs(hi))
+
+
+def _golden_step(lo, hi, x1, x2, f1, f2):
+    """One golden-section step from the bracket [lo, hi] with inner points
+    x1 < x2 of values f1, f2: the next such state, with None as the value
+    of its one new point."""
+    if f1 >= f2:
+        hi, x2, f2 = x2, x1, f1
+        return lo, hi, hi - _INVPHI * (hi - lo), x2, None, f2
+    lo, x1, f1 = x1, x2, f2
+    return lo, hi, x1, lo + _INVPHI * (hi - lo), f1, None
+
+
+def _vertex(points) -> float | None:
+    """The x of the vertex of the parabola through three (value, x) points,
+    or None unless that parabola is concave with a finite vertex."""
+    (fa, a), (fb, b), (fc, c) = sorted(points, key=lambda point: point[1])
+    if not a < b < c:
+        return None
+    d1 = (fb - fa) / (b - a)
+    curvature = ((fc - fb) / (c - b) - d1) / (c - a)
+    if not curvature < 0.0:
+        return None
+    x = 0.5 * (a + b) - d1 / (2.0 * curvature)
+    return x if math.isfinite(x) else None
+
+
+def _golden_path(state, peak: float) -> list:
+    """The points the golden loop probes from ``state`` on, its unprobed
+    points first, when the objective is the model -|x - peak|: up to
+    SUP_LOOKAHEAD after the first, fewer where the bracket closes."""
+    lo, hi, x1, x2, f1, f2 = state
+    path = [x for x, f in ((x1, f1), (x2, f2)) if f is None]
+    f1, f2 = -abs(x1 - peak), -abs(x2 - peak)
+    while len(path) <= SUP_LOOKAHEAD and not _bracketed(lo, hi):
+        lo, hi, x1, x2, f1, f2 = _golden_step(lo, hi, x1, x2, f1, f2)
+        if f1 is None:
+            f1 = -abs(x1 - peak)
+            path.append(x1)
+        else:
+            f2 = -abs(x2 - peak)
+            path.append(x2)
+    return path
+
+
 def _scan_sup(objective, a: float, b: float) -> SupremumResult:
     """Grid scan plus golden-section refinement of sup objective(p).
 
     ``objective`` maps a 1-d float array of exponents to one outcome per
     exponent: its value, or the QuadratureError its slice raised.  The
-    64-point grid is one call, and each golden-section step a call on a
-    one-element array.  ``settle`` turns an outcome into a number: a
-    DivergentIntegralError makes the supremum +inf.  A slice that merely
+    64-point grid is one call.  A golden probe not yet computed is the first
+    point of a call that also holds the points the loop would take next if
+    the objective ordered them as -|x - x^|, x^ the vertex of the parabola
+    through the three best finite values settled so far; with fewer than
+    three, or a parabola that is not concave, it goes alone.  ``settle``
+    turns an outcome into a number when the loop probes it, never before:
+    a DivergentIntegralError makes the supremum +inf.  A slice that merely
     fails certification is tolerated only if some other slice proved
     divergence; otherwise the error is re-raised once the scan finishes,
     since an uncertified slice could hide the true supremum.
@@ -245,9 +306,6 @@ def _scan_sup(objective, a: float, b: float) -> SupremumResult:
         v = float(v)
         return v if not math.isnan(v) else -math.inf
 
-    def probe(x: float) -> float:
-        return settle(objective(np.array([x]))[0])
-
     grid = _exponent_grid(a, b, SUP_GRID_POINTS)
     vals = np.array([settle(v) for v in objective(grid)])
     i = int(np.argmax(vals))
@@ -258,30 +316,43 @@ def _scan_sup(objective, a: float, b: float) -> SupremumResult:
             f"{len(pending)} of {len(grid)} slices could not be certified "
             f"(first: {pending[0]})"
         )
+    seen = [(v, x) for v, x in zip(vals.tolist(), grid.tolist()) if math.isfinite(v)]
+    known: dict = {}  # golden point -> its outcome, probed or not
+
+    def probe(x: float, state) -> float:
+        if x not in known:
+            peak = _vertex(heapq.nlargest(3, seen)) if len(seen) >= 3 else None
+            ahead = _golden_path(state, peak) if peak is not None else []
+            batch = [y for y in dict.fromkeys([x, *ahead]) if y not in known]
+            known.update(zip(batch, objective(np.array(batch))))
+        v = settle(known[x])
+        if math.isfinite(v):
+            seen.append((v, x))
+        return v
+
+    def filled(state):
+        """``state`` with its unprobed points probed, x1 first."""
+        lo, hi, x1, x2, f1, f2 = state
+        if f1 is None:
+            f1 = probe(x1, state)
+        if f2 is None:
+            f2 = probe(x2, (lo, hi, x1, x2, f1, f2))
+        return lo, hi, x1, x2, f1, f2
+
     lo = float(grid[max(i - 1, 0)])
     hi = float(grid[min(i + 1, len(grid) - 1)])
     best_x, best_v = float(grid[i]), float(vals[i])
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = probe(x1), probe(x2)
+    state = filled((lo, hi, hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo), None, None))
     for _ in range(200):
+        lo, hi, x1, x2, f1, f2 = state
         for x, v in ((x1, f1), (x2, f2)):
             if math.isinf(v) and v > 0:
                 return SupremumResult(math.inf, x, False, diverged=True)
             if v > best_v:
                 best_x, best_v = x, v
-        if hi - lo <= SUP_REL_TOL * max(abs(lo), abs(hi)):
+        if _bracketed(lo, hi):
             break
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = probe(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = probe(x2)
+        state = filled(_golden_step(*state))
     if pending:
         raise QuadratureError(
             f"refinement hit an uncertified slice (first: {pending[0]})"
@@ -299,25 +370,21 @@ class _SliceTable:
 
     ``outcomes(ps)`` gives per p its value or the QuadratureError of its
     slice; a DomainError raises.  Each p is computed once: several missing p
-    in one lockstep batch (norms._slice_rows), a lone one, a golden-section
-    step, by this module's weighted_lp_norm or weighted_gradient_norm, both
-    looked up at call time so wrappers see each such slice.  A slice's
-    diagnostics merge into ``diag`` once, when it is computed, in the order
-    of ``ps``.  A converged slice records its refinement in the table's
-    split store, and a lone slice predicts its own from it (see
-    ``quadrature``); a batch row predicts nothing, so it has the neval of a
-    standalone call.
+    in one lockstep batch (norms._slice_rows), a lone one by this module's
+    weighted_lp_norm or weighted_gradient_norm, both looked up at call time
+    so wrappers see each such slice.  Either way a slice has the value,
+    diagnostics and neval of a standalone call.  A slice's diagnostics
+    merge into ``diag`` once, when it is computed, in the order of ``ps``.
     """
 
     def __init__(self, gradient: bool, u, A, diag: QuadratureDiagnostics):
         self.gradient, self.u, self.A, self.diag = gradient, u, A, diag
         self.known: dict = {}  # p -> value or QuadratureError
-        self.splits: dict = {}
 
     def outcomes(self, ps) -> list:
         missing = [p for p in dict.fromkeys(ps) if p not in self.known]
         if len(missing) > 1:
-            computed = _slice_rows(self.u, self.gradient, self.A, missing, self.splits)
+            computed = _slice_rows(self.u, self.gradient, self.A, missing)
         else:
             computed = [self._alone(p) for p in missing]
         for p, outcome in zip(missing, computed):
@@ -332,8 +399,7 @@ class _SliceTable:
     def _alone(self, p):
         norm_fn = weighted_gradient_norm if self.gradient else weighted_lp_norm
         try:
-            with _reusing_splits(self.splits):
-                return norm_fn(self.u, self.A, float(p), details=True)
+            return norm_fn(self.u, self.A, float(p), details=True)
         except QuadratureError as exc:
             return exc
 

@@ -155,10 +155,9 @@ def _norm(u: RadialProfile, gradient: bool, A, p: float, details: bool):
     """||u||_{p, A}, or || |u'| ||_{p, A} with ``gradient``: the body of
     weighted_lp_norm and weighted_gradient_norm.  It runs through
     radial_integral and the public quadrature entries, so their wrappers
-    see it, and inside a ``quadrature._reusing_splits`` scope it predicts
-    its splits.  Without ``details`` an unconverged norm raises
-    QuadratureError with its diagnostics.  ``_slice_rows`` takes the same
-    steps for many p at once."""
+    see it.  Without ``details`` an unconverged norm raises QuadratureError
+    with its diagnostics.  ``_slice_rows`` takes the same steps for many p
+    at once, with the same bits per p."""
     A = as_exponent_tuple(A)
     values_fn, scan = _slice_source(u, gradient, p)
     peak = scan.value
@@ -178,7 +177,7 @@ def _norm(u: RadialProfile, gradient: bool, A, p: float, details: bool):
     return value
 
 
-def _slice_rows(u: RadialProfile, gradient: bool, A, ps, splits=None) -> list:
+def _slice_rows(u: RadialProfile, gradient: bool, A, ps) -> list:
     """_norm for many p at once: per p, the (value, diagnostics) of
     ``_norm(u, gradient, A, p, details=True)`` with the same bits, neval
     included, or the exception that call raises.
@@ -186,9 +185,7 @@ def _slice_rows(u: RadialProfile, gradient: bool, A, ps, splits=None) -> list:
     The Gauss-Jacobi heads and the adaptive bodies of all p run in one
     lockstep batch (``quadrature._integrate_rows``): each profile call
     serves every p, and each p raises |f| / peak to its own power.  The
-    tails of a decaying profile run per p through extend_tail.  Converged
-    bodies record their splits in ``splits``, a split store as
-    ``quadrature._reusing_splits`` takes it.
+    tails of a decaying profile run per p through extend_tail.
     """
     A = as_exponent_tuple(A)
     gamma_exp = A.effective_dimension - 1.0
@@ -222,7 +219,7 @@ def _slice_rows(u: RadialProfile, gradient: bool, A, ps, splits=None) -> list:
 
     edges = [_seeded_edges(scan, ps[i]) for i in rows]
     uppers = [_body_upper(u, e) for e in edges]
-    integrals = _integrate_rows(g, gamma_exp, uppers, edges, splits)
+    integrals = _integrate_rows(g, gamma_exp, uppers, edges)
     for i, upper, outcome in zip(rows, uppers, integrals):
         p = ps[i]
         if not isinstance(outcome, Exception):

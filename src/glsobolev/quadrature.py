@@ -28,18 +28,9 @@ is the one-row case of ``_refine_rows``, and ``integrate_power_weighted``
 the one-row case of ``_integrate_rows``, which composes the two: there is
 one head loop, one heap loop and one stopping rule.
 
-Inside a ``_reusing_splits(store)`` scope, which grand sets around each slice
-that one sup scan's slice table computes alone (its golden-section steps),
-``adaptive_quadrature`` and the body of ``integrate_power_weighted`` predict
-their splits from the split list that the last converged call or batch row on
-the same (a, b, seeded edges) recorded in ``store``.  Such a call evaluates
-the halves of every predicted split in one ``_k15_panels`` call, then runs
-the same heap loop, reading each split's halves from that batch and
-evaluating a split outside the prediction pairwise.  Heap order, running
-sums and the stopping rule do not change, so every value and error estimate
-keeps its bits; ``neval`` counts unused predicted halves too.  A call that
-exhausts its panel budget records nothing.  Batch rows predict nothing and
-record into the store they are handed.
+The heap loop runs on Python floats: each K15 result becomes lists with
+one ``tolist()``, and a split adds ``(v0 + v1) - old``, the order in which
+``np.add.reduce`` sums two elements, so the sums keep their bits.
 
 The policy is fixed by the module constants: REL_TOL = 1e-10 is the
 relative tolerance of every integral, ABS_FLOOR = 1e-300 the absolute floor
@@ -59,8 +50,6 @@ load no scipy.
 from __future__ import annotations
 
 import heapq
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -107,22 +96,6 @@ _NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
 _WEIGHTS_K = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _WEIGHTS_G = np.zeros(15)
 _WEIGHTS_G[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
-
-# split lists of converged adaptive_quadrature calls and batch rows, keyed on
-# their sorted edges (a, seeded edges, b); None outside a _reusing_splits scope
-_SPLITS: ContextVar[dict | None] = ContextVar("glsobolev_splits", default=None)
-
-
-@contextmanager
-def _reusing_splits(store: dict):
-    """Let adaptive_quadrature calls in this scope predict their splits from,
-    and record them into, ``store``."""
-    token = _SPLITS.set(store)
-    try:
-        yield
-    finally:
-        _SPLITS.reset(token)
-
 
 @dataclass
 class QuadratureDiagnostics:
@@ -217,24 +190,24 @@ def _panel_edges(a: float, b: float, initial_edges) -> tuple:
     return tuple(sorted(set(edges)))
 
 
-def _refinement(lo, hi, vals, errs, base_value, ahead):
+def _refinement(lo, hi, vals, errs, base_value):
     """The heap loop of one row of ``_refine_rows``, as a generator.
 
     It starts from the panels [lo, hi] with their K15 values and errors,
     yields each split (a, mid, b) whose halves it needs and is sent back
-    their (values, errors); ``ahead`` maps predicted splits (a, b) to their
-    halves evaluated beforehand.  It returns (total, diagnostics, splits).
+    their (values, errors) as two-element lists.  It returns (total,
+    diagnostics).
     """
+    total = float(np.add.reduce(vals))
+    total_err = float(np.add.reduce(errs))
+    lo, hi, vals, errs = lo.tolist(), hi.tolist(), vals.tolist(), errs.tolist()
     heap = []
     for i in range(len(lo)):
         heapq.heappush(heap, (-errs[i], i, lo[i], hi[i], vals[i], errs[i]))
     counter = len(lo)
-    total = float(np.add.reduce(vals))
-    total_err = float(np.add.reduce(errs))
     floor_err = 0.0  # error stuck on panels too narrow to split
     panels = len(lo)
-    neval = 15 * len(lo) + 30 * len(ahead)
-    splits = []
+    neval = 15 * len(lo)
 
     def tol_now() -> float:
         return max(REL_TOL * abs(total + base_value), ABS_FLOOR)
@@ -246,20 +219,13 @@ def _refinement(lo, hi, vals, errs, base_value, ahead):
             floor_err += perr
             total_err -= perr
             continue
-        halves = ahead.get((pa, pb)) if ahead else None
-        if halves is None:
-            halves = yield pa, mid, pb
-            neval += 30
-        cvals, cerrs = halves
-        splits.append((float(pa), float(pb)))
-        total += float(np.add.reduce(cvals) - pval)
-        total_err += float(np.add.reduce(cerrs) - perr)
-        for j in range(2):
-            heapq.heappush(
-                heap,
-                (-cerrs[j], counter, (pa, mid)[j], (mid, pb)[j], cvals[j], cerrs[j]),
-            )
-            counter += 1
+        cvals, cerrs = yield pa, mid, pb
+        neval += 30
+        total += (cvals[0] + cvals[1]) - pval
+        total_err += (cerrs[0] + cerrs[1]) - perr
+        heapq.heappush(heap, (-cerrs[0], counter, pa, mid, cvals[0], cerrs[0]))
+        heapq.heappush(heap, (-cerrs[1], counter + 1, mid, pb, cvals[1], cerrs[1]))
+        counter += 2
         panels += 1
 
     err = total_err + floor_err
@@ -272,10 +238,10 @@ def _refinement(lo, hi, vals, errs, base_value, ahead):
     )
     if not diag.converged:
         diag.notes.append(f"panel budget {MAX_PANELS} exhausted at error {err:.3e}")
-    return total, diag, splits
+    return total, diag
 
 
-def _refine_rows(f, edge_rows, base_values, *, store=None, predict=False):
+def _refine_rows(f, edge_rows, base_values):
     """Adaptive G7/K15 quadrature of a family of integrands in lockstep.
 
     ``f(x, rows)`` evaluates the integrands ``rows`` (row indices) at the
@@ -286,13 +252,8 @@ def _refine_rows(f, edge_rows, base_values, *, store=None, predict=False):
     share one K15 call.  Each row runs its own heap loop (``_refinement``),
     so it has the bits of a call on its own.  In every round each live row
     asks for the halves of its worst panel, and the halves of all rows are
-    evaluated in one call of f and one K15 reduction.
-
-    ``store`` is a split store as ``_reusing_splits`` takes it.  Every
-    converged row records its splits there, in row order.  With
-    ``predict``, a row first evaluates the halves of the splits recorded
-    under its edges in one K15 call and reads them there when it makes
-    those splits.  Returns (total, diagnostics) per row.
+    evaluated in one call of f and one K15 reduction.  Returns (total,
+    diagnostics) per row.
     """
     blocks: dict[tuple, list[int]] = {}
     for r, edges in enumerate(edge_rows):
@@ -302,17 +263,8 @@ def _refine_rows(f, edge_rows, base_values, *, store=None, predict=False):
         lo, hi = np.array(edges[:-1]), np.array(edges[1:])
         vals, errs = _k15_panels(lambda x: f(x, members), lo, hi)
         vals, errs = vals.reshape(len(members), -1), errs.reshape(len(members), -1)
-        predicted = store.get(edges) if predict and store is not None else None
         for j, r in enumerate(members):
-            ahead = {}
-            if predicted:
-                s_lo, s_hi = np.array(predicted).T
-                s_mid = 0.5 * (s_lo + s_hi)
-                pvals, perrs = _k15_panels(
-                    lambda x: f(x, [r]), np.stack([s_lo, s_mid], 1), np.stack([s_mid, s_hi], 1)
-                )
-                ahead = {split: (pvals[i], perrs[i]) for i, split in enumerate(predicted)}
-            rows[r] = _refinement(lo, hi, vals[j], errs[j], base_values[r], ahead)
+            rows[r] = _refinement(lo, hi, vals[j], errs[j], base_values[r])
     results: list = [None] * len(rows)
     asking: list[int] = []  # the rows that wait for the halves of a split
     cuts: list[tuple] = []  # their splits (a, mid, b)
@@ -333,14 +285,10 @@ def _refine_rows(f, edge_rows, base_values, *, store=None, predict=False):
         vals, errs = _k15_panels(
             lambda x: f(x.reshape(len(live), -1), live), split[:, :2], split[:, 1:]
         )
+        vals, errs = vals.tolist(), errs.tolist()
         for j, r in enumerate(live):
             advance(r, (vals[j], errs[j]))
-    out = []
-    for edges, (total, diag, splits) in zip(edge_rows, results):
-        if diag.converged and store is not None:
-            store[edges] = splits
-        out.append((total, diag))
-    return out
+    return results
 
 
 def adaptive_quadrature(
@@ -359,8 +307,7 @@ def adaptive_quadrature(
     ``base_value`` is added to the integral when converting the relative
     tolerance to an absolute one, so a sub-range can be integrated to a
     tolerance relative to a larger total.  This is the one-row case of
-    ``_refine_rows``, predicting its splits inside a ``_reusing_splits``
-    scope.
+    ``_refine_rows``.
     """
     if not (b > a):
         if b == a:
@@ -370,8 +317,6 @@ def adaptive_quadrature(
         _one_row(f),
         [_panel_edges(a, b, initial_edges)],
         [base_value],
-        store=_SPLITS.get(),
-        predict=True,
     )
     return total, diag
 
@@ -463,14 +408,9 @@ def integrate_power_weighted(
     gamma_exp > -1 is required for integrability.  The head panel [0, eps]
     uses a Gauss-Jacobi rule in the weight t^gamma_exp (``_jacobi_heads``);
     the remainder carries t^gamma_exp folded into the integrand and is
-    refined adaptively.  This is the one-row case of ``_integrate_rows``,
-    predicting its splits inside a ``_reusing_splits`` scope.
+    refined adaptively.  This is the one-row case of ``_integrate_rows``.
     """
-    return _raise_error(
-        _integrate_rows(
-            _one_row(g), gamma_exp, [upper], [initial_edges], store=_SPLITS.get(), predict=True
-        )[0]
-    )
+    return _raise_error(_integrate_rows(_one_row(g), gamma_exp, [upper], [initial_edges])[0])
 
 
 def _rows_of(f, rows):
@@ -480,14 +420,13 @@ def _rows_of(f, rows):
     return lambda x, which: f(x, [rows[j] for j in which])
 
 
-def _integrate_rows(f, gamma_exp: float, uppers, edge_lists, store=None, predict=False) -> list:
+def _integrate_rows(f, gamma_exp: float, uppers, edge_lists) -> list:
     """int_0^uppers[r] t^gamma_exp f_r(t) dt for each row r of the family
     ``f(x, rows)`` of ``_refine_rows``, seeded with ``edge_lists[r]`` (None
     for none).
 
     The heads run in lockstep (``_jacobi_heads``) and the bodies, past each
-    row's head, in one ``_refine_rows`` batch with ``store`` and
-    ``predict`` as it takes them.  Returns (value, diagnostics) per row, or
+    row's head, in one ``_refine_rows`` batch.  Returns (value, diagnostics) per row, or
     the QuadratureError of a row whose head never settled.  Each row has the
     bits of a one-row call, which is integrate_power_weighted.
     """
@@ -514,8 +453,6 @@ def _integrate_rows(f, gamma_exp: float, uppers, edge_lists, store=None, predict
         _rows_of(body, rows),
         [_panel_edges(heads[r][1], uppers[r], edge_lists[r]) for r in rows],
         [heads[r][0] for r in rows],
-        store=store,
-        predict=predict,
     )
     for r, (total, diag) in zip(rows, bodies):
         if gamma_exp != 0.0:

@@ -288,7 +288,9 @@ class ProfileFamily:
 
     ``box`` gives (low, high) per generator parameter; ``count`` profiles
     are drawn at low-discrepancy points of the box, deterministically in
-    ``seed``.
+    ``seed``.  Without a box the family is the one profile of the
+    generator's defaults, whatever ``count`` (which must still be >= 1):
+    ``count`` copies would repeat every check on the same input.
     """
 
     generator: str
@@ -305,7 +307,7 @@ class ProfileFamily:
 
     def profiles(self) -> list:
         if not self.box:
-            return [make_profile(self.generator) for _ in range(self.count)]
+            return [make_profile(self.generator)]
         pts = rd_sequence(len(self.box), self.count, self.seed)
         out = []
         for row in pts:

@@ -34,3 +34,28 @@ def unconverged_radial_integral(monkeypatch):
         return value, diag
 
     monkeypatch.setattr("glsobolev.verify.radial_integral", unconverged)
+
+
+@pytest.fixture
+def unconverged_grand_slices(monkeypatch, force_unconverged):
+    """Flag unconverged every slice norm that grand computes of u, or of |u'|
+    with ``gradient``: in a batch (grand._slice_rows) and alone
+    (grand.weighted_lp_norm or grand.weighted_gradient_norm)."""
+    from glsobolev import grand
+
+    def patch(gradient: bool):
+        force_unconverged(
+            "glsobolev.grand." + ("weighted_gradient_norm" if gradient else "weighted_lp_norm")
+        )
+        real = grand._slice_rows
+
+        def rows(u, row_gradient, A, ps):
+            outcomes = real(u, row_gradient, A, ps)
+            for outcome in outcomes:
+                if row_gradient == gradient and isinstance(outcome, tuple):
+                    outcome[1].converged = False
+            return outcomes
+
+        monkeypatch.setattr(grand, "_slice_rows", rows)
+
+    return patch

@@ -9,6 +9,7 @@ from pathlib import Path
 import glsobolev.grand as ggrand
 import glsobolev.verify as gverify
 from glsobolev.profiles import bump
+from glsobolev.quadrature import QuadratureDiagnostics
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
@@ -28,6 +29,10 @@ def test_wrap_points_exist_and_see_library_calls(monkeypatch):
     try:
         u = tracer.profile(bump(1.0, 1.0))
         ggrand.gls_norm(u, ggrand.constant_psi(1.5, 2.5), (1.0, 2.0))
+        # a one-point call computes its slice alone, through the wrapped
+        # grand.weighted_lp_norm
+        diag = QuadratureDiagnostics()
+        ggrand._SliceTable(False, u, (1.0, 2.0), diag).outcomes([2.0])
         gverify.check_sobolev(u, (1.0, 2.0), 2.0)
     finally:
         tracer.uninstall()

@@ -327,8 +327,8 @@ class TestRelTolOption:
 
 
 class TestUnconvergedExitCodes:
-    def test_gls_norm(self, capsys, force_unconverged):
-        force_unconverged("glsobolev.grand.weighted_lp_norm")
+    def test_gls_norm(self, capsys, unconverged_grand_slices):
+        unconverged_grand_slices(gradient=False)
         code, payload = run_json(
             capsys,
             ["gls-norm", "--profile", "bump:1,1", "--psi", "constant:1.5,2.5", "--A", "1,2"],
@@ -366,8 +366,8 @@ class TestUnconvergedExitCodes:
         notes = payload["diagnostics"]["notes"]
         assert any("panel budget 4096 exhausted" in note for note in notes)
 
-    def test_morrey(self, capsys, force_unconverged):
-        force_unconverged("glsobolev.grand.weighted_gradient_norm")
+    def test_morrey(self, capsys, unconverged_grand_slices):
+        unconverged_grand_slices(gradient=True)
         code, payload = run_json(
             capsys,
             ["morrey", "--profile", "tent:1.5", "--psi", "constant:5,9", "--A", "1,1",

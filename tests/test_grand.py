@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import glsobolev.grand as grand_module
@@ -366,8 +368,8 @@ class TestCalibration:
         assert max(ratios) <= 1.0
         assert max(ratios) > 1.0 - 1e-9
 
-    def test_unconverged_slice_raises(self, force_unconverged):
-        force_unconverged("glsobolev.grand.weighted_gradient_norm")
+    def test_unconverged_slice_raises(self, unconverged_grand_slices):
+        unconverged_grand_slices(gradient=True)
         with pytest.raises(QuadratureError, match="tent"):
             calibrate_morrey_constant([tent(1.5)], constant_psi(5.0, 9.0), [1.0, 1.0], (0.5,))
 
@@ -452,6 +454,55 @@ def _recording_profile(u):
     return copy, sizes
 
 
+def _reference_scan(objective, a, b):
+    """The golden loop as it ran with one probe per call, before its probes
+    were batched, on an objective of finite values: its probes in order,
+    and (value, argmax, at_boundary)."""
+    grid = grand_module._exponent_grid(a, b, grand_module.SUP_GRID_POINTS)
+    vals = [float(v) for v in objective(grid)]
+    i = int(np.argmax(vals))
+    lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, len(grid) - 1)])
+    best_x, best_v = float(grid[i]), vals[i]
+    probes = []
+
+    def probe(x):
+        probes.append(x)
+        return float(objective(np.array([x]))[0])
+
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+    f1, f2 = probe(x1), probe(x2)
+    for _ in range(200):
+        for x, v in ((x1, f1), (x2, f2)):
+            if v > best_v:
+                best_x, best_v = x, v
+        if hi - lo <= grand_module.SUP_REL_TOL * max(abs(lo), abs(hi)):
+            break
+        if f1 >= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = probe(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = probe(x2)
+    return probes, (best_v, best_x, i in (0, len(grid) - 1))
+
+
+def _assert_calls_follow(calls, probes, a, b):
+    """The grid is the first call, and each later call starts at the probe
+    the reference loop takes next among those no golden call computed yet;
+    every reference probe gets computed."""
+    grid = grand_module._exponent_grid(a, b, grand_module.SUP_GRID_POINTS)
+    assert all(isinstance(ps, np.ndarray) and ps.ndim == 1 for ps in calls)
+    assert calls[0].tolist() == grid.tolist()
+    computed = set()
+    for ps in calls[1:]:
+        assert ps[0] == next(x for x in probes if x not in computed)
+        computed.update(ps.tolist())
+    assert computed.issuperset(probes)
+
+
 class TestScanProtocol:
     """_scan_sup calls its objective with 1-d float arrays and reads one
     outcome per exponent: a value or the QuadratureError of its slice."""
@@ -460,18 +511,63 @@ class TestScanProtocol:
     def _peaked(ps):
         return [-((p - 2.0) ** 2) for p in ps]
 
-    def test_grid_is_one_call_and_each_step_one_exponent(self):
+    @staticmethod
+    def _lopsided(ps):
+        # steeper right of the peak, so a parabola through three points
+        # misplaces the vertex and some computed points are never probed
+        return [-((p - 2.0) ** 2) * (4.0 if p > 2.0 else 1.0) for p in ps]
+
+    def test_grid_comes_first_and_each_call_starts_at_the_loops_next_probe(self):
         calls = []
 
         def objective(ps):
             calls.append(ps)
             return self._peaked(ps)
 
+        probes, expected = _reference_scan(self._peaked, 1.5, 3.0)
         res = grand_module._scan_sup(objective, 1.5, 3.0)
-        assert all(isinstance(ps, np.ndarray) and ps.ndim == 1 for ps in calls)
-        assert len(calls[0]) == grand_module.SUP_GRID_POINTS
-        assert all(len(ps) == 1 for ps in calls[1:]) and len(calls) > 2
+        _assert_calls_follow(calls, probes, 1.5, 3.0)
+        # the model orders a parabola's probes exactly: each call holds the
+        # next SUP_LOOKAHEAD + 1 probes of the path, and none off it
+        full = grand_module.SUP_LOOKAHEAD + 1
+        assert [len(ps) for ps in calls[1:-1]] == [full] * (len(calls) - 2)
+        assert sum(len(ps) for ps in calls[1:]) == len(probes) > 2 * full
+        assert (res.value, res.argmax, res.at_boundary) == expected
         assert res.argmax == pytest.approx(2.0, rel=1e-7) and not res.diverged
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a=st.floats(1.0, 4.0),
+        width=st.floats(0.1, 30.0),
+        unbounded=st.booleans(),
+        centre=st.floats(-0.5, 1.5),
+        scale=st.floats(0.02, 2.0),
+        skew=st.floats(-2.0, 2.0),
+        ripple=st.floats(0.0, 0.5),
+    )
+    def test_batched_probes_keep_the_one_at_a_time_result(
+        self, a, width, unbounded, centre, scale, skew, ripple
+    ):
+        m, s = a + centre * width, scale * width
+        b = math.inf if unbounded else a + width
+
+        def smooth(ps):
+            return [
+                math.exp(-(((p - m) / s) ** 2)) * (1.0 + skew * math.tanh((p - m) / s))
+                + ripple * math.sin(5.0 * (p - m) / s)
+                for p in ps
+            ]
+
+        calls = []
+
+        def objective(ps):
+            calls.append(ps)
+            return smooth(ps)
+
+        probes, expected = _reference_scan(smooth, a, b)
+        res = grand_module._scan_sup(objective, a, b)
+        _assert_calls_follow(calls, probes, a, b)
+        assert (res.value, res.argmax, res.at_boundary) == expected
 
     def test_uncertified_grid_slices_raise(self):
         def objective(ps):
@@ -492,24 +588,51 @@ class TestScanProtocol:
         assert res.argmax == pytest.approx(3.0, rel=1e-7)
 
     def test_divergent_golden_step_makes_the_sup_inf(self):
+        grid = grand_module._exponent_grid(1.5, 3.0, grand_module.SUP_GRID_POINTS).tolist()
+
         def objective(ps):
-            if len(ps) > 1:
-                return self._peaked(ps)
-            return [DivergentIntegralError("diverges")]
+            return [
+                -((p - 2.0) ** 2) if p in grid else DivergentIntegralError("diverges")
+                for p in ps.tolist()
+            ]
 
         res = grand_module._scan_sup(objective, 1.5, 3.0)
         assert res.diverged and res.value == math.inf and not res.at_boundary
         assert 1.9 < res.argmax < 2.1
 
     def test_uncertified_golden_step_raises(self):
+        grid = grand_module._exponent_grid(1.5, 3.0, grand_module.SUP_GRID_POINTS).tolist()
+
         def objective(ps):
-            if len(ps) > 1:
-                return self._peaked(ps)
-            return [QuadratureError("uncertified step")]
+            return [
+                -((p - 2.0) ** 2) if p in grid else QuadratureError("uncertified step")
+                for p in ps.tolist()
+            ]
 
         expected = r"refinement hit an uncertified slice \(first: uncertified step"
         with pytest.raises(QuadratureError, match=expected):
             grand_module._scan_sup(objective, 1.5, 3.0)
+
+    @pytest.mark.parametrize(
+        "error", [DivergentIntegralError("diverges"), QuadratureError("uncertified")],
+        ids=["divergent", "uncertified"],
+    )
+    def test_errors_at_points_the_loop_never_probes_change_nothing(self, error):
+        probes, expected = _reference_scan(self._lopsided, 1.5, 3.0)
+        grid = grand_module._exponent_grid(1.5, 3.0, grand_module.SUP_GRID_POINTS).tolist()
+        unprobed = []
+
+        def objective(ps):
+            out = self._lopsided(ps)
+            for k, p in enumerate(ps.tolist()):
+                if p not in grid and p not in probes:
+                    unprobed.append(p)
+                    out[k] = error
+            return out
+
+        res = grand_module._scan_sup(objective, 1.5, 3.0)
+        assert unprobed
+        assert (res.value, res.argmax, res.at_boundary) == expected and not res.diverged
 
     def test_slice_table_keeps_each_outcome_and_raises_domain_errors(self):
         diag = grand_module.QuadratureDiagnostics()
@@ -525,35 +648,44 @@ class TestScanProtocol:
         assert diag.neval == neval
 
     def test_a_lone_slice_that_fails_stands_as_its_outcome(self, monkeypatch):
-        # grid slices are one batch; each golden step's lone slice goes
-        # through grand.weighted_lp_norm, and its error becomes its outcome
+        # a one-point call computes its slice through grand.weighted_lp_norm,
+        # and the error that raises is the outcome, through psi too
+        calls = []
+
         def failing(u, A, p, *, details):
+            calls.append(p)
             raise QuadratureError(f"lone slice at {p}")
 
         monkeypatch.setattr(grand_module, "weighted_lp_norm", failing)
-        expected = r"refinement hit an uncertified slice \(first: lone slice at"
-        with pytest.raises(QuadratureError, match=expected):
-            gls_norm(bump(1.0, 1.0), constant_psi(1.5, 2.5), (1.0, 2.0))
+        diag = grand_module.QuadratureDiagnostics()
+        table = grand_module._SliceTable(False, bump(1.0, 1.0), (1.0, 2.0), diag)
+        objective = grand_module._over_psi(table, constant_psi(1.5, 2.5))
+        (outcome,) = objective(np.array([2.0]))
+        assert isinstance(outcome, QuadratureError) and str(outcome) == "lone slice at 2.0"
+        assert objective(np.array([2.0])) == [outcome] and calls == [2.0]
+        assert diag.neval == 0
 
     def test_uncertified_lp_slices_of_the_slice_scan_raise(self, monkeypatch):
-        # the lhs grand norm's grid is the first lp batch and certifies; the
-        # slice scan's grid is the second, and each of its failed lp slices
-        # stands as the outcome of its ratio, so the report raises
+        # the slice scan's grid asks for the lp slices at q(p), p on the grid
+        # of (1.5, 2.5); each failed one stands as the outcome of its ratio,
+        # so the report raises
+        A = (1.0, 2.0)
+        grid = grand_module._exponent_grid(1.5, 2.5, grand_module.SUP_GRID_POINTS)
+        slice_grid = [sobolev_exponent(A, A, p) for p in grid]
         real = grand_module._slice_rows
-        lp_batches = []
+        failed = []
 
-        def second_lp_batch_fails(u, gradient, A, ps, splits=None):
-            if not gradient:
-                lp_batches.append(list(ps))
-                if len(lp_batches) == 2:
-                    return [QuadratureError(f"lp slice at {p}") for p in ps]
-            return real(u, gradient, A, ps, splits)
+        def slice_grid_fails(u, gradient, A, ps):
+            if not gradient and list(ps) == slice_grid:
+                failed.append(ps)
+                return [QuadratureError(f"lp slice at {p}") for p in ps]
+            return real(u, gradient, A, ps)
 
-        monkeypatch.setattr(grand_module, "_slice_rows", second_lp_batch_fails)
+        monkeypatch.setattr(grand_module, "_slice_rows", slice_grid_fails)
         expected = r"64 of 64 slices could not be certified \(first: lp slice at"
         with pytest.raises(QuadratureError, match=expected):
-            verify_gls_sobolev(bump(1.0, 1.0), constant_psi(1.5, 2.5), (1.0, 2.0))
-        assert len(lp_batches) == 2
+            verify_gls_sobolev(bump(1.0, 1.0), constant_psi(1.5, 2.5), A)
+        assert len(failed) == 1
 
     def test_uncertified_gradient_slices_raise_from_the_real_scan(self):
         with pytest.raises(QuadratureError, match="33 of 64 slices could not be certified"):
@@ -585,8 +717,8 @@ class TestWorkNotRepeated:
             monkeypatch.setattr(grand_module, name, recording)
         real_rows = grand_module._slice_rows
 
-        def recording_rows(u, gradient, A, ps, splits):
-            outcomes = real_rows(u, gradient, A, ps, splits)
+        def recording_rows(u, gradient, A, ps):
+            outcomes = real_rows(u, gradient, A, ps)
             log = calls["weighted_gradient_norm" if gradient else "weighted_lp_norm"]
             log.extend((float(p), diag.neval) for p, (_, diag) in zip(ps, outcomes))
             return outcomes
@@ -601,11 +733,12 @@ class TestWorkNotRepeated:
         assert report.quadrature["neval"] == computed
 
     def test_verify_gls_probes_each_grid_in_few_profile_calls(self):
-        # the slices of each probe grid share their profile calls; computing
-        # every slice alone takes 1,330 calls here
+        # the slices of each probe grid, and the golden probes computed ahead
+        # with them, share their profile calls; computing every slice alone
+        # takes 1,330 calls here
         u, sizes = _recording_profile(bump(1.0, 1.0))
         verify_gls_sobolev(u, power_endpoint_psi(1.3, 3.4, 0.4, 0.4), (1.0, 2.0))
-        assert len(sizes["value"]) + len(sizes["derivative"]) <= 700
+        assert len(sizes["value"]) + len(sizes["derivative"]) <= 200
 
     def test_shared_gradient_gives_the_same_morrey_numbers(self):
         A = [1.0, 1.0]
@@ -663,10 +796,10 @@ class TestSliceTableReuse:
         ],
     )
     def test_scan_slices_equal_standalone_norms(self, monkeypatch, u, psi):
-        """The batched grid probe and split reuse inside a scan change how
-        many points are evaluated and nothing else: every slice of the scan,
-        grid rows included, has the value (or the exception) and the
-        diagnostics of a standalone call, and a grid row its neval too."""
+        """Batching the grid and the golden probes inside a scan changes how
+        many points are evaluated and nothing else: every slice of the scan
+        has the value (or the exception) and the diagnostics, neval
+        included, of a standalone call."""
         A = (1.0, 2.0)
         real_norm = grand_module.weighted_lp_norm
         real_rows = grand_module._slice_rows
@@ -678,15 +811,17 @@ class TestSliceTableReuse:
             return real_k15(*args)
 
         seen = []
+        batches = []
 
         def recording(*args, **kwargs):
             out = real_norm(*args, **kwargs)
-            seen.append((args[2], out, False))
+            seen.append((args[2], out))
             return out
 
-        def recording_rows(u, gradient, A, ps, splits):
-            outcomes = real_rows(u, gradient, A, ps, splits)
-            seen.extend((p, out, True) for p, out in zip(ps, outcomes))
+        def recording_rows(u, gradient, A, ps):
+            outcomes = real_rows(u, gradient, A, ps)
+            batches.append(list(ps))
+            seen.extend(zip(ps, outcomes))
             return outcomes
 
         monkeypatch.setattr(quadrature_module, "_k15_panels", counted)
@@ -695,10 +830,11 @@ class TestSliceTableReuse:
         result = gls_norm(u, psi, A, details=True)[1]
         in_scan = k15_calls[0]
         k15_calls[0] = 0
-        assert sum(batched for _, _, batched in seen) == grand_module.SUP_GRID_POINTS
+        grid = grand_module._exponent_grid(psi.a, psi.b, grand_module.SUP_GRID_POINTS)
+        assert batches[0] == grid.tolist()
         if not result.diverged:
             assert len(seen) > grand_module.SUP_GRID_POINTS
-        for p, outcome, batched in seen:
+        for p, outcome in seen:
             if isinstance(outcome, Exception):
                 with pytest.raises(type(outcome)) as alone_exc:
                     real_norm(u, A, p, details=True)
@@ -707,11 +843,5 @@ class TestSliceTableReuse:
             value, diag = outcome
             alone, alone_diag = real_norm(u, A, p, details=True)
             assert value == alone
-            fields, alone_fields = diag.to_dict(), alone_diag.to_dict()
-            neval, alone_neval = fields.pop("neval"), alone_fields.pop("neval")
-            if batched:
-                assert neval == alone_neval
-            else:
-                assert neval >= alone_neval
-            assert fields == alone_fields
+            assert diag.to_dict() == alone_diag.to_dict()
         assert in_scan < k15_calls[0]

@@ -13,7 +13,6 @@ from glsobolev.quadrature import (
     _jacobi_rule,
     _k15_panels,
     _power_weighted,
-    _reusing_splits,
     adaptive_quadrature,
     extend_tail,
     integrate_power_weighted,
@@ -209,18 +208,6 @@ class TestDiagnosticsMerge:
         assert diag.rel_error == 5e-11
 
 
-def _counting_k15(monkeypatch):
-    calls = []
-    real = quadrature_module._k15_panels
-
-    def counted(f, lo, hi):
-        calls.append(np.shape(lo))
-        return real(f, lo, hi)
-
-    monkeypatch.setattr(quadrature_module, "_k15_panels", counted)
-    return calls
-
-
 class TestSplitReuse:
     @pytest.mark.parametrize("make", [bump, gaussian, tent, smoothed_step, power_tail])
     @pytest.mark.parametrize("p", [1.3, 2.0, 5.7, 200.0])
@@ -239,43 +226,6 @@ class TestSplitReuse:
             )
             assert vals[i].tobytes() == pair_vals.tobytes()
             assert errs[i].tobytes() == pair_errs.tobytes()
-
-    def test_repeat_call_reads_its_splits_from_one_batch(self, monkeypatch):
-        def f(x):
-            return 1.0 / (1e-3 + (x - 0.3) ** 2)
-
-        alone = adaptive_quadrature(f, 0.0, 1.0)
-        calls = _counting_k15(monkeypatch)
-        store = {}
-        with _reusing_splits(store):
-            first = adaptive_quadrature(f, 0.0, 1.0)
-            n_first = len(calls)
-            second = adaptive_quadrature(f, 0.0, 1.0)
-        assert first == alone
-        assert second[0] == alone[0]
-        assert second[1].to_dict() == alone[1].to_dict()
-        splits = store[(0.0, 1.0)]
-        assert n_first == 1 + len(splits) > 2
-        assert calls[n_first:] == [(1,), (len(splits), 2)]
-
-    def test_exhausted_budget_leaves_no_prediction(self, monkeypatch):
-        def f(x):
-            return np.sin(1e4 * x)
-
-        monkeypatch.setattr(quadrature_module, "MAX_PANELS", 64)
-        store = {}
-        with _reusing_splits(store):
-            _, first = adaptive_quadrature(f, 0.0, 1.0)
-            _, second = adaptive_quadrature(f, 0.0, 1.0)
-        assert not first.converged
-        assert store == {}
-        assert second.neval == first.neval
-
-    def test_scope_ends_even_on_error(self):
-        with pytest.raises(QuadratureError):
-            with _reusing_splits({}):
-                adaptive_quadrature(np.exp, 1.0, 0.0)
-        assert quadrature_module._SPLITS.get() is None
 
 
 class TestRowBatch:

@@ -251,8 +251,8 @@ class TestNegativeControls:
 
 
 class TestForcedNonConvergence:
-    def test_morrey_inconclusive(self, force_unconverged):
-        force_unconverged("glsobolev.grand.weighted_gradient_norm")
+    def test_morrey_inconclusive(self, unconverged_grand_slices):
+        unconverged_grand_slices(gradient=True)
         report = check_morrey(tent(1.5), constant_psi(5.0, 9.0), [1.0, 1.0], 0.4, c2=2.0)
         assert report.quadrature["converged"] is False
         assert report.status == "inconclusive"
@@ -269,8 +269,8 @@ class TestForcedNonConvergence:
         assert report.quadrature["converged"] is False
         assert report.status == "inconclusive"
 
-    def test_gls_sobolev_inconclusive(self, force_unconverged):
-        force_unconverged("glsobolev.grand.weighted_lp_norm")
+    def test_gls_sobolev_inconclusive(self, unconverged_grand_slices):
+        unconverged_grand_slices(gradient=False)
         report = verify_gls_sobolev(bump(1.0, 1.0), constant_psi(1.5, 2.5), [1.0, 2.0])
         assert report.quadrature["converged"] is False
         assert report.status == "inconclusive"
@@ -332,7 +332,19 @@ class TestProfileFamily:
 
     def test_defaults_without_box(self):
         fam = ProfileFamily("tent")
-        assert len(fam.profiles()) == fam.count
+        [u] = fam.profiles()
+        assert u.name == make_profile("tent").name
+
+    def test_a_box_family_draws_count_profiles_at_its_points(self):
+        box = ((0.5, 2.0), (0.5, 3.0))
+        points = rd_sequence(2, 3, seed=1)
+        expected = [
+            make_profile("bump", *(lo + t * (hi - lo) for t, (lo, hi) in zip(row, box))).name
+            for row in points
+        ]
+        fam = ProfileFamily("bump", box=box, count=3, seed=1)
+        assert [u.name for u in fam.profiles()] == expected
+        assert len(set(expected)) == 3
 
 
 class TestCampaign:
@@ -425,6 +437,18 @@ class TestCampaign:
             run_campaign({"checks": [good, bad]})
         assert ran == []
 
+    def test_a_family_without_a_box_gives_one_report_per_check_input(self):
+        # count copies of the default profile would repeat every report
+        scaling = {
+            "kind": "scaling",
+            "A": [1.0, 2.0],
+            "p-values": [2.0, 2.5],
+            "family": {"generator": "bump", "count": 3},
+        }
+        reports = run_campaign({"checks": [scaling]})
+        assert len(reports) == 2
+        assert len({report.to_dict()["inputs-digest"] for report in reports}) == 2
+
     def test_whole_float_count_is_accepted(self):
         reports = run_campaign(
             {
@@ -434,7 +458,8 @@ class TestCampaign:
                         "kind": "scaling",
                         "A": [1.0, 2.0],
                         "p-values": [2.0],
-                        "family": {"generator": "bump", "count": 2.0},
+                        "family": {"generator": "bump", "box": [[0.5, 1.5], [1.0, 2.0]],
+                                   "count": 2.0},
                     }
                 ],
             }
