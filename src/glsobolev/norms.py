@@ -32,8 +32,10 @@ from .gammafn import log_gamma
 from .profiles import Decaying, RadialProfile
 from .quadrature import (
     QuadratureDiagnostics,
+    _extend_tails,
     _integrate_rows,
     _power_weighted,
+    _rows_of,
     extend_tail,
     integrate_power_weighted,
 )
@@ -83,16 +85,6 @@ def _body_upper(profile: RadialProfile, initial_edges) -> float:
     return upper
 
 
-def _add_tail(fn, gamma_exp: float, profile: RadialProfile, upper: float, value: float, diag):
-    """The body integral (value, diag) of fn up to ``upper``, with the
-    geometric tail past ``upper`` added when the profile decays."""
-    if isinstance(profile.support, Decaying):
-        tail, tdiag = extend_tail(_power_weighted(fn, gamma_exp), upper, base_value=value)
-        diag.merge(tdiag)
-        value += tail
-    return value, diag
-
-
 def radial_integral(
     fn,
     gamma_exp: float,
@@ -108,7 +100,11 @@ def radial_integral(
     """
     upper = _body_upper(profile, initial_edges)
     value, diag = integrate_power_weighted(fn, gamma_exp, upper, initial_edges=initial_edges)
-    return _add_tail(fn, gamma_exp, profile, upper, value, diag)
+    if isinstance(profile.support, Decaying):
+        tail, tdiag = extend_tail(_power_weighted(fn, gamma_exp), upper, base_value=value)
+        diag.merge(tdiag)
+        value += tail
+    return value, diag
 
 
 def _slice_source(u: RadialProfile, gradient: bool, p: float):
@@ -185,7 +181,9 @@ def _slice_rows(u: RadialProfile, gradient: bool, A, ps) -> list:
     The Gauss-Jacobi heads and the adaptive bodies of all p run in one
     lockstep batch (``quadrature._integrate_rows``): each profile call
     serves every p, and each p raises |f| / peak to its own power.  The
-    tails of a decaying profile run per p through extend_tail.
+    tails of a decaying profile, for the p whose head and body succeeded,
+    run in a second lockstep batch (``quadrature._extend_tails``) on the
+    same integrand family.
     """
     A = as_exponent_tuple(A)
     gamma_exp = A.effective_dimension - 1.0
@@ -220,17 +218,24 @@ def _slice_rows(u: RadialProfile, gradient: bool, A, ps) -> list:
     edges = [_seeded_edges(scan, ps[i]) for i in rows]
     uppers = [_body_upper(u, e) for e in edges]
     integrals = _integrate_rows(g, gamma_exp, uppers, edges)
-    for i, upper, outcome in zip(rows, uppers, integrals):
-        p = ps[i]
-        if not isinstance(outcome, Exception):
-            try:
-                integral, diag = _add_tail(
-                    _slice_integrand(values_fn, peak, p), gamma_exp, u, upper, *outcome
-                )
-            except QuadratureError as exc:
-                outcome = exc
+    if isinstance(u.support, Decaying):
+        done = [j for j, outcome in enumerate(integrals) if not isinstance(outcome, Exception)]
+        tails = _extend_tails(
+            _rows_of(_power_weighted(g, gamma_exp), done),
+            [uppers[j] for j in done],
+            [integrals[j][0] for j in done],
+        )
+        for j, tail in zip(done, tails):
+            if isinstance(tail, Exception):
+                integrals[j] = tail
             else:
-                outcome = (_slice_value(peak, A, integral, diag, p), diag)
+                value, diag = integrals[j]
+                diag.merge(tail[1])
+                integrals[j] = (value + tail[0], diag)
+    for i, outcome in zip(rows, integrals):
+        if not isinstance(outcome, Exception):
+            integral, diag = outcome
+            outcome = (_slice_value(peak, A, integral, diag, ps[i]), diag)
         out[i] = outcome
     return out
 

@@ -15,18 +15,22 @@ Radial measures rho^gamma d rho are handled by two extra pieces:
 Past the head, ``_power_weighted`` folds the weight into the integrand,
 t -> t^gamma g(t), for the body panels and the tail of norms.radial_integral.
 
-Heads and bodies also run for a family of integrands at once (the slices
-of one sup-scan grid, one per p): ``_jacobi_heads`` halves every row's eps
-in lockstep, and ``_refine_rows`` runs every row's own heap loop
+Heads, bodies and tails also run for a family of integrands at once (the
+slices of one sup-scan grid, one per p): ``_jacobi_heads`` halves every
+row's eps in lockstep, ``_refine_rows`` runs every row's own heap loop
 (``_refinement``) in lockstep, evaluating the halves of all rows' worst
-panels in one integrand call and one K15 reduction per round.  Rows are
-stacked along a leading axis and never flattened into one 2-d product, so
-each row keeps the bits, diagnostics and neval of a call on its own:
-``(rows, 2, 15) @ w`` and ``(rows, 1, n) @ w`` reduce each row as a lone
-call would, where ``(rows * 2, 15) @ w`` would not.  ``adaptive_quadrature``
-is the one-row case of ``_refine_rows``, and ``integrate_power_weighted``
-the one-row case of ``_integrate_rows``, which composes the two: there is
-one head loop, one heap loop and one stopping rule.
+panels in one integrand call and one K15 reduction per round, and
+``_extend_tails`` doubles every row's tail radius in lockstep, integrating
+the next block of all live rows in one ``_refine_rows`` batch per round.
+Rows are stacked along a leading axis and never flattened into one 2-d
+product, so each row keeps the bits, diagnostics and neval of a call on
+its own: ``(rows, 2, 15) @ w`` and ``(rows, 1, n) @ w`` reduce each row as
+a lone call would, where ``(rows * 2, 15) @ w`` would not.
+``adaptive_quadrature`` is the one-row case of ``_refine_rows``,
+``extend_tail`` the one-row case of ``_extend_tails``, and
+``integrate_power_weighted`` the one-row case of ``_integrate_rows``,
+which composes the heads and bodies: there is one head loop, one heap
+loop, one tail loop and one stopping rule.
 
 The heap loop runs on Python floats: each K15 result becomes lists with
 one ``tolist()``, and a split adds ``(v0 + v1) - old``, the order in which
@@ -40,7 +44,9 @@ less than TAIL_REL = 1e-12 of the running total, and raises QuadratureError
 at radius TAIL_CAP = 2^40.  Each is read where it applies, at call time.
 
 Integrand callables must accept a 1-d ndarray and return a same-length
-ndarray.
+ndarray.  The public entries refuse an infinite or nan limit, tail start
+or weight exponent with a QuadratureError that names it; an empty range
+(b == a, or upper <= 0) is 0 before that test.
 
 scipy.special is imported inside ``_jacobi_rule``, on a miss of the cached
 ``_head_rules``, so that importing the package and the closed-form commands
@@ -50,6 +56,7 @@ load no scipy.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -313,6 +320,8 @@ def adaptive_quadrature(
         if b == a:
             return 0.0, QuadratureDiagnostics()
         raise QuadratureError(f"bad interval [{a}, {b}]")
+    if not (-math.inf < a and b < math.inf):
+        raise QuadratureError(f"interval [{a}, {b}] must be finite")
     ((total, diag),) = _refine_rows(
         _one_row(f),
         [_panel_edges(a, b, initial_edges)],
@@ -394,6 +403,8 @@ def _jacobi_heads(f, gamma_exp: float, eps) -> list:
 def _check_weight(gamma_exp: float) -> None:
     if gamma_exp <= -1.0:
         raise QuadratureError(f"weight exponent {gamma_exp} is not integrable at 0")
+    if not gamma_exp < math.inf:
+        raise QuadratureError(f"weight exponent {gamma_exp} must be finite")
 
 
 def integrate_power_weighted(
@@ -431,7 +442,12 @@ def _integrate_rows(f, gamma_exp: float, uppers, edge_lists) -> list:
     bits of a one-row call, which is integrate_power_weighted.
     """
     _check_weight(gamma_exp)
-    out: list = [(0.0, QuadratureDiagnostics()) if upper <= 0.0 else None for upper in uppers]
+    out: list = [
+        (0.0, QuadratureDiagnostics()) if upper <= 0.0
+        else None if upper < math.inf
+        else QuadratureError(f"upper limit {upper} must be finite")
+        for upper in uppers
+    ]
     rows = [r for r, done in enumerate(out) if done is None]
     if gamma_exp == 0.0:
         heads = {r: (0.0, 0.0, 0) for r in rows}
@@ -464,45 +480,89 @@ def _integrate_rows(f, gamma_exp: float, uppers, edge_lists) -> list:
     return out
 
 
+def _extend_tails(f, starts, base_values) -> list:
+    """The geometric tail past ``starts[r]`` of each row r of the family
+    ``f(x, rows)`` of ``_refine_rows``, its tolerance relative to
+    ``base_values[r]`` plus the tail so far.
+
+    The rows double their radii in lockstep: each round integrates the next
+    block [R_r, 2 R_r] of every live row in one ``_refine_rows`` batch, so
+    rows at the same radius share that block's first K15 call.  A row stops
+    once its last block contributes less than ``TAIL_REL`` of its running
+    total; four non-decreasing blocks make it a DivergentIntegralError, and
+    a row still unspent at ``TAIL_CAP`` a QuadratureError.  Returns (tail,
+    diagnostics) per row, or that row's exception carrying its diagnostics.
+    Each row has the bits of a one-row call, which is extend_tail.
+    """
+    out: list = [None] * len(starts)
+    total = [0.0] * len(starts)
+    radius = list(starts)
+    contribs: list[list[float]] = [[] for _ in starts]
+    diags = [QuadratureDiagnostics(truncation_radius=start) for start in starts]
+
+    def unspent(r: int) -> QuadratureError:
+        diag = diags[r]
+        diag.converged = False
+        diag.notes.append(f"tail not spent at radius cap {TAIL_CAP:.3e}")
+        return QuadratureError(
+            f"tail below divergence threshold but unspent at cap {TAIL_CAP:.3e}",
+            diagnostics=diag.to_dict(),
+        )
+
+    live = []
+    for r, start in enumerate(starts):
+        if not 0.0 < start < math.inf:
+            out[r] = QuadratureError(f"tail start {start} must be positive and finite")
+        elif start < TAIL_CAP:
+            live.append(r)
+        else:
+            out[r] = unspent(r)
+    while live:
+        blocks = _refine_rows(
+            _rows_of(f, live),
+            [(radius[r], 2.0 * radius[r]) for r in live],
+            [base_values[r] + total[r] for r in live],
+        )
+        going = []
+        for r, (block, bdiag) in zip(live, blocks):
+            diag = diags[r]
+            diag.merge(bdiag)
+            total[r] += block
+            radius[r] *= 2.0
+            diag.truncation_radius = radius[r]
+            contrib = contribs[r]
+            contrib.append(abs(block))
+            scale = max(abs(base_values[r] + total[r]), ABS_FLOOR)
+            if contrib[-1] < TAIL_REL * scale:
+                out[r] = (total[r], diag)
+            elif len(contrib) >= 4 and all(
+                contrib[-j] >= 0.999 * contrib[-j - 1] for j in range(1, 4)
+            ):
+                out[r] = DivergentIntegralError(
+                    f"tail blocks not decaying near R = {radius[r]:.3e}",
+                    diagnostics=diag.to_dict(),
+                )
+            elif radius[r] < TAIL_CAP:
+                going.append(r)
+            else:
+                out[r] = unspent(r)
+        live = going
+    return out
+
+
 def extend_tail(
     f,
     start: float,
     *,
     base_value: float = 0.0,
 ) -> tuple[float, QuadratureDiagnostics]:
-    """Integrate f over [start, R] with R doubled until the tail is spent.
+    """Integrate f over [start, R] with R doubled from ``start`` (positive
+    and finite) until the tail is spent.
 
     Stops when the last block [R, 2R] contributes less than ``TAIL_REL`` of
     the running total (including ``base_value``).  Non-decreasing block
     contributions raise DivergentIntegralError; hitting the radius cap with
-    a decaying but unspent tail raises QuadratureError.
+    a decaying but unspent tail raises QuadratureError.  This is the
+    one-row case of ``_extend_tails``.
     """
-    if start <= 0.0:
-        raise QuadratureError(f"tail start {start} must be positive")
-    total = 0.0
-    diag = QuadratureDiagnostics(truncation_radius=start)
-    radius = start
-    contribs: list[float] = []
-    while radius < TAIL_CAP:
-        block, bdiag = adaptive_quadrature(f, radius, 2.0 * radius, base_value=base_value + total)
-        diag.merge(bdiag)
-        total += block
-        radius *= 2.0
-        diag.truncation_radius = radius
-        contribs.append(abs(block))
-        scale = max(abs(base_value + total), ABS_FLOOR)
-        if contribs[-1] < TAIL_REL * scale:
-            return total, diag
-        if len(contribs) >= 4 and all(
-            contribs[-j] >= 0.999 * contribs[-j - 1] for j in range(1, 4)
-        ):
-            raise DivergentIntegralError(
-                f"tail blocks not decaying near R = {radius:.3e}",
-                diagnostics=diag.to_dict(),
-            )
-    diag.converged = False
-    diag.notes.append(f"tail not spent at radius cap {TAIL_CAP:.3e}")
-    raise QuadratureError(
-        f"tail below divergence threshold but unspent at cap {TAIL_CAP:.3e}",
-        diagnostics=diag.to_dict(),
-    )
+    return _raise_error(_extend_tails(_one_row(f), [start], [base_value])[0])

@@ -740,6 +740,19 @@ class TestWorkNotRepeated:
         verify_gls_sobolev(u, power_endpoint_psi(1.3, 3.4, 0.4, 0.4), (1.0, 2.0))
         assert len(sizes["value"]) + len(sizes["derivative"]) <= 200
 
+    def test_tails_of_a_divergent_window_share_their_profile_calls(self):
+        # the low-p slices diverge in their tails; doubling each slice's
+        # tail on its own takes 982 calls here
+        u, sizes = _recording_profile(power_tail(2.5, 1.0))
+        assert gls_norm(u, constant_psi(1.2, 4.0), (1.0, 2.0)) == math.inf
+        assert len(sizes["value"]) + len(sizes["derivative"]) <= 60
+
+    def test_tails_of_a_gradient_scan_share_their_profile_calls(self):
+        # doubling each slice's tail on its own takes 422 calls here
+        u, sizes = _recording_profile(gaussian(1.0))
+        gls_gradient_norm(u, power_endpoint_psi(1.3, 3.4, 0.4, 0.4), (1.0, 2.0))
+        assert len(sizes["value"]) + len(sizes["derivative"]) <= 80
+
     def test_shared_gradient_gives_the_same_morrey_numbers(self):
         A = [1.0, 1.0]
         psi = constant_psi(5.0, 9.0)

@@ -291,11 +291,12 @@ class TestPeakPerProfile:
 
 
 def _outcome(run):
-    """(repr of the value, diagnostics dict), or (exception type, message)."""
+    """(repr of the value, diagnostics dict), or (exception type, message,
+    diagnostics dict of a QuadratureError)."""
     try:
         value, diag = run()
     except (DomainError, QuadratureError) as exc:
-        return type(exc).__name__, str(exc)
+        return type(exc).__name__, str(exc), getattr(exc, "diagnostics", None)
     return repr(value), diag.to_dict()
 
 

@@ -186,6 +186,85 @@ class TestTailExtension:
             extend_tail(lambda t: t**-3.0, 0.0)
 
 
+class TestNonFiniteInputs:
+    """A non-finite input to a public quadrature entry is refused with a
+    QuadratureError that names it, before any integrand is evaluated."""
+
+    @pytest.mark.parametrize("start", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_tail_start(self, start):
+        with pytest.raises(
+            QuadratureError, match=f"^tail start {start} must be positive and finite$"
+        ):
+            extend_tail(lambda t: t**-3.0, start)
+
+    @pytest.mark.parametrize("upper", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_power_weighted_upper(self, upper):
+        with pytest.raises(QuadratureError, match=f"^upper limit {upper} must be finite$"):
+            integrate_power_weighted(np.cos, 1.0, upper)
+
+    def test_power_weighted_exponent(self):
+        with pytest.raises(QuadratureError, match="^weight exponent nan must be finite$"):
+            integrate_power_weighted(np.cos, math.nan, 1.0)
+
+    def test_adaptive_interval(self):
+        with pytest.raises(QuadratureError, match=r"^interval \[0.0, inf\] must be finite$"):
+            adaptive_quadrature(np.cos, 0.0, math.inf)
+
+
+def _tail_outcome(run):
+    """(repr of the value, diagnostics dict), or (exception type, message,
+    diagnostics dict)."""
+    try:
+        value, diag = run()
+    except QuadratureError as exc:
+        return type(exc).__name__, str(exc), exc.diagnostics
+    return repr(value), diag.to_dict()
+
+
+class TestTailRows:
+    # (integrand, start, base value): spent, divergent, unspent at the cap,
+    # and rows that share a start with others but not their base value
+    ROWS = [
+        (lambda t: t**-3.0, 1.0, 0.0),
+        (lambda t: 1.0 / t, 1.0, 0.0),
+        (lambda t: t**-1.01, 1.0, 0.0),
+        (lambda t: t**-3.0, 1.0, 1e12),
+        (lambda t: np.exp(-t), 2.0, 0.0),
+        (lambda t: t**-3.0, 2.0, -0.25),
+        (lambda t: t**-2.0, 3.5, 1.0),
+        (lambda t: t**-3.0, math.nan, 0.0),
+    ]
+
+    @staticmethod
+    def _family(x, rows):
+        funcs = [f for f, _, _ in TestTailRows.ROWS]
+        if x.ndim == 1:
+            return np.stack([funcs[r](x) for r in rows])
+        return np.stack([funcs[r](x[k]) for k, r in enumerate(rows)])
+
+    def test_each_row_is_its_lone_tail(self):
+        batched = quadrature_module._extend_tails(
+            self._family, [s for _, s, _ in self.ROWS], [b for _, _, b in self.ROWS]
+        )
+        kinds = set()
+        for (f, start, base), row in zip(self.ROWS, batched):
+            got = _tail_outcome(lambda: quadrature_module._raise_error(row))
+            alone = _tail_outcome(lambda: extend_tail(f, start, base_value=base))
+            assert got == alone, (start, base)
+            kinds.add(got[0] if len(got) == 3 else "spent")
+        assert kinds == {"spent", "DivergentIntegralError", "QuadratureError"}
+
+    def test_rows_at_one_radius_share_their_first_block(self):
+        calls = []
+
+        def family(x, rows):
+            calls.append((x.ndim, list(rows)))
+            return self._family(x, rows)
+
+        quadrature_module._extend_tails(family, [1.0, 1.0, 2.0], [0.0, 1e12, 0.0])
+        assert calls[:2] == [(1, [0, 1]), (1, [2])]
+
+
 class TestDiagnosticsMerge:
     def test_sums_work_and_keeps_the_worst_error(self):
         diag = QuadratureDiagnostics(panels=2, neval=30, error_estimate=1e-12, rel_error=1e-13)
