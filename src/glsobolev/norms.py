@@ -272,9 +272,9 @@ def weighted_lp_norm(
         If the Gauss-Jacobi head never settles, or a decaying tail is still
         unspent at ``quadrature.TAIL_CAP``, with or without ``details``.
         Without ``details`` also when the body misses the tolerance
-        ``quadrature.REL_TOL`` (panel budget exhausted, or an integral of 0
-        under a positive peak); with ``details`` that norm is returned and
-        its diagnostics say ``converged: False``.
+        ``quadrature.REL_TOL`` (round-off, panel budget exhausted, or an
+        integral of 0 under a positive peak); with ``details`` that norm is
+        returned and its diagnostics say ``converged: False``.
     """
     return _norm(u, False, A, p, details)
 

@@ -42,6 +42,14 @@ under every tolerance and MAX_PANELS = 4096 the panel budget of every
 adaptive body and tail block; the tail stops once its last block contributes
 less than TAIL_REL = 1e-12 of the running total, and raises QuadratureError
 at radius TAIL_CAP = 2^40.  Each is read where it applies, at call time.
+Before the budget, the heap loop stops a row at round-off with the test of
+QUADPACK's dqage (ier = 2): once ROUNDOFF_STALLS = 6 of its splits have kept
+the panel's value within 1e-5 and its error above 0.99 of the panel's, or
+ROUNDOFF_RISES = 20 splits past its 10th panel have raised the error.  The
+tolerance test comes first, so a row within tolerance is converged whatever
+these counts say; a stopped row is unconverged, with a note that names
+round-off.  (|u| / peak)^p at p ~ 1e8 raises the 1e-16 noise of u to about
+1e-8 relative, and such rows stop after about 85 panels instead of 4096.
 
 Integrand callables must accept a 1-d ndarray and return a same-length
 ndarray.  The public entries refuse an infinite or nan limit, tail start
@@ -67,6 +75,8 @@ from .errors import DivergentIntegralError, QuadratureError
 REL_TOL = 1e-10
 ABS_FLOOR = 1e-300
 MAX_PANELS = 4096
+ROUNDOFF_STALLS = 6
+ROUNDOFF_RISES = 20
 TAIL_REL = 1e-12
 TAIL_CAP = 2.0**40
 
@@ -202,8 +212,9 @@ def _refinement(lo, hi, vals, errs, base_value):
 
     It starts from the panels [lo, hi] with their K15 values and errors,
     yields each split (a, mid, b) whose halves it needs and is sent back
-    their (values, errors) as two-element lists.  It returns (total,
-    diagnostics).
+    their (values, errors) as two-element lists.  It stops at the tolerance,
+    at round-off (dqage's counters iroff1 and iroff2), at MAX_PANELS or when
+    no panel can be split, and returns (total, diagnostics).
     """
     total = float(np.add.reduce(vals))
     total_err = float(np.add.reduce(errs))
@@ -215,11 +226,13 @@ def _refinement(lo, hi, vals, errs, base_value):
     floor_err = 0.0  # error stuck on panels too narrow to split
     panels = len(lo)
     neval = 15 * len(lo)
+    iroff1 = iroff2 = 0  # dqage's round-off counters
+    roundoff = False
 
     def tol_now() -> float:
         return max(REL_TOL * abs(total + base_value), ABS_FLOOR)
 
-    while total_err + floor_err > tol_now() and panels < MAX_PANELS and heap:
+    while total_err + floor_err > tol_now() and panels < MAX_PANELS and heap and not roundoff:
         neg_err, _, pa, pb, pval, perr = heapq.heappop(heap)
         mid = 0.5 * (pa + pb)
         if not (pa < mid < pb):
@@ -228,12 +241,17 @@ def _refinement(lo, hi, vals, errs, base_value):
             continue
         cvals, cerrs = yield pa, mid, pb
         neval += 30
-        total += (cvals[0] + cvals[1]) - pval
-        total_err += (cerrs[0] + cerrs[1]) - perr
+        area12, erro12 = cvals[0] + cvals[1], cerrs[0] + cerrs[1]
+        total += area12 - pval
+        total_err += erro12 - perr
         heapq.heappush(heap, (-cerrs[0], counter, pa, mid, cvals[0], cerrs[0]))
         heapq.heappush(heap, (-cerrs[1], counter + 1, mid, pb, cvals[1], cerrs[1]))
         counter += 2
         panels += 1
+        if erro12 >= 0.99 * perr:  # rare while the errors fall
+            iroff1 += abs(pval - area12) <= 1e-5 * abs(area12)
+            iroff2 += panels > 10 and erro12 > perr
+            roundoff = iroff1 >= ROUNDOFF_STALLS or iroff2 >= ROUNDOFF_RISES
 
     err = total_err + floor_err
     diag = QuadratureDiagnostics(
@@ -244,7 +262,11 @@ def _refinement(lo, hi, vals, errs, base_value):
         converged=bool(err <= tol_now()),  # base_value may be a numpy scalar
     )
     if not diag.converged:
-        diag.notes.append(f"panel budget {MAX_PANELS} exhausted at error {err:.3e}")
+        diag.notes.append(
+            f"round-off detected after {panels} panels at error {err:.3e}"
+            if roundoff
+            else f"panel budget {MAX_PANELS} exhausted at error {err:.3e}"
+        )
     return total, diag
 
 
@@ -307,7 +329,9 @@ def adaptive_quadrature(
     base_value: float = 0.0,
 ) -> tuple[float, QuadratureDiagnostics]:
     """Integrate f over [a, b] to relative tolerance REL_TOL within
-    MAX_PANELS panels; a call that exhausts them is flagged unconverged.
+    MAX_PANELS panels; a call that exhausts them, or that the round-off test
+    stops first (module docstring), is flagged unconverged with a note that
+    says which.
 
     ``initial_edges`` seeds extra panel boundaries (used to pin down sharp
     interior peaks before the first error estimate is trusted).

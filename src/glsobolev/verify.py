@@ -191,9 +191,10 @@ def check_trace_radial(
 
     lhs = (int_0^inf s^(D_r - 1) |g(s)| ds)^(1/q) and
     rhs = (int_0^inf |g'(s)|^p ds)^(1/p), with q the trace exponent.  The
-    comparison constant is the bracket top M Q.  Note the two sides scale
-    differently under dilation, so the sampled ratio depends on the size of
-    the profile; the bracket is checked, not attained.
+    comparison constant is the bracket top M Q.  The two sides scale
+    differently under dilation: the ratio of g(./R) is R^((D - 1)/p) times
+    that of g, with D = D(A), so every constant fails on a wide enough
+    profile.  The bracket is checked, not attained.
     """
     A = as_exponent_tuple(A)
     B = as_exponent_tuple(B)

@@ -753,6 +753,29 @@ class TestWorkNotRepeated:
         gls_gradient_norm(u, power_endpoint_psi(1.3, 3.4, 0.4, 0.4), (1.0, 2.0))
         assert len(sizes["value"]) + len(sizes["derivative"]) <= 80
 
+    @pytest.mark.parametrize(
+        "u, psi, bound",
+        [
+            # a table reaching p = 1e8: 4,089 calls when those slices refine
+            # round-off up to the panel budget
+            (bump(1.0, 1.5), tabulated_psi([1.5, 4.0, 1e8], [1.0, 1.0, 1000.0]), 200),
+            # a window to p = inf: 20,204 calls without the round-off stop
+            (bump(1.0, 1.0), constant_psi(1.5, math.inf), 300),
+        ],
+        ids=["table-to-1e8", "window-to-inf"],
+    )
+    def test_slices_stop_refining_round_off(self, u, psi, bound):
+        u, sizes = _recording_profile(u)
+        gls_norm(u, psi, (1.0, 2.0))
+        assert len(sizes["value"]) + len(sizes["derivative"]) <= bound
+
+    def test_verify_gls_with_round_off_slices_stays_inconclusive_in_few_calls(self):
+        # 4,741 calls without the round-off stop
+        u, sizes = _recording_profile(gaussian(0.94))
+        report = verify_gls_sobolev(u, constant_psi(1.5, 5.0), (1.0, 2.0))
+        assert report.status == "inconclusive"
+        assert len(sizes["value"]) + len(sizes["derivative"]) <= 1000
+
     def test_shared_gradient_gives_the_same_morrey_numbers(self):
         A = [1.0, 1.0]
         psi = constant_psi(5.0, 9.0)

@@ -1,18 +1,25 @@
+import heapq
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import roots_jacobi
 
+import glsobolev.norms as norms_module
 import glsobolev.quadrature as quadrature_module
 from glsobolev.errors import DivergentIntegralError, QuadratureError
+from glsobolev.norms import weighted_lp_norm
 from glsobolev.profiles import bump, gaussian, power_tail, smoothed_step, tent
 from glsobolev.quadrature import (
     QuadratureDiagnostics,
     _jacobi_rule,
     _k15_panels,
     _power_weighted,
+    _raise_error,
     adaptive_quadrature,
     extend_tail,
     integrate_power_weighted,
@@ -324,3 +331,168 @@ class TestRowBatch:
         alone, alone_diag = integrate_power_weighted(lambda t: np.exp(-t), 2.0, 1.0)
         assert value == alone
         assert diag.to_dict() == alone_diag.to_dict()
+
+
+def _heap_loop_without_round_off_stop(lo, hi, vals, errs, base_value):
+    """``_refinement`` as it was before the round-off stop: it refines until
+    the tolerance, the panel budget or the last splittable panel is reached."""
+    REL_TOL, ABS_FLOOR = quadrature_module.REL_TOL, quadrature_module.ABS_FLOOR
+    MAX_PANELS = quadrature_module.MAX_PANELS
+    total = float(np.add.reduce(vals))
+    total_err = float(np.add.reduce(errs))
+    lo, hi, vals, errs = lo.tolist(), hi.tolist(), vals.tolist(), errs.tolist()
+    heap = []
+    for i in range(len(lo)):
+        heapq.heappush(heap, (-errs[i], i, lo[i], hi[i], vals[i], errs[i]))
+    counter = len(lo)
+    floor_err = 0.0
+    panels = len(lo)
+    neval = 15 * len(lo)
+
+    def tol_now() -> float:
+        return max(REL_TOL * abs(total + base_value), ABS_FLOOR)
+
+    while total_err + floor_err > tol_now() and panels < MAX_PANELS and heap:
+        neg_err, _, pa, pb, pval, perr = heapq.heappop(heap)
+        mid = 0.5 * (pa + pb)
+        if not (pa < mid < pb):
+            floor_err += perr
+            total_err -= perr
+            continue
+        cvals, cerrs = yield pa, mid, pb
+        neval += 30
+        total += (cvals[0] + cvals[1]) - pval
+        total_err += (cerrs[0] + cerrs[1]) - perr
+        heapq.heappush(heap, (-cerrs[0], counter, pa, mid, cvals[0], cerrs[0]))
+        heapq.heappush(heap, (-cerrs[1], counter + 1, mid, pb, cvals[1], cerrs[1]))
+        counter += 2
+        panels += 1
+
+    err = total_err + floor_err
+    diag = QuadratureDiagnostics(
+        panels=panels,
+        neval=neval,
+        error_estimate=err,
+        rel_error=err / max(abs(total + base_value), ABS_FLOOR),
+        converged=bool(err <= tol_now()),
+    )
+    if not diag.converged:
+        diag.notes.append(f"panel budget {MAX_PANELS} exhausted at error {err:.3e}")
+    return total, diag
+
+
+def _without_round_off_stop(run):
+    """``run()`` with the heap loop that has no round-off stop."""
+    real = quadrature_module._refinement
+    quadrature_module._refinement = _heap_loop_without_round_off_stop
+    try:
+        return run()
+    finally:
+        quadrature_module._refinement = real
+
+
+_smooth_integrands = st.tuples(
+    st.floats(-2.0, 2.0),  # a
+    st.floats(0.1, 5.0),  # b - a
+    st.floats(0.0, 3.0),  # quadratic coefficient
+    st.floats(0.0, 1e3),  # height of a gaussian bump
+    st.floats(0.0, 1.0),  # its centre, as a fraction of [a, b]
+    st.floats(-3.0, 0.0),  # log10 of its width, relative to b - a
+    st.floats(0.0, 2.0),  # amplitude of an oscillation
+    st.floats(0.0, 60.0),  # its frequency
+)
+
+_generators = st.one_of(
+    st.builds(bump, st.floats(0.3, 3.0), st.floats(0.2, 5.0)),
+    st.builds(gaussian, st.floats(0.3, 3.0)),
+    st.builds(power_tail, st.floats(2.0, 6.0), st.floats(0.3, 3.0)),
+    st.builds(
+        lambda R, frac: smoothed_step(R, frac * R), st.floats(0.3, 3.0), st.floats(0.05, 1.0)
+    ),
+    st.builds(tent, st.floats(0.3, 3.0)),
+)
+
+
+class TestRoundOffStop:
+    @settings(max_examples=80, deadline=None)
+    @given(_smooth_integrands)
+    def test_never_stops_a_smooth_integral_that_converges(self, params):
+        a, width, quad2, height, centre, log_w, amp, freq = params
+        m, s = a + centre * width, 10.0**log_w * width
+
+        def f(x):
+            return (
+                1.0 + quad2 * x**2 + height * np.exp(-(((x - m) / s) ** 2))
+                + amp * (1.0 + np.sin(freq * x))
+            )
+
+        ref_value, ref_diag = _without_round_off_stop(lambda: adaptive_quadrature(f, a, a + width))
+        value, diag = adaptive_quadrature(f, a, a + width)
+        assert ref_diag.converged
+        assert (repr(value), diag.to_dict()) == (repr(ref_value), ref_diag.to_dict())
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        _generators,
+        st.sampled_from([(1.0, 2.0), (0.0,), (0.5, 0.5, 0.5)]),
+        st.booleans(),
+        st.floats(0.0, 4.0),  # log10 of the window's low end
+        st.floats(0.0, 4.0),  # log10 of the window's high end
+    )
+    def test_never_stops_a_slice_row_that_converges(self, u, A, gradient, lo, hi):
+        lo, hi = sorted((lo, hi))
+        ps = [float(p) for p in np.logspace(lo, hi, 5)]
+        ref = _without_round_off_stop(lambda: norms_module._slice_rows(u, gradient, A, ps))
+        rows = norms_module._slice_rows(u, gradient, A, ps)
+        for p, got, want in zip(ps, rows, ref):
+            assert isinstance(want, Exception) or want[1].converged, p
+            got, want = (_tail_outcome(lambda: _raise_error(row)) for row in (got, want))
+            assert got == want, p
+
+    def test_a_round_off_row_stops_early_with_its_note(self):
+        # at p = 1e8, (|u| / peak)^p raises the 1e-16 noise of u to about
+        # 1e-8 relative, so no panel tree certifies REL_TOL
+        value, diag = weighted_lp_norm(bump(1.0, 1.5), (1.0, 2.0), 1e8, details=True)
+        assert not diag.converged
+        assert diag.panels < 200
+        assert len(diag.notes) == 1
+        assert re.fullmatch(r"round-off detected after \d+ panels at error \S+", diag.notes[0])
+        assert abs(value - 0.999999528138642) <= 4 * math.ulp(0.999999528138642)
+
+    @staticmethod
+    def _drive(halves):
+        """Run ``_refinement`` from the one panel [0, 1] of value 1 and error
+        1.002e-10 (tolerance 1e-10), answering split i of a panel of value v
+        and error e with two halves of value v * gain / 2 and error e * rise / 2,
+        where (gain, rise) = halves(i)."""
+        panels = {(0.0, 1.0): (1.0, 1.002e-10)}
+        loop = quadrature_module._refinement(
+            np.array([0.0]), np.array([1.0]), np.array([1.0]), np.array([1.002e-10]), 0.0
+        )
+        split, i = next(loop), 0
+        try:
+            while True:
+                a, mid, b = split
+                v, e = panels.pop((a, b))
+                gain, rise = halves(i)
+                panels[(a, mid)] = panels[(mid, b)] = (v * gain / 2, e * rise / 2)
+                split, i = loop.send(([v * gain / 2] * 2, [e * rise / 2] * 2)), i + 1
+        except StopIteration as stop:
+            return stop.value
+
+    def test_six_stalled_splits_stop_the_row(self):
+        # each split keeps the value and the error: dqage's iroff1
+        total, diag = self._drive(lambda i: (1.0, 1.0))
+        assert (total, diag.panels, diag.converged) == (1.0, 7, False)
+        assert diag.notes == ["round-off detected after 7 panels at error 1.002e-10"]
+
+    def test_the_tolerance_test_comes_before_the_counters(self):
+        # the sixth stalled split also brings the error under the tolerance
+        total, diag = self._drive(lambda i: (1.0, 0.99 if i == 5 else 1.0))
+        assert (total, diag.panels, diag.converged, diag.notes) == (1.0, 7, True, [])
+
+    def test_twenty_rising_errors_past_ten_panels_stop_the_row(self):
+        # the values move, so no split stalls; each error grows: dqage's iroff2
+        _, diag = self._drive(lambda i: (1.0 + 1e-3, 1.01))
+        assert (diag.panels, diag.converged) == (30, False)
+        assert diag.notes[0].startswith("round-off detected after 30 panels at error ")

@@ -8,7 +8,7 @@ import glsobolev.grand as grand_module
 import glsobolev.verify as verify_module
 from glsobolev.constants import trace_bounds
 from glsobolev.errors import DomainError, InputError
-from glsobolev.exponents import trace_exponent
+from glsobolev.exponents import as_exponent_tuple, trace_exponent
 from glsobolev.grand import constant_psi, verify_gls_sobolev
 from glsobolev.norms import weighted_gradient_norm
 from glsobolev.profiles import bump, gaussian, make_profile, tent
@@ -164,6 +164,22 @@ class TestTrace:
         report = check_trace_radial(gaussian(1.0), [1.0, 1.0], [1.0], r=1, p=2.2)
         assert report.status == "fail"
         assert report.ratio > 1.0
+
+    @pytest.mark.parametrize(
+        "A, B, r, p",
+        [
+            ((1.0, 1.0), (1.0,), 1, 2.0),
+            ((1.0, 1.0, 0.5), (0.5, 0.5), 2, 2.8),
+            ((1.0, 1.0), (1.0,), 1, 1.5),
+        ],
+    )
+    def test_dilation_multiplies_the_ratio_by_R_to_the_D_minus_1_over_p(self, A, B, r, p):
+        # lhs scales as R^(D_r / q) = R^(D/p - 1) and rhs as R^(1/p - 1), so
+        # no constant bounds the printed ratio over all dilations
+        D = as_exponent_tuple(A).effective_dimension
+        ratio = {R: check_trace_radial(bump(R, 1.5), A, B, r=r, p=p).ratio for R in (0.5, 1.0, 2.0)}
+        assert ratio[2.0] / ratio[1.0] == pytest.approx(2.0 ** ((D - 1.0) / p), rel=1e-12)
+        assert ratio[0.5] / ratio[1.0] == pytest.approx(2.0 ** (-(D - 1.0) / p), rel=1e-12)
 
     def test_a_zero_integral_under_a_positive_peak_is_inconclusive(self):
         # at sharpness 1e14 the bump's lhs integral is about 1/(2k) = 5e-15,
