@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DomainError, InputError
-from .exponents import _guard_open_endpoint, as_exponent_tuple, trace_exponent
+from .exponents import ExponentTuple, _guard_open_endpoint, as_exponent_tuple, trace_exponent
 from .gammafn import log_gamma
 
 _VARIANTS = ("corrected", "literal")
@@ -101,6 +102,15 @@ def sharp_constant_p1(A, variant: str = "corrected") -> float:
     )
 
 
+@lru_cache(maxsize=256)
+def _weight_terms(entries: tuple, variant: str) -> tuple:
+    """(C1, log Gamma(D)) of the weight with these entries: the terms of
+    C(p) that depend on A alone.  An error is not cached, so it raises on
+    every call."""
+    A = ExponentTuple(entries)
+    return sharp_constant_p1(A, variant), log_gamma(A.effective_dimension)
+
+
 def sharp_constant(A, p: float, variant: str = "corrected") -> float:
     """Sharp constant C(p) of |u|_{q, mu_A} <= C(p) |grad u|_{p, mu_A}.
 
@@ -118,7 +128,7 @@ def sharp_constant(A, p: float, variant: str = "corrected") -> float:
     float
     """
     A = as_exponent_tuple(A)
-    c1 = sharp_constant_p1(A, variant)  # validates D > 1 and the variant
+    c1, log_gamma_d = _weight_terms(A.entries, variant)  # validates D > 1 and the variant
     D = A.effective_dimension
     p = float(p)
     _guard_open_endpoint(p, 1.0, D)
@@ -129,7 +139,7 @@ def sharp_constant(A, p: float, variant: str = "corrected") -> float:
         d_exp = 1.0 / D - 1.0 - 1.0 / p
     log_mid = (1.0 - 1.0 / p) * math.log((p - 1.0) / (D - p))
     log_bracket = (
-        math.log(pprime) + log_gamma(D) - log_gamma(D / p) - log_gamma(D / pprime)
+        math.log(pprime) + log_gamma_d - log_gamma(D / p) - log_gamma(D / pprime)
     ) / D
     return c1 * math.exp(d_exp * math.log(D) + log_mid + log_bracket)
 

@@ -508,12 +508,11 @@ def zeta_transform(psi: PsiFunction, A, variant: str = "corrected") -> PsiFuncti
     p_hi = math.nextafter(psi.b, -math.inf)
 
     def func(q):
-        q = np.atleast_1d(np.asarray(q, dtype=float))
-        out = np.empty_like(q)
-        for i, qi in enumerate(q):
-            pi = min(max(sobolev_exponent_inverse(A, float(qi)), p_lo), p_hi)
-            out[i] = sharp_constant(A, pi, variant=variant) * psi(pi)
-        return out
+        ps = [
+            min(max(sobolev_exponent_inverse(A, float(qi)), p_lo), p_hi)
+            for qi in np.atleast_1d(np.asarray(q, dtype=float))
+        ]
+        return np.array([sharp_constant(A, pi, variant=variant) for pi in ps]) * psi(np.array(ps))
 
     return PsiFunction(
         a=q_lo,

@@ -16,6 +16,14 @@ geometrically shrinking panel edges so it cannot slip between Kronrod
 nodes.  The maximum comes from the profile's ``value_peak`` or
 ``derivative_peak``, scanned once per profile object, so a sweep over p
 (a grand-norm sup scan, say) scans each profile once.
+
+``_slice_rows`` computes many such norms of one profile in one lockstep
+batch of rows.  A row is an exponent p and a dilation factor lam: it is
+the norm of ``u.dilated(lam)``, with that profile's own peak scan, support
+radius and seeded edges, and each round evaluates u (or lam * u') at
+lam * x for the points x of every live row in one profile call.  A
+grand-norm sup scan batches rows of many p at lam = 1; the scaling fit
+(``verify.fit_scaling_exponents``) batches the nine dilations of one side.
 """
 
 from __future__ import annotations
@@ -173,25 +181,32 @@ def _norm(u: RadialProfile, gradient: bool, A, p: float, details: bool):
     return value
 
 
-def _slice_rows(u: RadialProfile, gradient: bool, A, ps) -> list:
-    """_norm for many p at once: per p, the (value, diagnostics) of
-    ``_norm(u, gradient, A, p, details=True)`` with the same bits, neval
-    included, or the exception that call raises.
+def _slice_rows(u: RadialProfile, gradient: bool, A, ps, lams=None) -> list:
+    """_norm for many rows at once.  Row i is the norm of
+    ``u.dilated(lams[i])`` (of u itself when ``lams`` is None or
+    ``lams[i]`` is 1) at exponent ``ps[i]``: the (value, diagnostics) of
+    ``_norm(v, gradient, A, ps[i], details=True)`` on that profile v with
+    the same bits, neval included, or the exception that call raises.
 
-    The Gauss-Jacobi heads and the adaptive bodies of all p run in one
-    lockstep batch (``quadrature._integrate_rows``): each profile call
-    serves every p, and each p raises |f| / peak to its own power.  The
-    tails of a decaying profile, for the p whose head and body succeeded,
-    run in a second lockstep batch (``quadrature._extend_tails``) on the
-    same integrand family.
+    A row keeps its profile's own peak scan, support radius and seeded
+    edges.  The Gauss-Jacobi heads and the adaptive bodies of all rows run
+    in one lockstep batch (``quadrature._integrate_rows``): each round
+    evaluates u (or lam * u') at lam * x for the points x of every live
+    row in one profile call, and each row raises |f| / peak to its own
+    power.  The tails of a decaying profile, for the rows whose head and
+    body succeeded, run in a second lockstep batch
+    (``quadrature._extend_tails``) on the same integrand family.
     """
     A = as_exponent_tuple(A)
     gamma_exp = A.effective_dimension - 1.0
+    if lams is None:
+        lams = [1.0] * len(ps)
     out: list = [None] * len(ps)
-    rows = []
-    for i, p in enumerate(ps):
+    rows, scans, views = [], [], []
+    for i, (p, lam) in enumerate(zip(ps, lams)):
+        v = u if lam == 1.0 else u.dilated(lam)
         try:
-            values_fn, scan = _slice_source(u, gradient, p)
+            _, scan = _slice_source(v, gradient, p)
         except DomainError as exc:
             out[i] = exc
             continue
@@ -199,24 +214,38 @@ def _slice_rows(u: RadialProfile, gradient: bool, A, ps) -> list:
             out[i] = (0.0, QuadratureDiagnostics())
         else:
             rows.append(i)
+            scans.append(scan)
+            views.append(v)
     if not rows:
         return out
-    peak = scan.value
+    fn = u.derivative if gradient else u.value
     exps = np.array([ps[i] for i in rows], dtype=float)[:, None]
     # ``array ** 2.0`` squares, which can differ from pow() in the last bit,
     # so a row at p = 2 squares, as its standalone call does
     squares = {j for j, i in enumerate(rows) if ps[i] == 2.0}
+    # undilated rows (every row of a sup scan) share u's one peak and need
+    # no rescaling; dilated rows carry their own (lam, peak)
+    dilated = any(lams[i] != 1.0 for i in rows)
+    lam_peak = np.array([(lams[i], scan.value) for i, scan in zip(rows, scans)])
 
     def g(x, which):
-        base = np.abs(np.asarray(values_fn(x.ravel()), dtype=float)).reshape(x.shape) / peak
+        if dilated:
+            lam, peak = lam_peak[which].T[:, :, None]
+            if x.ndim == 1 and np.all(lam == lam[0]):  # shared points, one dilation:
+                lam = lam[:1]  # one evaluation serves every row
+            x = lam * x
+        else:
+            lam, peak = 1.0, scans[0].value
+        f = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
+        base = np.abs(lam * f if dilated and gradient else f) / peak
         powered = base ** exps[which]
         for k, j in enumerate(which):
             if j in squares:
                 powered[k] = (base if base.ndim == 1 else base[k]) ** 2.0
         return powered
 
-    edges = [_seeded_edges(scan, ps[i]) for i in rows]
-    uppers = [_body_upper(u, e) for e in edges]
+    edges = [_seeded_edges(scan, ps[i]) for scan, i in zip(scans, rows)]
+    uppers = [_body_upper(v, e) for v, e in zip(views, edges)]
     integrals = _integrate_rows(g, gamma_exp, uppers, edges)
     if isinstance(u.support, Decaying):
         done = [j for j, outcome in enumerate(integrals) if not isinstance(outcome, Exception)]
@@ -232,10 +261,10 @@ def _slice_rows(u: RadialProfile, gradient: bool, A, ps) -> list:
                 value, diag = integrals[j]
                 diag.merge(tail[1])
                 integrals[j] = (value + tail[0], diag)
-    for i, outcome in zip(rows, integrals):
+    for i, scan, outcome in zip(rows, scans, integrals):
         if not isinstance(outcome, Exception):
             integral, diag = outcome
-            outcome = (_slice_value(peak, A, integral, diag, ps[i]), diag)
+            outcome = (_slice_value(scan.value, A, integral, diag, ps[i]), diag)
         out[i] = outcome
     return out
 

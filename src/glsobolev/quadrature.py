@@ -16,10 +16,14 @@ Past the head, ``_power_weighted`` folds the weight into the integrand,
 t -> t^gamma g(t), for the body panels and the tail of norms.radial_integral.
 
 Heads, bodies and tails also run for a family of integrands at once (the
-slices of one sup-scan grid, one per p): ``_jacobi_heads`` halves every
-row's eps in lockstep, ``_refine_rows`` runs every row's own heap loop
-(``_refinement``) in lockstep, evaluating the halves of all rows' worst
-panels in one integrand call and one K15 reduction per round, and
+slices of one sup-scan grid, one per p, or the norms of one side of a
+scaling fit, one per dilation factor; see ``norms._slice_rows``):
+``_jacobi_heads`` halves every row's eps in lockstep, ``_refine_rows``
+starts every row's first panels in one K15 call per set of shared edges
+(and one per panel count for rows alone on their edges), then runs every
+row's own heap loop (``_refinement``) in lockstep, evaluating the halves
+of all rows' worst panels in one integrand call and one K15 reduction per
+round, and
 ``_extend_tails`` doubles every row's tail radius in lockstep, integrating
 the next block of all live rows in one ``_refine_rows`` batch per round.
 Rows are stacked along a leading axis and never flattened into one 2-d
@@ -79,6 +83,7 @@ ROUNDOFF_STALLS = 6
 ROUNDOFF_RISES = 20
 TAIL_REL = 1e-12
 TAIL_CAP = 2.0**40
+_NOTES_SHOWN = 8
 
 # 15-point Kronrod nodes on [-1, 1] (positive half; symmetric)
 _XGK = np.array([
@@ -142,6 +147,11 @@ class QuadratureDiagnostics:
         self.notes.extend(other.notes)
 
     def to_dict(self) -> dict:
+        """The fields by their report keys; past the first _NOTES_SHOWN
+        notes, one entry counts the rest."""
+        notes = self.notes[:_NOTES_SHOWN]
+        if len(self.notes) > _NOTES_SHOWN:
+            notes.append(f"and {len(self.notes) - _NOTES_SHOWN} more notes")
         return {
             "panels": self.panels,
             "neval": self.neval,
@@ -149,7 +159,7 @@ class QuadratureDiagnostics:
             "rel-error": self.rel_error,
             "truncation-radius": self.truncation_radius,
             "converged": self.converged,
-            "notes": list(self.notes),
+            "notes": notes,
         }
 
 
@@ -278,22 +288,35 @@ def _refine_rows(f, edge_rows, base_values):
     integrand when 2-d, and returns one row of values per integrand (a
     one-row family may return its values flat).  Row r starts from the
     panels between its sorted edges ``edge_rows[r]``; rows with equal edges
-    share one K15 call.  Each row runs its own heap loop (``_refinement``),
+    share one K15 call on one set of points, and the rows alone on their
+    edges share one K15 call per panel count, their panels stacked one row
+    per integrand.  Each row runs its own heap loop (``_refinement``),
     so it has the bits of a call on its own.  In every round each live row
     asks for the halves of its worst panel, and the halves of all rows are
     evaluated in one call of f and one K15 reduction.  Returns (total,
     diagnostics) per row.
     """
-    blocks: dict[tuple, list[int]] = {}
+    groups: dict = {}  # edges -> the rows on them, then panel count -> lone rows
     for r, edges in enumerate(edge_rows):
-        blocks.setdefault(edges, []).append(r)
+        groups.setdefault(edges, []).append(r)
+    for edges, members in list(groups.items()) if len(groups) > 1 else ():
+        if len(members) == 1:
+            del groups[edges]
+            groups.setdefault(len(edges), []).append(members[0])
     rows = [None] * len(edge_rows)
-    for edges, members in blocks.items():
-        lo, hi = np.array(edges[:-1]), np.array(edges[1:])
-        vals, errs = _k15_panels(lambda x: f(x, members), lo, hi)
+    for key, members in groups.items():
+        if isinstance(key, tuple) or len(members) == 1:  # one set of points for all
+            edges = edge_rows[members[0]]
+            lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+            vals, errs = _k15_panels(lambda x: f(x, members), lo, hi)
+            lo, hi = [lo] * len(members), [hi] * len(members)
+        else:  # one row of points per member
+            edges = np.array([edge_rows[r] for r in members])
+            lo, hi = edges[:, :-1], edges[:, 1:]
+            vals, errs = _k15_panels(lambda x: f(x.reshape(len(members), -1), members), lo, hi)
         vals, errs = vals.reshape(len(members), -1), errs.reshape(len(members), -1)
         for j, r in enumerate(members):
-            rows[r] = _refinement(lo, hi, vals[j], errs[j], base_values[r])
+            rows[r] = _refinement(lo[j], hi[j], vals[j], errs[j], base_values[r])
     results: list = [None] * len(rows)
     asking: list[int] = []  # the rows that wait for the halves of a split
     cuts: list[tuple] = []  # their splits (a, mid, b)

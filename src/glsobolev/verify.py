@@ -33,9 +33,11 @@ from .grand import (
     verify_gls_sobolev,
     zeta_transform,
 )
-from .norms import _flag_missed_peak, radial_integral, weighted_gradient_norm, weighted_lp_norm
+from .norms import (
+    _flag_missed_peak, _slice_rows, radial_integral, weighted_gradient_norm, weighted_lp_norm
+)
 from .profiles import RadialProfile, make_profile
-from .quadrature import QuadratureDiagnostics
+from .quadrature import QuadratureDiagnostics, _raise_error
 from .reports import (
     DEFAULT_SLACK,
     VerificationReport,
@@ -125,20 +127,28 @@ def fit_scaling_exponents(
     like lam^(1 - D(A)/p); at the critical q the two exponents coincide, so
     the inequality is dilation invariant.  The slopes are fitted over the
     nine dilation factors lam = 2^(3k/4), k = -4, ..., 4, from 1/8 to 8.
+
+    The nine lhs norms are one lockstep batch of dilation rows
+    (``norms._slice_rows``) and the nine gradient norms another, each row
+    with the bits of its standalone norm of ``u.dilated(lam)``.  The first
+    failing norm raises in the order of a sequential sweep: lam ascending,
+    lhs before rhs.
     """
     A = as_exponent_tuple(A)
     B = as_exponent_tuple(B)
     if q is None:
         q = sobolev_exponent(A, B, p)
     dilations = np.geomspace(0.125, 8.0, 9)
+    lams = [float(lam) for lam in dilations]
+    lhs_rows = _slice_rows(u, False, B, [q] * len(lams), lams)
+    rhs_rows = _slice_rows(u, True, A, [p] * len(lams), lams)
     log_l = np.log(dilations)
     log_lhs = np.empty_like(log_l)
     log_rhs = np.empty_like(log_l)
     diag = QuadratureDiagnostics()
-    for i, lam in enumerate(dilations):
-        v = u.dilated(float(lam))
-        lhs, ldiag = weighted_lp_norm(v, B, q, details=True)
-        rhs, rdiag = weighted_gradient_norm(v, A, p, details=True)
+    for i, (lhs_row, rhs_row) in enumerate(zip(lhs_rows, rhs_rows)):
+        lhs, ldiag = _raise_error(lhs_row)
+        rhs, rdiag = _raise_error(rhs_row)
         diag.merge(ldiag)
         diag.merge(rdiag)
         log_lhs[i] = math.log(lhs)

@@ -37,25 +37,37 @@ def unconverged_radial_integral(monkeypatch):
 
 
 @pytest.fixture
-def unconverged_grand_slices(monkeypatch, force_unconverged):
-    """Flag unconverged every slice norm that grand computes of u, or of |u'|
-    with ``gradient``: in a batch (grand._slice_rows) and alone
-    (grand.weighted_lp_norm or grand.weighted_gradient_norm)."""
-    from glsobolev import grand
+def unconverged_slice_rows(monkeypatch):
+    """Patch a slice-row batch, given by the dotted path where its caller
+    looks it up, so that its rows of u, or of |u'| with ``gradient``, come
+    back with diagnostics flagged unconverged."""
 
-    def patch(gradient: bool):
-        force_unconverged(
-            "glsobolev.grand." + ("weighted_gradient_norm" if gradient else "weighted_lp_norm")
-        )
-        real = grand._slice_rows
+    def patch(target: str, gradient: bool):
+        module_name, _, attr = target.rpartition(".")
+        real = getattr(importlib.import_module(module_name), attr)
 
-        def rows(u, row_gradient, A, ps):
-            outcomes = real(u, row_gradient, A, ps)
+        def rows(u, row_gradient, A, ps, *lams):
+            outcomes = real(u, row_gradient, A, ps, *lams)
             for outcome in outcomes:
                 if row_gradient == gradient and isinstance(outcome, tuple):
                     outcome[1].converged = False
             return outcomes
 
-        monkeypatch.setattr(grand, "_slice_rows", rows)
+        monkeypatch.setattr(target, rows)
+
+    return patch
+
+
+@pytest.fixture
+def unconverged_grand_slices(force_unconverged, unconverged_slice_rows):
+    """Flag unconverged every slice norm that grand computes of u, or of |u'|
+    with ``gradient``: in a batch (grand._slice_rows) and alone
+    (grand.weighted_lp_norm or grand.weighted_gradient_norm)."""
+
+    def patch(gradient: bool):
+        force_unconverged(
+            "glsobolev.grand." + ("weighted_gradient_norm" if gradient else "weighted_lp_norm")
+        )
+        unconverged_slice_rows("glsobolev.grand._slice_rows", gradient)
 
     return patch

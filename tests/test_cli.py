@@ -367,6 +367,19 @@ class TestUnconvergedExitCodes:
         notes = payload["diagnostics"]["notes"]
         assert any(note.startswith("round-off detected after") for note in notes)
 
+    def test_gls_norm_lists_at_most_nine_notes(self, capsys):
+        # 38 slices of a window reaching p = inf stop at round-off; the
+        # payload lists the first eight notes and counts the other 30
+        code, payload = run_json(
+            capsys,
+            ["gls-norm", "--profile", "bump:1,1", "--psi", "constant:1.5,inf", "--A", "1,2"],
+        )
+        assert code == 3
+        notes = payload["diagnostics"]["notes"]
+        assert len(notes) <= 9
+        assert notes[0].startswith("round-off detected after")
+        assert notes[-1] == "and 30 more notes"
+
     def test_morrey(self, capsys, unconverged_grand_slices):
         unconverged_grand_slices(gradient=True)
         code, payload = run_json(
@@ -377,8 +390,8 @@ class TestUnconvergedExitCodes:
         assert code == 3
         assert [entry["diagnostics"]["converged"] for entry in payload] == [False, False]
 
-    def test_scaling(self, capsys, force_unconverged):
-        force_unconverged("glsobolev.verify.weighted_gradient_norm")
+    def test_scaling(self, capsys, unconverged_slice_rows):
+        unconverged_slice_rows("glsobolev.verify._slice_rows", gradient=True)
         code, payload = run_json(
             capsys, ["scaling", "--profile", "bump:1,1", "--A", "1,2", "--p", "2"]
         )

@@ -149,6 +149,14 @@ class TestSharpConstant:
         with pytest.raises(InputError):
             sharp_constant([1.0, 2.0], 2.0, variant="other")
 
+    def test_cached_weight_terms_still_raise_on_every_call(self):
+        # the terms that depend on A alone are cached; an error is not
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                sharp_constant([0.0], 1.5)  # D = 1
+            with pytest.raises(InputError):
+                sharp_constant([1.0, 2.0], 2.0, variant="other")
+
 
 class TestTraceBounds:
     def test_formula_values(self):

@@ -276,6 +276,18 @@ class TestZetaTransform:
                 sharp_constant(A, p) * psi(p), rel=1e-10
             )
 
+    def test_psi_is_evaluated_once_per_call(self):
+        A = [1.0, 2.0]
+        base = power_endpoint_psi(1.5, 2.5, 0.5, 0.5)
+        seen = []
+        psi = dataclasses.replace(base, func=lambda p: seen.append(len(p)) or base.func(p))
+        zeta = zeta_transform(psi, A)
+        qs = np.array([sobolev_exponent(A, A, p) for p in (1.7, 2.0, 2.3)])
+        seen.clear()
+        values = zeta(qs)
+        assert seen == [3]
+        assert [zeta(float(q)) for q in qs] == values.tolist()
+
     def test_literal_variant_propagates(self):
         A = [1.0, 2.0]
         psi = constant_psi(1.5, 2.5)

@@ -18,7 +18,9 @@ from glsobolev.norms import (
     weighted_gradient_norm,
     weighted_lp_norm,
 )
-from glsobolev.profiles import bump, extremal_profile, gaussian, power_tail, step, tent
+from glsobolev.profiles import (
+    bump, extremal_profile, gaussian, make_profile, power_tail, step, tent
+)
 from glsobolev.quadrature import _raise_error
 
 mpmath.mp.dps = 30
@@ -315,3 +317,32 @@ class TestSliceRows:
             alone = _outcome(lambda: norms_module._norm(u, gradient, A, p, True))
             assert got == alone, p
 
+    @pytest.mark.parametrize(
+        "generator, params",
+        [
+            ("bump", ()),
+            ("gaussian", ()),
+            ("tent", ()),
+            ("step", ()),
+            ("smoothed_step", (1.0, 0.3)),
+            ("power_tail", ()),
+            ("power_tail", (2.0,)),
+            ("extremal", ()),
+        ],
+    )
+    @pytest.mark.parametrize("gradient", [False, True])
+    def test_each_dilation_row_is_the_norm_of_its_dilated_profile(self, generator, params, gradient):
+        # p = 2 squares and p = 200 seeds the peak; on D = 5 power_tail(2)
+        # diverges at p = 1.5 and 2, and its gradient diverges at p = 1.5 and
+        # is unspent at the radius cap at p = 2; tails started at R / 8, R
+        # and 8 R double onto the same radii, so rows of different dilations
+        # share tail blocks
+        u, A = make_profile(generator, *params), (1.0, 2.0)
+        cases = [(p, lam) for p in (1.5, 2.0, 200.0) for lam in (0.125, 1.0, 8.0)]
+        ps, lams = zip(*cases)
+        rows = norms_module._slice_rows(u, gradient, A, ps, lams)
+        norm_fn = weighted_gradient_norm if gradient else weighted_lp_norm
+        for (p, lam), row in zip(cases, rows):
+            got = _outcome(lambda: _raise_error(row))
+            alone = _outcome(lambda: norm_fn(u.dilated(lam), A, p, details=True))
+            assert got == alone, (p, lam)

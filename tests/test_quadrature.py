@@ -273,6 +273,14 @@ class TestTailRows:
 
 
 class TestDiagnosticsMerge:
+    def test_to_dict_lists_eight_notes_and_counts_the_rest(self):
+        diag = QuadratureDiagnostics(notes=[f"note {k}" for k in range(8)])
+        assert diag.to_dict()["notes"] == [f"note {k}" for k in range(8)]
+        diag.merge(QuadratureDiagnostics(notes=["note 8", "note 9"]))
+        diag.merge(QuadratureDiagnostics(notes=["note 10"]))
+        assert diag.notes[-1] == "note 10"
+        assert diag.to_dict()["notes"] == [f"note {k}" for k in range(8)] + ["and 3 more notes"]
+
     def test_sums_work_and_keeps_the_worst_error(self):
         diag = QuadratureDiagnostics(panels=2, neval=30, error_estimate=1e-12, rel_error=1e-13)
         diag.merge(
@@ -331,6 +339,30 @@ class TestRowBatch:
         alone, alone_diag = integrate_power_weighted(lambda t: np.exp(-t), 2.0, 1.0)
         assert value == alone
         assert diag.to_dict() == alone_diag.to_dict()
+
+    def test_rows_alone_on_their_edges_share_one_call_per_panel_count(self):
+        # rows 0 and 1 share their edges, rows 2 and 3 are alone on two
+        # panels each and row 4 alone on three: three first calls
+        funcs = (np.exp, np.sin, np.cos, lambda t: t**2.5, np.sqrt)
+        edge_rows = [
+            (0.0, 1.0, 2.0), (0.0, 1.0, 2.0), (0.5, 1.0, 3.0), (1.0, 2.0, 4.0),
+            (0.0, 0.5, 1.0, 2.0),
+        ]
+        calls = []
+
+        def family(x, rows):
+            calls.append((x.shape, list(rows)))
+            if x.ndim == 1:
+                return np.stack([funcs[r](x) for r in rows])
+            return np.stack([funcs[r](x[k]) for k, r in enumerate(rows)])
+
+        batched = quadrature_module._refine_rows(family, edge_rows, [0.0] * 5)
+        assert calls[:3] == [((30,), [0, 1]), ((2, 30), [2, 3]), ((45,), [4])]
+        for f, edges, (value, diag) in zip(funcs, edge_rows, batched):
+            alone, alone_diag = adaptive_quadrature(
+                f, edges[0], edges[-1], initial_edges=edges[1:-1]
+            )
+            assert (value, diag.to_dict()) == (alone, alone_diag.to_dict())
 
 
 def _heap_loop_without_round_off_stop(lo, hi, vals, errs, base_value):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -8,9 +9,9 @@ import glsobolev.grand as grand_module
 import glsobolev.verify as verify_module
 from glsobolev.constants import trace_bounds
 from glsobolev.errors import DomainError, InputError
-from glsobolev.exponents import as_exponent_tuple, trace_exponent
+from glsobolev.exponents import as_exponent_tuple, sobolev_exponent, trace_exponent
 from glsobolev.grand import constant_psi, verify_gls_sobolev
-from glsobolev.norms import weighted_gradient_norm
+from glsobolev.norms import weighted_gradient_norm, weighted_lp_norm
 from glsobolev.profiles import bump, gaussian, make_profile, tent
 from glsobolev.quadrature import QuadratureDiagnostics
 from glsobolev.reports import INEQUALITY_IDS, exit_status
@@ -99,7 +100,85 @@ class TestCheckSobolev:
         assert report.constant > 0.0
 
 
+def _sequential_fit(u, A, B, p):
+    """fit_scaling_exponents as a sweep of 18 standalone norms, lam
+    ascending and lhs before rhs; the first failure raises."""
+    A, B = as_exponent_tuple(A), as_exponent_tuple(B)
+    q = sobolev_exponent(A, B, p)
+    dilations = np.geomspace(0.125, 8.0, 9)
+    log_l = np.log(dilations)
+    log_lhs = np.empty_like(log_l)
+    log_rhs = np.empty_like(log_l)
+    diag = QuadratureDiagnostics()
+    for i, lam in enumerate(dilations):
+        v = u.dilated(float(lam))
+        lhs, ldiag = weighted_lp_norm(v, B, q, details=True)
+        rhs, rdiag = weighted_gradient_norm(v, A, p, details=True)
+        diag.merge(ldiag)
+        diag.merge(rdiag)
+        log_lhs[i] = math.log(lhs)
+        log_rhs[i] = math.log(rhs)
+    fit_l = np.polyfit(log_l, log_lhs, 1)
+    fit_r = np.polyfit(log_l, log_rhs, 1)
+    return ScalingFit(
+        slope_lhs=float(fit_l[0]),
+        slope_rhs=float(fit_r[0]),
+        expected_lhs=-B.effective_dimension / q,
+        expected_rhs=1.0 - A.effective_dimension / p,
+        residual_lhs=float(np.max(np.abs(np.polyval(fit_l, log_l) - log_lhs))),
+        residual_rhs=float(np.max(np.abs(np.polyval(fit_r, log_l) - log_rhs))),
+        quadrature=diag,
+    )
+
+
+def _fit_or_error(fit, u):
+    try:
+        return fit(u, (1.0, 2.0), (0.5, 0.5), 1.8)
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+
+
 class TestScaling:
+    @pytest.mark.parametrize(
+        "generator, params",
+        [
+            ("bump", (1.0, 1.0)),
+            ("gaussian", (1.0,)),
+            ("smoothed_step", (1.0, 0.3)),
+            # both sides diverge: the lhs at lam = 1/8 raises first
+            ("power_tail", (1.0,)),
+            # u' = 0, so the log of the rhs at lam = 1/8 raises
+            ("step", (1.0,)),
+        ],
+    )
+    def test_fit_equals_a_sweep_of_standalone_norms(self, generator, params):
+        batched = _fit_or_error(fit_scaling_exponents, make_profile(generator, *params))
+        swept = _fit_or_error(_sequential_fit, make_profile(generator, *params))
+        assert batched == swept
+
+    @pytest.mark.parametrize(
+        "generator, params",
+        [("bump", (1.0, 1.0)), ("gaussian", (1.0,)), ("smoothed_step", (1.0, 0.3))],
+    )
+    def test_one_check_makes_few_profile_calls(self, generator, params):
+        # one call per lockstep round and per peak scan; a sweep of
+        # standalone norms makes 144, 171 and 333
+        calls = []
+
+        def counted(fn):
+            def call(r):
+                calls.append(len(r))
+                return fn(r)
+
+            return call
+
+        u = make_profile(generator, *params)
+        u = dataclasses.replace(
+            u, value=counted(u.value), derivative=counted(u.derivative), check=False
+        )
+        check_scaling(u, (1.0, 2.0), (0.5, 0.5), 1.8)
+        assert len(calls) <= 100
+
     def test_fitted_slopes_match_exponent_laws(self):
         A = [1.0, 2.0]
         fit = fit_scaling_exponents(bump(1.0, 1.0), A, A, 2.0)
@@ -273,8 +352,8 @@ class TestForcedNonConvergence:
         assert report.quadrature["converged"] is False
         assert report.status == "inconclusive"
 
-    def test_scaling_inconclusive(self, force_unconverged):
-        force_unconverged("glsobolev.verify.weighted_gradient_norm")
+    def test_scaling_inconclusive(self, unconverged_slice_rows):
+        unconverged_slice_rows("glsobolev.verify._slice_rows", gradient=True)
         report = check_scaling(gaussian(1.0), [1.0, 1.0], [1.0, 1.0], 1.8)
         assert report.quadrature["converged"] is False
         assert report.status == "inconclusive"
