@@ -18,13 +18,17 @@ computes in one lockstep batch (norms._slice_rows), each p keeping its own
 refinement tree, diagnostics and every bit of a standalone norm; psi is
 evaluated once on the whole grid.  The golden-section probes are computed
 ahead in batches too: a probe not yet computed goes in one call with the
-next SUP_LOOKAHEAD points that the golden loop takes on a parabolic model
-of the objective (Brent's model step), which are bitwise the points it
-asks for whenever the objective orders its probes as the model does.  A
-batch of several slices is again one _slice_rows batch; a lone slice goes
-through this module's weighted_lp_norm / weighted_gradient_norm.  A
-slice's diagnostics merge once, when it is computed, so they count the
-work of computed points the loop never probes.
+next SUP_LOOKAHEAD points that the golden loop takes on a model of the
+objective, which are bitwise the points it asks for whenever the objective
+orders its probes as the model does.  The model peaks at the vertex of a
+parabola through the best values (Brent's model step) or, with no concave
+one and the grid's best point at an end of the grid, at that end, toward
+which the objective of a supremum at the edge of its window often rises
+monotonically.  A batch of several slices
+is again one _slice_rows batch; a lone slice goes through this module's
+weighted_lp_norm / weighted_gradient_norm.  A slice's diagnostics merge
+once, when it is computed, so they count the work of computed points the
+loop never probes.
 
 ``zeta_transform`` pushes a gradient-side weight forward through the
 exponent law q = D p / (D - p) and multiplies in the sharp constant, so
@@ -287,8 +291,11 @@ def _scan_sup(objective, a: float, b: float) -> SupremumResult:
     64-point grid is one call.  A golden probe not yet computed is the first
     point of a call that also holds the points the loop would take next if
     the objective ordered them as -|x - x^|, x^ the vertex of the parabola
-    through the three best finite values settled so far; with fewer than
-    three, or a parabola that is not concave, it goes alone.  ``settle``
+    through the three best finite values settled so far.  With fewer than
+    three, or a parabola that is not concave, x^ is the grid's best point
+    when that point is the first or last of the grid (the end cell, where
+    an objective monotone toward the window's edge takes exactly that
+    path), and otherwise the probe goes alone.  ``settle``
     turns an outcome into a number when the loop probes it, never before:
     a DivergentIntegralError makes the supremum +inf.  A slice that merely
     fails certification is tolerated only if some other slice proved
@@ -318,10 +325,13 @@ def _scan_sup(objective, a: float, b: float) -> SupremumResult:
         )
     seen = [(v, x) for v, x in zip(vals.tolist(), grid.tolist()) if math.isfinite(v)]
     known: dict = {}  # golden point -> its outcome, probed or not
+    at_boundary = i in (0, len(grid) - 1)
 
     def probe(x: float, state) -> float:
         if x not in known:
             peak = _vertex(heapq.nlargest(3, seen)) if len(seen) >= 3 else None
+            if peak is None and at_boundary:
+                peak = float(grid[i])
             ahead = _golden_path(state, peak) if peak is not None else []
             batch = [y for y in dict.fromkeys([x, *ahead]) if y not in known]
             known.update(zip(batch, objective(np.array(batch))))
@@ -360,7 +370,7 @@ def _scan_sup(objective, a: float, b: float) -> SupremumResult:
     return SupremumResult(
         value=best_v,
         argmax=best_x,
-        at_boundary=i in (0, len(grid) - 1),
+        at_boundary=at_boundary,
         diverged=False,
     )
 

@@ -19,7 +19,7 @@ from . import grand, profiles
 from .constants import (
     _valid_variant, _where_defined, sharp_constant, talenti_constant, trace_bounds
 )
-from .errors import InputError
+from .errors import DomainError, InputError
 from .exponents import _whole_number, as_exponent_tuple, sobolev_exponent, trace_exponent
 from .grand import (
     PsiFunction,
@@ -132,7 +132,8 @@ def fit_scaling_exponents(
     (``norms._slice_rows``) and the nine gradient norms another, each row
     with the bits of its standalone norm of ``u.dilated(lam)``.  The first
     failing norm raises in the order of a sequential sweep: lam ascending,
-    lhs before rhs.
+    lhs before rhs; a norm of 0, whose logarithm the fit cannot take, raises
+    DomainError in the same order.
     """
     A = as_exponent_tuple(A)
     B = as_exponent_tuple(B)
@@ -151,6 +152,12 @@ def fit_scaling_exponents(
         rhs, rdiag = _raise_error(rhs_row)
         diag.merge(ldiag)
         diag.merge(rdiag)
+        for side, norm in (("lhs", lhs), ("gradient", rhs)):
+            if norm == 0.0:
+                raise DomainError(
+                    f"the {side} norm of {u.name} at lam = {lams[i]:g} is 0: "
+                    "the dilation slope of a zero norm is undefined"
+                )
         log_lhs[i] = math.log(lhs)
         log_rhs[i] = math.log(rhs)
     fit_l = np.polyfit(log_l, log_lhs, 1)

@@ -301,6 +301,13 @@ class TestScalingCommand:
         assert payload["slope-rhs"] == pytest.approx(payload["expected-rhs"], abs=1e-8)
         assert payload["max-deviation"] < 1e-8
 
+    def test_zero_gradient_norm_exits_2_naming_it(self, capsys):
+        # the step's derivative is 0, so the fit has no log to take
+        assert main(["scaling", "--profile", "step:1", "--A", "1,2", "--p", "1.8"]) == 2
+        err = capsys.readouterr().err
+        assert "the gradient norm of step(R=1) at lam = 0.125 is 0" in err
+        assert "dilation slope of a zero norm is undefined" in err
+
 
 class TestRelTolOption:
     @pytest.mark.parametrize(
@@ -491,6 +498,23 @@ class TestCampaignCommand:
         assert main(["campaign", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "missing key 'family'" in err
+
+    def test_config_scaling_a_step_family_exits_2_naming_the_zero_norm(self, capsys, tmp_path):
+        cfg = {
+            "checks": [
+                {
+                    "kind": "scaling",
+                    "A": [1.0, 2.0],
+                    "p-values": [1.8],
+                    "family": {"generator": "step", "count": 1},
+                }
+            ],
+        }
+        path = tmp_path / "step-scaling.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["campaign", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "the gradient norm of step(R=1) at lam = 0.125 is 0" in err
 
     def test_config_with_infinite_slack_exits_2(self, capsys, tmp_path):
         cfg = {

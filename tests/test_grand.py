@@ -581,6 +581,34 @@ class TestScanProtocol:
         _assert_calls_follow(calls, probes, a, b)
         assert (res.value, res.argmax, res.at_boundary) == expected
 
+    @pytest.mark.parametrize(
+        "b, slope",
+        [(3.0, -1.0), (math.inf, -1.0), (3.0, 1.0)],
+        ids=["decreasing", "decreasing-to-inf", "increasing"],
+    )
+    def test_an_end_cell_sup_computes_its_golden_path_in_batches(self, b, slope):
+        # a monotone objective peaks at an end of the grid, where no three
+        # values give a concave parabola; the path toward that end is the
+        # one the loop takes, so each call holds the next SUP_LOOKAHEAD + 1
+        # probes of it, and none off it
+        def monotone(ps):
+            return [math.exp(slope * p) for p in ps]
+
+        calls = []
+
+        def objective(ps):
+            calls.append(ps)
+            return monotone(ps)
+
+        probes, expected = _reference_scan(monotone, 1.5, b)
+        res = grand_module._scan_sup(objective, 1.5, b)
+        _assert_calls_follow(calls, probes, 1.5, b)
+        full = grand_module.SUP_LOOKAHEAD + 1
+        assert [len(ps) for ps in calls[1:-1]] == [full] * (len(calls) - 2)
+        assert sum(len(ps) for ps in calls[1:]) == len(probes) > 2 * full
+        assert (res.value, res.argmax, res.at_boundary) == expected
+        assert res.at_boundary and not res.diverged
+
     def test_uncertified_grid_slices_raise(self):
         def objective(ps):
             return [QuadratureError(f"at {p:.3f}") if p < 2.0 else -p for p in ps]
@@ -788,6 +816,20 @@ class TestWorkNotRepeated:
         assert report.status == "inconclusive"
         assert len(sizes["value"]) + len(sizes["derivative"]) <= 1000
 
+    def test_an_end_cell_sup_computes_its_golden_path_in_few_profile_calls(self):
+        # the sup sits at the start of (1.5, inf), where the objective is
+        # monotone; computing each golden probe alone takes 345 calls here
+        u, sizes = _recording_profile(gaussian(2.0))
+        gls_norm(u, constant_psi(1.5, math.inf), (1.0, 2.0))
+        assert len(sizes["value"]) + len(sizes["derivative"]) <= 100
+
+    def test_verify_gls_with_end_cell_sups_stays_inconclusive_in_few_calls(self):
+        # 733 calls when each golden probe of an end-cell sup goes alone
+        u, sizes = _recording_profile(gaussian(0.94))
+        report = verify_gls_sobolev(u, constant_psi(1.5, 5.0), (1.0, 2.0))
+        assert report.status == "inconclusive"
+        assert len(sizes["value"]) + len(sizes["derivative"]) <= 250
+
     def test_shared_gradient_gives_the_same_morrey_numbers(self):
         A = [1.0, 1.0]
         psi = constant_psi(5.0, 9.0)
@@ -833,6 +875,7 @@ class TestSliceTableReuse:
             (tent(1.5), constant_psi(1.5, 3.0)),
             (smoothed_step(1.0, 0.3), power_endpoint_psi(1.3, 3.4, 0.4, 0.4)),
             (bump(1.0, 1.5), constant_psi(100.0, 160.0)),
+            (gaussian(2.0), constant_psi(1.5, math.inf)),
         ],
         ids=[
             "bump-power-endpoint",
@@ -841,6 +884,7 @@ class TestSliceTableReuse:
             "tent",
             "smoothed-step",
             "bump-window-crossing-128",
+            "gaussian-end-cell-to-inf",
         ],
     )
     def test_scan_slices_equal_standalone_norms(self, monkeypatch, u, psi):
@@ -893,3 +937,26 @@ class TestSliceTableReuse:
             assert value == alone
             assert diag.to_dict() == alone_diag.to_dict()
         assert in_scan < k15_calls[0]
+
+    @pytest.mark.parametrize("a", [1.5, 2.0])
+    @pytest.mark.parametrize("scale", [1.5, 2.0])
+    def test_an_end_cell_scan_has_the_bits_of_one_probe_at_a_time(self, scale, a):
+        """A sup at the start of (a, inf) batches its golden probes; value,
+        argmax and merged diagnostics are those of a scan that computes
+        each slice as a standalone norm and merges it in probe order."""
+        u, A, psi = gaussian(scale), (1.0, 2.0), constant_psi(a, math.inf)
+        diag = grand_module.QuadratureDiagnostics()
+        values = {}
+
+        def one_at_a_time(ps):
+            for p in ps.tolist():
+                if p not in values:
+                    values[p], slice_diag = weighted_lp_norm(u, A, p, details=True)
+                    diag.merge(slice_diag)
+            return [values[p] for p in ps.tolist()]
+
+        _, (value, argmax, at_boundary) = _reference_scan(one_at_a_time, psi.a, psi.b)
+        result = gls_norm(u, psi, A, details=True)[1]
+        assert at_boundary and result.at_boundary
+        assert (result.value, result.argmax) == (value, argmax)
+        assert result.quadrature.to_dict() == diag.to_dict()

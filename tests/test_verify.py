@@ -12,7 +12,7 @@ from glsobolev.errors import DomainError, InputError
 from glsobolev.exponents import as_exponent_tuple, sobolev_exponent, trace_exponent
 from glsobolev.grand import constant_psi, verify_gls_sobolev
 from glsobolev.norms import weighted_gradient_norm, weighted_lp_norm
-from glsobolev.profiles import bump, gaussian, make_profile, tent
+from glsobolev.profiles import bump, gaussian, make_profile, step, tent
 from glsobolev.quadrature import QuadratureDiagnostics
 from glsobolev.reports import INEQUALITY_IDS, exit_status
 from glsobolev.verify import (
@@ -116,6 +116,12 @@ def _sequential_fit(u, A, B, p):
         rhs, rdiag = weighted_gradient_norm(v, A, p, details=True)
         diag.merge(ldiag)
         diag.merge(rdiag)
+        for side, norm in (("lhs", lhs), ("gradient", rhs)):
+            if norm == 0.0:
+                raise DomainError(
+                    f"the {side} norm of {u.name} at lam = {lam:g} is 0: "
+                    "the dilation slope of a zero norm is undefined"
+                )
         log_lhs[i] = math.log(lhs)
         log_rhs[i] = math.log(rhs)
     fit_l = np.polyfit(log_l, log_lhs, 1)
@@ -147,7 +153,7 @@ class TestScaling:
             ("smoothed_step", (1.0, 0.3)),
             # both sides diverge: the lhs at lam = 1/8 raises first
             ("power_tail", (1.0,)),
-            # u' = 0, so the log of the rhs at lam = 1/8 raises
+            # u' = 0, so the rhs at lam = 1/8 raises as a zero norm
             ("step", (1.0,)),
         ],
     )
@@ -155,6 +161,18 @@ class TestScaling:
         batched = _fit_or_error(fit_scaling_exponents, make_profile(generator, *params))
         swept = _fit_or_error(_sequential_fit, make_profile(generator, *params))
         assert batched == swept
+
+    def test_a_zero_norm_raises_a_domain_error_naming_its_side(self):
+        # the step's derivative is 0 on its support: the gradient norm is 0
+        # at every dilation, and its logarithm has no slope to fit
+        expected = (
+            r"^the gradient norm of step\(R=1\) at lam = 0.125 is 0: "
+            r"the dilation slope of a zero norm is undefined$"
+        )
+        with pytest.raises(DomainError, match=expected):
+            fit_scaling_exponents(step(1.0), (1.0, 2.0), (0.5, 0.5), 1.8)
+        with pytest.raises(DomainError, match=expected):
+            check_scaling(step(1.0), (1.0, 2.0), (0.5, 0.5), 1.8)
 
     @pytest.mark.parametrize(
         "generator, params",
