@@ -35,8 +35,10 @@ CONFIG_DIR_ENV = "GLSOBOLEV_CONFIG_DIR"
 
 
 def _parse_floats(text: str) -> list[float]:
+    """The numbers of a comma-separated list; an empty token (so an empty
+    list) is an InputError, like any token float() refuses."""
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [float(tok) for tok in text.split(",")]
     except ValueError:
         raise InputError(f"expected comma-separated numbers, got '{text}'") from None
 

@@ -24,6 +24,11 @@ radius and seeded edges, and each round evaluates u (or lam * u') at
 lam * x for the points x of every live row in one profile call.  A
 grand-norm sup scan batches rows of many p at lam = 1; the scaling fit
 (``verify.fit_scaling_exponents``) batches the nine dilations of one side.
+Rows at lam = 1 whose points coincide in a round (nearby p split the same
+panels and halve their heads to the same eps) send those points to the
+profile once: |u| / peak is taken per distinct point row and expanded to
+the rows before each raises it to its own p.  Dilated rows evaluate at
+lam * x, so they expand their points first and share none.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from .quadrature import (
     _integrate_rows,
     _power_weighted,
     _rows_of,
+    _take,
     extend_tail,
     integrate_power_weighted,
 )
@@ -192,10 +198,11 @@ def _slice_rows(u: RadialProfile, gradient: bool, A, ps, lams=None) -> list:
     edges.  The Gauss-Jacobi heads and the adaptive bodies of all rows run
     in one lockstep batch (``quadrature._integrate_rows``): each round
     evaluates u (or lam * u') at lam * x for the points x of every live
-    row in one profile call, and each row raises |f| / peak to its own
-    power.  The tails of a decaying profile, for the rows whose head and
-    body succeeded, run in a second lockstep batch
-    (``quadrature._extend_tails``) on the same integrand family.
+    row in one profile call, each distinct point row once when lam = 1,
+    and each row raises |f| / peak to its own power.  The tails of a
+    decaying profile, for the rows whose head and body succeeded, run in a
+    second lockstep batch (``quadrature._extend_tails``) on the same
+    integrand family.
     """
     A = as_exponent_tuple(A)
     gamma_exp = A.effective_dimension - 1.0
@@ -228,16 +235,19 @@ def _slice_rows(u: RadialProfile, gradient: bool, A, ps, lams=None) -> list:
     dilated = any(lams[i] != 1.0 for i in rows)
     lam_peak = np.array([(lams[i], scan.value) for i, scan in zip(rows, scans)])
 
-    def g(x, which):
-        if dilated:
+    def g(x, which, of):
+        if dilated:  # rows at lam * x expand their point rows first: none share
             lam, peak = lam_peak[which].T[:, :, None]
-            if x.ndim == 1 and np.all(lam == lam[0]):  # shared points, one dilation:
+            if of is not None:
+                x = x.take(of, 0)
+            elif x.ndim == 1 and np.all(lam == lam[0]):  # shared points, one dilation:
                 lam = lam[:1]  # one evaluation serves every row
-            x = lam * x
+            x, of = lam * x, None
         else:
             lam, peak = 1.0, scans[0].value
         f = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
-        base = np.abs(lam * f if dilated and gradient else f) / peak
+        # |u| / peak once per distinct point row, then one row per integrand
+        base = _take(np.abs(lam * f if dilated and gradient else f) / peak, of)
         powered = base ** exps[which]
         for k, j in enumerate(which):
             if j in squares:

@@ -29,7 +29,14 @@ the next block of all live rows in one ``_refine_rows`` batch per round.
 Rows are stacked along a leading axis and never flattened into one 2-d
 product, so each row keeps the bits, diagnostics and neval of a call on
 its own: ``(rows, 2, 15) @ w`` and ``(rows, 1, n) @ w`` reduce each row as
-a lone call would, where ``(rows * 2, 15) @ w`` would not.
+a lone call would, where ``(rows * 2, 15) @ w`` would not.  A family is
+called as ``f(x, rows, of)`` on the distinct point rows of a round only:
+rows that split the same panel (a, mid, b), or halve their heads to the
+same eps, share one row of ``x``, and the index array ``of``
+(``_distinct``, keys compared exactly) sends each integrand to it.  The
+family evaluates each point row once and expands the result by ``of``
+before anything that depends on the integrand, so the values are those of
+one row of points per integrand; neval still counts each row's own nodes.
 ``adaptive_quadrature`` is the one-row case of ``_refine_rows``,
 ``extend_tail`` the one-row case of ``_extend_tails``, and
 ``integrate_power_weighted`` the one-row case of ``_integrate_rows``,
@@ -198,8 +205,32 @@ def _k15_panels(f, lo: np.ndarray, hi: np.ndarray):
 
 
 def _one_row(f):
-    """A plain integrand f as the one-row family f(x, rows) of _refine_rows."""
-    return lambda x, rows: f(x.ravel())
+    """A plain integrand f as the one-row family f(x, rows, of) of _refine_rows."""
+    return lambda x, rows, of: f(x.ravel())
+
+
+def _distinct(keys) -> tuple:
+    """(pick, of) for a list of hashable keys, compared exactly (floats
+    share only when equal): ``pick[k]`` is the index of one key equal to
+    the k-th distinct key and ``of[j]`` the k of key j, both index arrays,
+    so an array whose rows follow the keys has
+    ``_take(_take(rows, pick), of) == rows``.  (None, None) when no key
+    repeats."""
+    if len(keys) == 1:  # a lone row, as in every one-row call
+        return None, None
+    slot: dict = {}
+    of = [slot.setdefault(key, len(slot)) for key in keys]
+    if len(slot) == len(of):
+        return None, None
+    of = np.array(of, dtype=np.intp)
+    pick = np.empty(len(slot), dtype=np.intp)
+    pick[of] = np.arange(len(of))  # any of the equal keys will do
+    return pick, of
+
+
+def _take(a, index):
+    """The rows ``index`` of the array a, or a itself for None."""
+    return a if index is None else a.take(index, 0)
 
 
 def _raise_error(outcome):
@@ -283,18 +314,21 @@ def _refinement(lo, hi, vals, errs, base_value):
 def _refine_rows(f, edge_rows, base_values):
     """Adaptive G7/K15 quadrature of a family of integrands in lockstep.
 
-    ``f(x, rows)`` evaluates the integrands ``rows`` (row indices) at the
-    points ``x``, shared by all of them when 1-d and one row of points per
-    integrand when 2-d, and returns one row of values per integrand (a
-    one-row family may return its values flat).  Row r starts from the
-    panels between its sorted edges ``edge_rows[r]``; rows with equal edges
-    share one K15 call on one set of points, and the rows alone on their
-    edges share one K15 call per panel count, their panels stacked one row
-    per integrand.  Each row runs its own heap loop (``_refinement``),
-    so it has the bits of a call on its own.  In every round each live row
-    asks for the halves of its worst panel, and the halves of all rows are
-    evaluated in one call of f and one K15 reduction.  Returns (total,
-    diagnostics) per row.
+    ``f(x, rows, of)`` evaluates the integrands ``rows`` (row indices) at
+    the points ``x`` and returns one row of values per integrand (a one-row
+    family may return its values flat).  A 1-d ``x`` is shared by all of
+    them; a 2-d ``x`` holds distinct point rows, and ``_take(x, of)[j]``
+    holds the points of integrand ``rows[j]``: ``of`` is an index array
+    into the rows of x, or None when x has one row per integrand (and for a
+    1-d x).  Row r starts from the panels between its sorted edges
+    ``edge_rows[r]``; rows with equal edges share one K15 call on one set
+    of points, and the rows alone on their edges share one K15 call per
+    panel count, their panels stacked one row per integrand.  Each row runs
+    its own heap loop (``_refinement``), so it has the bits of a call on
+    its own.  In every round each live row asks for the halves of its worst
+    panel, and the halves of all rows are evaluated in one call of f and
+    one K15 reduction; rows that split the same panel (a, mid, b) share one
+    point row.  Returns (total, diagnostics) per row.
     """
     groups: dict = {}  # edges -> the rows on them, then panel count -> lone rows
     for r, edges in enumerate(edge_rows):
@@ -308,12 +342,14 @@ def _refine_rows(f, edge_rows, base_values):
         if isinstance(key, tuple) or len(members) == 1:  # one set of points for all
             edges = edge_rows[members[0]]
             lo, hi = np.array(edges[:-1]), np.array(edges[1:])
-            vals, errs = _k15_panels(lambda x: f(x, members), lo, hi)
+            vals, errs = _k15_panels(lambda x: f(x, members, None), lo, hi)
             lo, hi = [lo] * len(members), [hi] * len(members)
         else:  # one row of points per member
             edges = np.array([edge_rows[r] for r in members])
             lo, hi = edges[:, :-1], edges[:, 1:]
-            vals, errs = _k15_panels(lambda x: f(x.reshape(len(members), -1), members), lo, hi)
+            vals, errs = _k15_panels(
+                lambda x: f(x.reshape(len(members), -1), members, None), lo, hi
+            )
         vals, errs = vals.reshape(len(members), -1), errs.reshape(len(members), -1)
         for j, r in enumerate(members):
             rows[r] = _refinement(lo[j], hi[j], vals[j], errs[j], base_values[r])
@@ -331,11 +367,15 @@ def _refine_rows(f, edge_rows, base_values):
     for r in range(len(rows)):
         advance(r, None)
     while asking:
-        live, split = asking[:], np.array(cuts)
+        live = asking[:]
+        pick, of = _distinct(cuts)  # rows that split the same panel share its points
+        split = _take(np.array(cuts if pick is None else [cuts[j] for j in pick]), of)
         asking.clear()
         cuts.clear()
         vals, errs = _k15_panels(
-            lambda x: f(x.reshape(len(live), -1), live), split[:, :2], split[:, 1:]
+            lambda x: f(_take(x.reshape(len(live), -1), pick), live, of),
+            split[:, :2],
+            split[:, 1:],
         )
         vals, errs = vals.tolist(), errs.tolist()
         for j, r in enumerate(live):
@@ -385,10 +425,17 @@ def _jacobi_rule(n: int, gamma_exp: float):
 
 def _power_weighted(g, gamma_exp: float):
     """The integrand t -> t^gamma_exp g(t), weight folded in; for a family
-    ``g(t, rows)`` of ``_refine_rows``, the same family weighted."""
-    return lambda t, *rows: np.asarray(t, dtype=float) ** gamma_exp * np.asarray(
-        g(t, *rows), dtype=float
-    )
+    ``g(t, rows, of)`` of ``_refine_rows``, the same family weighted, with
+    t^gamma_exp taken once per distinct point row of a 2-d t and expanded
+    by ``of``."""
+
+    def weighted(t, *family):
+        w = np.asarray(t, dtype=float) ** gamma_exp
+        if family:
+            w = _take(w, family[1])
+        return w * np.asarray(g(t, *family), dtype=float)
+
+    return weighted
 
 
 def _head_eps(upper: float, initial_edges) -> float:
@@ -413,14 +460,15 @@ def _head_rules(gamma_exp: float):
 
 def _jacobi_heads(f, gamma_exp: float, eps) -> list:
     """int_0^eps t^gamma f(t) dt by Gauss-Jacobi (exact in the weight) for
-    each row of the family ``f(x, rows)`` of ``_refine_rows``, starting from
-    its ``eps``.
+    each row of the family ``f(x, rows, of)`` of ``_refine_rows``, starting
+    from its ``eps``.
 
     A row halves its eps until the 48-point rule agrees with the 24-point
     one, so sharp structure near 0 cannot hide inside the head.  Each round
-    evaluates both rules of every unsettled row in one call of f.  Returns
-    (head, eps, neval) per row, or the QuadratureError of a row whose head
-    never settled.
+    evaluates both rules of every unsettled row in one call of f, on one
+    point row per distinct eps, ``of`` mapping each row to its eps's.
+    Returns (head, eps, neval) per row, or the QuadratureError of a row
+    whose head never settled.
     """
     nodes, w24, w48 = _head_rules(gamma_exp)
     eps = list(eps)
@@ -429,8 +477,10 @@ def _jacobi_heads(f, gamma_exp: float, eps) -> list:
     for attempt in range(80):
         if not live:
             break
-        t = 0.5 * np.array([eps[r] for r in live])[:, None] * nodes
-        gv = f(t, live).reshape(len(live), 1, -1)
+        row_eps = [eps[r] for r in live]
+        pick, of = _distinct(row_eps)
+        t = 0.5 * _take(np.array(row_eps), pick)[:, None] * nodes
+        gv = f(t, live, of).reshape(len(live), 1, -1)
         coarse, fine = gv[..., :24] @ w24, gv[..., 24:] @ w48
         unsettled = []
         for j, r in enumerate(live):
@@ -472,15 +522,15 @@ def integrate_power_weighted(
 
 
 def _rows_of(f, rows):
-    """The family f(x, rows) restricted to ``rows``, renumbered from 0."""
+    """The family f(x, rows, of) restricted to ``rows``, renumbered from 0."""
     if not rows or rows[-1] == len(rows) - 1:  # rows ascend, so this is 0, 1, ...
         return f
-    return lambda x, which: f(x, [rows[j] for j in which])
+    return lambda x, which, of: f(x, [rows[j] for j in which], of)
 
 
 def _integrate_rows(f, gamma_exp: float, uppers, edge_lists) -> list:
     """int_0^uppers[r] t^gamma_exp f_r(t) dt for each row r of the family
-    ``f(x, rows)`` of ``_refine_rows``, seeded with ``edge_lists[r]`` (None
+    ``f(x, rows, of)`` of ``_refine_rows``, seeded with ``edge_lists[r]`` (None
     for none).
 
     The heads run in lockstep (``_jacobi_heads``) and the bodies, past each
@@ -529,7 +579,7 @@ def _integrate_rows(f, gamma_exp: float, uppers, edge_lists) -> list:
 
 def _extend_tails(f, starts, base_values) -> list:
     """The geometric tail past ``starts[r]`` of each row r of the family
-    ``f(x, rows)`` of ``_refine_rows``, its tolerance relative to
+    ``f(x, rows, of)`` of ``_refine_rows``, its tolerance relative to
     ``base_values[r]`` plus the tail so far.
 
     The rows double their radii in lockstep: each round integrates the next

@@ -753,3 +753,27 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["K"] == pytest.approx(payload["C"], rel=1e-12)
+
+
+class TestNumberLists:
+    # an empty token is no number: it once vanished, so "1,,2" read as
+    # (1, 2), "constant:1.5," as b = inf and an empty --delta as no deltas
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["constants", "--A", "1,,2", "--p", "2"], "1,,2"),
+            (["constants", "--A", "1,2,", "--p", "2"], "1,2,"),
+            (["constants", "--A", "", "--p", "2"], ""),
+            (["constants", "--A", "1,2", "--p", "2", "--B", " ,1", "--r", "1"], " ,1"),
+            (["fundamental", "--psi", "constant:1.5,", "--delta", "1"], "1.5,"),
+            (["fundamental", "--psi", "constant:1.5", "--delta", ""], ""),
+            (["fundamental", "--psi", "constant:1.5", "--delta", "0.5,,1"], "0.5,,1"),
+            (["zeta", "--psi", "constant:1.5,4", "--A", "1,2", "--q", ""], ""),
+            (["norm", "--profile", "bump:1,", "--A", "1", "--p", "2"], "1,"),
+        ],
+    )
+    def test_an_empty_number_exits_two(self, capsys, argv, text):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"expected comma-separated numbers, got '{text}'" in captured.err

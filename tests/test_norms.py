@@ -10,6 +10,7 @@ import glsobolev.norms as norms_module
 
 from glsobolev.errors import DivergentIntegralError, DomainError, QuadratureError
 from glsobolev.exponents import as_exponent_tuple
+from glsobolev.grand import _exponent_grid
 from glsobolev.norms import (
     angular_mass,
     ball_mass,
@@ -346,3 +347,47 @@ class TestSliceRows:
             got = _outcome(lambda: _raise_error(row))
             alone = _outcome(lambda: norm_fn(u.dilated(lam), A, p, details=True))
             assert got == alone, (p, lam)
+
+
+def _counting(u):
+    """u with its value and derivative counting the points they are sent,
+    its peak scans done beforehand; returns (profile, [count])."""
+    sent = [0]
+
+    def counted(fn):
+        def call(r):
+            sent[0] += np.size(r)
+            return fn(r)
+
+        return call
+
+    v = dataclasses.replace(
+        u, value=counted(u.value), derivative=counted(u.derivative), check=False
+    )
+    _ = v.value_peak, v.derivative_peak
+    sent[0] = 0
+    return v, sent
+
+
+class TestSharedNodes:
+    @pytest.mark.parametrize("gradient, most", [(False, 400), (True, 1000)])
+    def test_a_sup_scan_grid_sends_each_shared_node_once(self, gradient, most):
+        # 64 rows of nearby p split the same panels and halve their heads to
+        # the same eps: 12,453 (gradient 17,643) points without sharing
+        A, ps = (1.0, 2.0), [float(p) for p in _exponent_grid(1.5, 4.0, 64)]
+        u, sent = _counting(bump(1.0, 1.0))
+        rows = norms_module._slice_rows(u, gradient, A, ps)
+        assert sent[0] <= most
+        for p, row in zip(ps, rows):
+            got = _outcome(lambda: _raise_error(row))
+            assert got == _outcome(lambda: norms_module._norm(u, gradient, A, p, True)), p
+
+    @pytest.mark.parametrize("gradient, points", [(False, 17_352), (True, 17_892)])
+    def test_dilated_rows_share_no_nodes(self, gradient, points):
+        # each row evaluates at lam * x, so the batch sends what it sent
+        # before rows shared nodes, the dilated profiles' peak scans included
+        cases = [(p, lam) for p in (1.5, 2.0, 200.0) for lam in (0.125, 1.0, 8.0)]
+        ps, lams = zip(*cases)
+        u, sent = _counting(bump(1.0, 1.0))
+        norms_module._slice_rows(u, gradient, (1.0, 2.0), ps, lams)
+        assert sent[0] == points

@@ -18,8 +18,10 @@ from glsobolev.quadrature import (
     QuadratureDiagnostics,
     _jacobi_rule,
     _k15_panels,
+    _one_row,
     _power_weighted,
     _raise_error,
+    _take,
     adaptive_quadrature,
     extend_tail,
     integrate_power_weighted,
@@ -243,11 +245,11 @@ class TestTailRows:
     ]
 
     @staticmethod
-    def _family(x, rows):
+    def _family(x, rows, of):
         funcs = [f for f, _, _ in TestTailRows.ROWS]
         if x.ndim == 1:
             return np.stack([funcs[r](x) for r in rows])
-        return np.stack([funcs[r](x[k]) for k, r in enumerate(rows)])
+        return np.stack([funcs[r](row) for r, row in zip(rows, _take(x, of))])
 
     def test_each_row_is_its_lone_tail(self):
         batched = quadrature_module._extend_tails(
@@ -264,9 +266,9 @@ class TestTailRows:
     def test_rows_at_one_radius_share_their_first_block(self):
         calls = []
 
-        def family(x, rows):
+        def family(x, rows, of):
             calls.append((x.ndim, list(rows)))
-            return self._family(x, rows)
+            return self._family(x, rows, of)
 
         quadrature_module._extend_tails(family, [1.0, 1.0, 2.0], [0.0, 1e12, 0.0])
         assert calls[:2] == [(1, [0, 1]), (1, [2])]
@@ -326,10 +328,10 @@ class TestRowBatch:
     def test_a_row_whose_head_fails_leaves_the_others_alone(self):
         funcs = (lambda t: np.sin(1.0 / t), lambda t: np.exp(-t))
 
-        def family(x, rows):
+        def family(x, rows, of):
             if x.ndim == 1:
                 return np.stack([funcs[r](x) for r in rows])
-            return np.stack([funcs[r](x[k]) for k, r in enumerate(rows)])
+            return np.stack([funcs[r](row) for r, row in zip(rows, _take(x, of))])
 
         failed, (value, diag) = quadrature_module._integrate_rows(
             family, 2.0, [1.0, 1.0], [None, None]
@@ -350,11 +352,11 @@ class TestRowBatch:
         ]
         calls = []
 
-        def family(x, rows):
+        def family(x, rows, of):
             calls.append((x.shape, list(rows)))
             if x.ndim == 1:
                 return np.stack([funcs[r](x) for r in rows])
-            return np.stack([funcs[r](x[k]) for k, r in enumerate(rows)])
+            return np.stack([funcs[r](row) for r, row in zip(rows, _take(x, of))])
 
         batched = quadrature_module._refine_rows(family, edge_rows, [0.0] * 5)
         assert calls[:3] == [((30,), [0, 1]), ((2, 30), [2, 3]), ((45,), [4])]
@@ -363,6 +365,43 @@ class TestRowBatch:
                 f, edges[0], edges[-1], initial_edges=edges[1:-1]
             )
             assert (value, diag.to_dict()) == (alone, alone_diag.to_dict())
+
+    def test_rows_that_split_the_same_panel_share_its_points(self):
+        # 2 sqrt(x) doubles every value and error of sqrt(x) exactly, so both
+        # rows grow the same panel tree and each split round has one point row
+        funcs = (np.sqrt, lambda t: 2.0 * np.sqrt(t))
+        calls = []
+
+        def family(x, rows, of):
+            calls.append((x.shape, None if of is None else of.tolist()))
+            if x.ndim == 1:
+                return np.stack([funcs[r](x) for r in rows])
+            return np.stack([funcs[r](row) for r, row in zip(rows, _take(x, of))])
+
+        edges = (0.0, 1.0, 5.0)
+        batched = quadrature_module._refine_rows(family, [edges, edges], [0.0, 0.0])
+        assert calls[0] == ((30,), None)
+        assert len(calls) > 1
+        assert calls[1:] == [((1, 30), [0, 0])] * (len(calls) - 1)
+        for f, (value, diag) in zip(funcs, batched):
+            alone, alone_diag = adaptive_quadrature(f, 0.0, 5.0, initial_edges=[1.0])
+            assert (value, diag.to_dict()) == (alone, alone_diag.to_dict())
+
+    def test_heads_at_one_eps_share_their_points(self):
+        # the head halves its eps several times near the kink of sqrt(t + 1e-6)
+        funcs = (lambda t: np.sqrt(t + 1e-6), lambda t: 2.0 * np.sqrt(t + 1e-6))
+        sizes = []
+
+        def family(x, rows, of):
+            sizes.append(x.size)
+            return np.stack([funcs[r](row) for r, row in zip(rows, _take(x, of))])
+
+        heads = quadrature_module._jacobi_heads(family, 1.5, [0.25, 0.25])
+        assert len(sizes) > 1
+        assert sizes == [72] * len(sizes)
+        for f, head in zip(funcs, heads):
+            assert head == quadrature_module._jacobi_heads(_one_row(f), 1.5, [0.25])[0]
+            assert head[2] == 72 * len(sizes)
 
 
 def _heap_loop_without_round_off_stop(lo, hi, vals, errs, base_value):
