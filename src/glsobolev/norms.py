@@ -24,6 +24,10 @@ radius and seeded edges, and each round evaluates u (or lam * u') at
 lam * x for the points x of every live row in one profile call.  A
 grand-norm sup scan batches rows of many p at lam = 1; the scaling fit
 (``verify.fit_scaling_exponents``) batches the nine dilations of one side.
+The seeded edges depend on the peak scan alone, so a batch builds them
+once per scan (once for all its rows at lam = 1) as one tuple that those
+rows share, and ``quadrature._integrate_rows`` builds each distinct head
+width and tuple of panel edges once.
 Rows at lam = 1 whose points coincide in a round (nearby p split the same
 panels and halve their heads to the same eps) send those points to the
 profile once: |u| / peak is taken per distinct point row and expanded to
@@ -79,14 +83,14 @@ def ball_mass(A, radius: float) -> float:
     return angular_mass(A) * radius**D / D
 
 
-def _peak_edges(rho_star: float, span: float) -> list[float]:
+def _peak_edges(rho_star: float, span: float) -> tuple:
     """Panel edges accumulating geometrically onto the peak from both sides."""
     edges = []
     for k in range(1, 41):
         off = span * 2.0**-k
         edges.append(rho_star - off)
         edges.append(rho_star + off)
-    return [e for e in edges if e > 0.0]
+    return tuple(e for e in edges if e > 0.0)
 
 
 def _body_upper(profile: RadialProfile, initial_edges) -> float:
@@ -254,8 +258,18 @@ def _slice_rows(u: RadialProfile, gradient: bool, A, ps, lams=None) -> list:
                 powered[k] = (base if base.ndim == 1 else base[k]) ** 2.0
         return powered
 
-    edges = [_seeded_edges(scan, ps[i]) for scan, i in zip(scans, rows)]
-    uppers = [_body_upper(v, e) for v, e in zip(views, edges)]
+    # the seeded edges and body end of a row depend on its scan (one per
+    # view) and on whether p reaches the seeding threshold: built once each
+    seeded: dict = {}
+    edges, uppers = [], []
+    for scan, v, i in zip(scans, views, rows):
+        key = (id(scan), ps[i] >= _SEED_P_THRESHOLD)
+        if key not in seeded:
+            e = _seeded_edges(scan, ps[i])
+            seeded[key] = e, _body_upper(v, e)
+        e, upper = seeded[key]
+        edges.append(e)
+        uppers.append(upper)
     integrals = _integrate_rows(g, gamma_exp, uppers, edges)
     if isinstance(u.support, Decaying):
         done = [j for j, outcome in enumerate(integrals) if not isinstance(outcome, Exception)]

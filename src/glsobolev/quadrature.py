@@ -21,9 +21,9 @@ scaling fit, one per dilation factor; see ``norms._slice_rows``):
 ``_jacobi_heads`` halves every row's eps in lockstep, ``_refine_rows``
 starts every row's first panels in one K15 call per set of shared edges
 (and one per panel count for rows alone on their edges), then runs every
-row's own heap loop (``_refinement``) in lockstep, evaluating the halves
-of all rows' worst panels in one integrand call and one K15 reduction per
-round, and
+row's own heap loop in lockstep, its state kept in place from round to
+round, evaluating the halves of all rows' worst panels in one integrand
+call and one K15 reduction per round, and
 ``_extend_tails`` doubles every row's tail radius in lockstep, integrating
 the next block of all live rows in one ``_refine_rows`` batch per round.
 Rows are stacked along a leading axis and never flattened into one 2-d
@@ -45,7 +45,10 @@ loop, one tail loop and one stopping rule.
 
 The heap loop runs on Python floats: each K15 result becomes lists with
 one ``tolist()``, and a split adds ``(v0 + v1) - old``, the order in which
-``np.add.reduce`` sums two elements, so the sums keep their bits.
+``np.add.reduce`` sums two elements, so the sums keep their bits.  A row
+whose first panels meet the tolerance never builds a heap; the others
+build theirs with one ``heapify``, whose keys (-error, index) are unique,
+so the pops come in the order of a heap pushed panel by panel.
 
 The policy is fixed by the module constants: REL_TOL = 1e-10 is the
 relative tolerance of every integral, ABS_FLOOR = 1e-300 the absolute floor
@@ -61,6 +64,9 @@ tolerance test comes first, so a row within tolerance is converged whatever
 these counts say; a stopped row is unconverged, with a note that names
 round-off.  (|u| / peak)^p at p ~ 1e8 raises the 1e-16 noise of u to about
 1e-8 relative, and such rows stop after about 85 panels instead of 4096.
+A row that stops at a non-finite error estimate is unconverged with a note
+that names it; a nan estimate (an integrand that is inf or nan at a node)
+stops the row at once.
 
 Integrand callables must accept a 1-d ndarray and return a same-length
 ndarray.  The public entries refuse an infinite or nan limit, tail start
@@ -248,64 +254,22 @@ def _panel_edges(a: float, b: float, initial_edges) -> tuple:
     return tuple(sorted(set(edges)))
 
 
-def _refinement(lo, hi, vals, errs, base_value):
-    """The heap loop of one row of ``_refine_rows``, as a generator.
-
-    It starts from the panels [lo, hi] with their K15 values and errors,
-    yields each split (a, mid, b) whose halves it needs and is sent back
-    their (values, errors) as two-element lists.  It stops at the tolerance,
-    at round-off (dqage's counters iroff1 and iroff2), at MAX_PANELS or when
-    no panel can be split, and returns (total, diagnostics).
-    """
-    total = float(np.add.reduce(vals))
-    total_err = float(np.add.reduce(errs))
-    lo, hi, vals, errs = lo.tolist(), hi.tolist(), vals.tolist(), errs.tolist()
-    heap = []
-    for i in range(len(lo)):
-        heapq.heappush(heap, (-errs[i], i, lo[i], hi[i], vals[i], errs[i]))
-    counter = len(lo)
-    floor_err = 0.0  # error stuck on panels too narrow to split
-    panels = len(lo)
-    neval = 15 * len(lo)
-    iroff1 = iroff2 = 0  # dqage's round-off counters
-    roundoff = False
-
-    def tol_now() -> float:
-        return max(REL_TOL * abs(total + base_value), ABS_FLOOR)
-
-    while total_err + floor_err > tol_now() and panels < MAX_PANELS and heap and not roundoff:
-        neg_err, _, pa, pb, pval, perr = heapq.heappop(heap)
-        mid = 0.5 * (pa + pb)
-        if not (pa < mid < pb):
-            floor_err += perr
-            total_err -= perr
-            continue
-        cvals, cerrs = yield pa, mid, pb
-        neval += 30
-        area12, erro12 = cvals[0] + cvals[1], cerrs[0] + cerrs[1]
-        total += area12 - pval
-        total_err += erro12 - perr
-        heapq.heappush(heap, (-cerrs[0], counter, pa, mid, cvals[0], cerrs[0]))
-        heapq.heappush(heap, (-cerrs[1], counter + 1, mid, pb, cvals[1], cerrs[1]))
-        counter += 2
-        panels += 1
-        if erro12 >= 0.99 * perr:  # rare while the errors fall
-            iroff1 += abs(pval - area12) <= 1e-5 * abs(area12)
-            iroff2 += panels > 10 and erro12 > perr
-            roundoff = iroff1 >= ROUNDOFF_STALLS or iroff2 >= ROUNDOFF_RISES
-
-    err = total_err + floor_err
+def _finished(total, err, tol, panels, n0, roundoff, base_value) -> tuple:
+    """(total, diagnostics) of a row of ``_refine_rows`` that has stopped
+    with ``panels`` panels, ``n0`` of them its first, at error ``err``."""
     diag = QuadratureDiagnostics(
         panels=panels,
-        neval=neval,
+        neval=30 * panels - 15 * n0,
         error_estimate=err,
         rel_error=err / max(abs(total + base_value), ABS_FLOOR),
-        converged=bool(err <= tol_now()),  # base_value may be a numpy scalar
+        converged=bool(err <= tol),  # base_value may be a numpy scalar
     )
     if not diag.converged:
         diag.notes.append(
             f"round-off detected after {panels} panels at error {err:.3e}"
             if roundoff
+            else f"non-finite error estimate {err:.3e} after {panels} panels"
+            if not math.isfinite(err)
             else f"panel budget {MAX_PANELS} exhausted at error {err:.3e}"
         )
     return total, diag
@@ -323,12 +287,20 @@ def _refine_rows(f, edge_rows, base_values):
     1-d x).  Row r starts from the panels between its sorted edges
     ``edge_rows[r]``; rows with equal edges share one K15 call on one set
     of points, and the rows alone on their edges share one K15 call per
-    panel count, their panels stacked one row per integrand.  Each row runs
-    its own heap loop (``_refinement``), so it has the bits of a call on
-    its own.  In every round each live row asks for the halves of its worst
-    panel, and the halves of all rows are evaluated in one call of f and
-    one K15 reduction; rows that split the same panel (a, mid, b) share one
-    point row.  Returns (total, diagnostics) per row.
+    panel count, their panels stacked one row per integrand.  Each group's
+    sums come from one ``np.add.reduce`` along its rows.
+
+    Every row runs its own heap loop, kept in place: its state travels
+    from round to round as one tuple.  A row builds its heap, with one
+    ``heapify``, only when its first panels miss the tolerance; the keys
+    (-error, index) are unique, so it pops the panels of a heap pushed one
+    by one.  In every round each live row pops its worst panel and the
+    halves of all rows' worst panels are evaluated in one call of f and one
+    K15 reduction; rows that split the same panel (a, mid, b) share one
+    point row.  A row stops at the tolerance, at round-off (dqage's
+    counters iroff1 and iroff2), at MAX_PANELS, on a non-finite error or
+    when no panel can be split, so it has the bits, diagnostics and neval
+    of a call on its own.  Returns (total, diagnostics) per row.
     """
     groups: dict = {}  # edges -> the rows on them, then panel count -> lone rows
     for r, edges in enumerate(edge_rows):
@@ -337,49 +309,87 @@ def _refine_rows(f, edge_rows, base_values):
         if len(members) == 1:
             del groups[edges]
             groups.setdefault(len(edges), []).append(members[0])
-    rows = [None] * len(edge_rows)
+    results: list = [None] * len(edge_rows)
+    # (row, heap, total, error, floor error, panels, first panels, iroff1,
+    # iroff2, round-off) of each row about to pop its next split; the floor
+    # error is stuck on panels too narrow to split
+    going: list = []
     for key, members in groups.items():
         if isinstance(key, tuple) or len(members) == 1:  # one set of points for all
             edges = edge_rows[members[0]]
             lo, hi = np.array(edges[:-1]), np.array(edges[1:])
             vals, errs = _k15_panels(lambda x: f(x, members, None), lo, hi)
-            lo, hi = [lo] * len(members), [hi] * len(members)
+            lo, hi = [lo.tolist()] * len(members), [hi.tolist()] * len(members)
         else:  # one row of points per member
             edges = np.array([edge_rows[r] for r in members])
             lo, hi = edges[:, :-1], edges[:, 1:]
             vals, errs = _k15_panels(
                 lambda x: f(x.reshape(len(members), -1), members, None), lo, hi
             )
+            lo, hi = lo.tolist(), hi.tolist()
         vals, errs = vals.reshape(len(members), -1), errs.reshape(len(members), -1)
+        totals = np.add.reduce(vals, axis=1).tolist()
+        total_errs = np.add.reduce(errs, axis=1).tolist()
+        vals, errs = vals.tolist(), errs.tolist()
         for j, r in enumerate(members):
-            rows[r] = _refinement(lo[j], hi[j], vals[j], errs[j], base_values[r])
-    results: list = [None] * len(rows)
-    asking: list[int] = []  # the rows that wait for the halves of a split
-    cuts: list[tuple] = []  # their splits (a, mid, b)
-
-    def advance(r: int, halves) -> None:
-        try:
-            cuts.append(rows[r].send(halves))
-            asking.append(r)
-        except StopIteration as stop:
-            results[r] = stop.value
-
-    for r in range(len(rows)):
-        advance(r, None)
-    while asking:
-        live = asking[:]
+            total, err, base_value = totals[j], total_errs[j], base_values[r]
+            n0 = len(vals[j])
+            tol = max(REL_TOL * abs(total + base_value), ABS_FLOOR)
+            if not (err > tol and n0 < MAX_PANELS):  # done on its first panels
+                results[r] = _finished(total, err, tol, n0, n0, False, base_value)
+                continue
+            heap = list(zip([-e for e in errs[j]], range(n0), lo[j], hi[j], vals[j], errs[j]))
+            heapq.heapify(heap)
+            going.append((r, heap, total, err, 0.0, n0, n0, 0, 0, False))
+    while going:
+        live: list[int] = []  # the rows that wait for the halves of a split
+        cuts: list[tuple] = []  # their splits (a, mid, b)
+        waits: list[tuple] = []  # their states, the split panel's value and error last
+        for r, heap, total, err, floor_err, panels, n0, iroff1, iroff2, roundoff in going:
+            base_value = base_values[r]
+            tol = max(REL_TOL * abs(total + base_value), ABS_FLOOR)
+            while err + floor_err > tol and panels < MAX_PANELS and heap and not roundoff:
+                _, _, pa, pb, pval, perr = heapq.heappop(heap)
+                mid = 0.5 * (pa + pb)
+                if pa < mid < pb:
+                    live.append(r)
+                    cuts.append((pa, mid, pb))
+                    waits.append((r, heap, total, err, floor_err, panels, n0, iroff1, iroff2,
+                                  pval, perr))
+                    break
+                floor_err += perr
+                err -= perr
+            else:
+                results[r] = _finished(
+                    total, err + floor_err, tol, panels, n0, roundoff, base_value
+                )
+        if not live:
+            break
         pick, of = _distinct(cuts)  # rows that split the same panel share its points
         split = _take(np.array(cuts if pick is None else [cuts[j] for j in pick]), of)
-        asking.clear()
-        cuts.clear()
         vals, errs = _k15_panels(
             lambda x: f(_take(x.reshape(len(live), -1), pick), live, of),
             split[:, :2],
             split[:, 1:],
         )
-        vals, errs = vals.tolist(), errs.tolist()
-        for j, r in enumerate(live):
-            advance(r, (vals[j], errs[j]))
+        going = []
+        for state, (pa, mid, pb), (v0, v1), (e0, e1) in zip(
+            waits, cuts, vals.tolist(), errs.tolist()
+        ):
+            r, heap, total, err, floor_err, panels, n0, iroff1, iroff2, pval, perr = state
+            area12, erro12 = v0 + v1, e0 + e1
+            total += area12 - pval
+            err += erro12 - perr
+            counter = 2 * panels - n0  # one past the last panel's index
+            heapq.heappush(heap, (-e0, counter, pa, mid, v0, e0))
+            heapq.heappush(heap, (-e1, counter + 1, mid, pb, v1, e1))
+            panels += 1
+            roundoff = False
+            if erro12 >= 0.99 * perr:  # rare while the errors fall
+                iroff1 += abs(pval - area12) <= 1e-5 * abs(area12)
+                iroff2 += panels > 10 and erro12 > perr
+                roundoff = iroff1 >= ROUNDOFF_STALLS or iroff2 >= ROUNDOFF_RISES
+            going.append((r, heap, total, err, floor_err, panels, n0, iroff1, iroff2, roundoff))
     return results
 
 
@@ -393,8 +403,8 @@ def adaptive_quadrature(
 ) -> tuple[float, QuadratureDiagnostics]:
     """Integrate f over [a, b] to relative tolerance REL_TOL within
     MAX_PANELS panels; a call that exhausts them, or that the round-off test
-    stops first (module docstring), is flagged unconverged with a note that
-    says which.
+    or a non-finite error estimate stops first (module docstring), is
+    flagged unconverged with a note that says which.
 
     ``initial_edges`` seeds extra panel boundaries (used to pin down sharp
     interior peaks before the first error estimate is trusted).
@@ -528,6 +538,22 @@ def _rows_of(f, rows):
     return lambda x, which, of: f(x, [rows[j] for j in which], of)
 
 
+def _made_once(make, arg_rows) -> list:
+    """``[make(*args) for args in arg_rows]``, made once for rows whose
+    arguments are equal and whose last one, a seeded edge list, is the same
+    object (every seeded row of a sup scan shares its scan's)."""
+    if len(arg_rows) == 1:
+        return [make(*arg_rows[0])]
+    made: dict = {}
+    out = []
+    for args in arg_rows:
+        key = (*args[:-1], id(args[-1]))
+        if key not in made:
+            made[key] = make(*args)
+        out.append(made[key])
+    return out
+
+
 def _integrate_rows(f, gamma_exp: float, uppers, edge_lists) -> list:
     """int_0^uppers[r] t^gamma_exp f_r(t) dt for each row r of the family
     ``f(x, rows, of)`` of ``_refine_rows``, seeded with ``edge_lists[r]`` (None
@@ -552,7 +578,9 @@ def _integrate_rows(f, gamma_exp: float, uppers, edge_lists) -> list:
     else:
         heads = {}
         settled = _jacobi_heads(
-            _rows_of(f, rows), gamma_exp, [_head_eps(uppers[r], edge_lists[r]) for r in rows]
+            _rows_of(f, rows),
+            gamma_exp,
+            _made_once(_head_eps, [(uppers[r], edge_lists[r]) for r in rows]),
         )
         for r, head in zip(rows, settled):
             if isinstance(head, Exception):
@@ -564,7 +592,7 @@ def _integrate_rows(f, gamma_exp: float, uppers, edge_lists) -> list:
     rows = list(heads)
     bodies = _refine_rows(
         _rows_of(body, rows),
-        [_panel_edges(heads[r][1], uppers[r], edge_lists[r]) for r in rows],
+        _made_once(_panel_edges, [(heads[r][1], uppers[r], edge_lists[r]) for r in rows]),
         [heads[r][0] for r in rows],
     )
     for r, (total, diag) in zip(rows, bodies):

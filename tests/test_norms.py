@@ -349,6 +349,27 @@ class TestSliceRows:
             assert got == alone, (p, lam)
 
 
+class TestSeededEdges:
+    def test_a_sup_scan_grid_builds_its_seeded_edges_once(self, monkeypatch):
+        # every p of the grid reaches the seeding threshold, and all 64 rows
+        # share u's one peak scan and so one tuple of seeded edges
+        A, ps = (1.0, 2.0), [float(p) for p in _exponent_grid(128.0, 1e8, 64)]
+        u = bump(1.0, 1.5)
+        real = norms_module._peak_edges
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(norms_module, "_peak_edges", counted)
+        rows = norms_module._slice_rows(u, False, A, ps)
+        assert len(calls) == 1
+        for p, row in zip(ps, rows):
+            got = _outcome(lambda: _raise_error(row))
+            assert got == _outcome(lambda: norms_module._norm(u, False, A, p, True)), p
+
+
 def _counting(u):
     """u with its value and derivative counting the points they are sent,
     its peak scans done beforehand; returns (profile, [count])."""

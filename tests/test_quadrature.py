@@ -220,6 +220,23 @@ class TestNonFiniteInputs:
             adaptive_quadrature(np.cos, 0.0, math.inf)
 
 
+class TestNonFiniteError:
+    """An integrand whose error estimate is not finite stops the heap loop
+    at once; the note says so rather than naming the panel budget."""
+
+    @pytest.mark.parametrize(
+        "f",
+        [lambda x: np.where(x > 0.5, np.inf, 1.0), lambda x: np.full_like(x, np.nan)],
+        ids=["inf-half", "all-nan"],
+    )
+    def test_a_non_finite_error_has_its_own_note(self, f):
+        with np.errstate(invalid="ignore"):
+            _, diag = adaptive_quadrature(f, 0.0, 1.0)
+        assert (diag.panels, diag.converged) == (1, False)
+        assert math.isnan(diag.error_estimate)
+        assert diag.notes == ["non-finite error estimate nan after 1 panels"]
+
+
 def _tail_outcome(run):
     """(repr of the value, diagnostics dict), or (exception type, message,
     diagnostics dict)."""
@@ -404,6 +421,70 @@ class TestRowBatch:
             assert head[2] == 72 * len(sizes)
 
 
+def _refinement(lo, hi, vals, errs, base_value):
+    """The heap loop of one row as a generator, as ``_refine_rows`` ran it
+    before it kept each row's state in place: it yields each split
+    (a, mid, b) and is sent back the halves' (values, errors) as
+    two-element lists.  Its unconverged note names round-off or the panel
+    budget, so it is no reference for a non-finite error estimate."""
+    REL_TOL, ABS_FLOOR = quadrature_module.REL_TOL, quadrature_module.ABS_FLOOR
+    MAX_PANELS = quadrature_module.MAX_PANELS
+    total = float(np.add.reduce(vals))
+    total_err = float(np.add.reduce(errs))
+    lo, hi, vals, errs = lo.tolist(), hi.tolist(), vals.tolist(), errs.tolist()
+    heap = []
+    for i in range(len(lo)):
+        heapq.heappush(heap, (-errs[i], i, lo[i], hi[i], vals[i], errs[i]))
+    counter = len(lo)
+    floor_err = 0.0  # error stuck on panels too narrow to split
+    panels = len(lo)
+    neval = 15 * len(lo)
+    iroff1 = iroff2 = 0  # dqage's round-off counters
+    roundoff = False
+
+    def tol_now() -> float:
+        return max(REL_TOL * abs(total + base_value), ABS_FLOOR)
+
+    while total_err + floor_err > tol_now() and panels < MAX_PANELS and heap and not roundoff:
+        neg_err, _, pa, pb, pval, perr = heapq.heappop(heap)
+        mid = 0.5 * (pa + pb)
+        if not (pa < mid < pb):
+            floor_err += perr
+            total_err -= perr
+            continue
+        cvals, cerrs = yield pa, mid, pb
+        neval += 30
+        area12, erro12 = cvals[0] + cvals[1], cerrs[0] + cerrs[1]
+        total += area12 - pval
+        total_err += erro12 - perr
+        heapq.heappush(heap, (-cerrs[0], counter, pa, mid, cvals[0], cerrs[0]))
+        heapq.heappush(heap, (-cerrs[1], counter + 1, mid, pb, cvals[1], cerrs[1]))
+        counter += 2
+        panels += 1
+        if erro12 >= 0.99 * perr:  # rare while the errors fall
+            iroff1 += abs(pval - area12) <= 1e-5 * abs(area12)
+            iroff2 += panels > 10 and erro12 > perr
+            roundoff = iroff1 >= quadrature_module.ROUNDOFF_STALLS or (
+                iroff2 >= quadrature_module.ROUNDOFF_RISES
+            )
+
+    err = total_err + floor_err
+    diag = QuadratureDiagnostics(
+        panels=panels,
+        neval=neval,
+        error_estimate=err,
+        rel_error=err / max(abs(total + base_value), ABS_FLOOR),
+        converged=bool(err <= tol_now()),
+    )
+    if not diag.converged:
+        diag.notes.append(
+            f"round-off detected after {panels} panels at error {err:.3e}"
+            if roundoff
+            else f"panel budget {MAX_PANELS} exhausted at error {err:.3e}"
+        )
+    return total, diag
+
+
 def _heap_loop_without_round_off_stop(lo, hi, vals, errs, base_value):
     """``_refinement`` as it was before the round-off stop: it refines until
     the tolerance, the panel budget or the last splittable panel is reached."""
@@ -452,14 +533,43 @@ def _heap_loop_without_round_off_stop(lo, hi, vals, errs, base_value):
     return total, diag
 
 
+def _rows_one_by_one(loop):
+    """A stand-in for ``_refine_rows`` that runs the heap-loop generator
+    ``loop`` on each row alone, one row after another, with K15 calls
+    shaped as a lone row's: its first panels in one call on a 1-d x and
+    each split as a (1, 2) stack."""
+
+    def refine_rows(f, edge_rows, base_values):
+        out = []
+        for r, edges in enumerate(edge_rows):
+            lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+            vals, errs = _k15_panels(lambda x: f(x, [r], None), lo, hi)
+            loop_r = loop(lo, hi, vals.reshape(-1), errs.reshape(-1), base_values[r])
+            try:
+                a, mid, b = next(loop_r)
+                while True:
+                    vals, errs = _k15_panels(
+                        lambda x: f(x.reshape(1, -1), [r], None),
+                        np.array([[a, mid]]),
+                        np.array([[mid, b]]),
+                    )
+                    a, mid, b = loop_r.send((vals[0].tolist(), errs[0].tolist()))
+            except StopIteration as stop:
+                out.append(stop.value)
+        return out
+
+    return refine_rows
+
+
 def _without_round_off_stop(run):
-    """``run()`` with the heap loop that has no round-off stop."""
-    real = quadrature_module._refinement
-    quadrature_module._refinement = _heap_loop_without_round_off_stop
+    """``run()`` with every row refined by the heap loop that has no
+    round-off stop."""
+    real = quadrature_module._refine_rows
+    quadrature_module._refine_rows = _rows_one_by_one(_heap_loop_without_round_off_stop)
     try:
         return run()
     finally:
-        quadrature_module._refinement = real
+        quadrature_module._refine_rows = real
 
 
 _smooth_integrands = st.tuples(
@@ -531,39 +641,179 @@ class TestRoundOffStop:
         assert abs(value - 0.999999528138642) <= 4 * math.ulp(0.999999528138642)
 
     @staticmethod
-    def _drive(halves):
-        """Run ``_refinement`` from the one panel [0, 1] of value 1 and error
-        1.002e-10 (tolerance 1e-10), answering split i of a panel of value v
-        and error e with two halves of value v * gain / 2 and error e * rise / 2,
-        where (gain, rise) = halves(i)."""
+    def _drive(monkeypatch, halves):
+        """Run ``_refine_rows`` on one row from the one panel [0, 1] of value
+        1 and error 1.002e-10 (tolerance 1e-10), its K15 calls scripted:
+        split i of a panel of value v and error e gives two halves of value
+        v * gain / 2 and error e * rise / 2, where (gain, rise) = halves(i)."""
         panels = {(0.0, 1.0): (1.0, 1.002e-10)}
-        loop = quadrature_module._refinement(
-            np.array([0.0]), np.array([1.0]), np.array([1.0]), np.array([1.002e-10]), 0.0
-        )
-        split, i = next(loop), 0
-        try:
-            while True:
-                a, mid, b = split
-                v, e = panels.pop((a, b))
-                gain, rise = halves(i)
-                panels[(a, mid)] = panels[(mid, b)] = (v * gain / 2, e * rise / 2)
-                split, i = loop.send(([v * gain / 2] * 2, [e * rise / 2] * 2)), i + 1
-        except StopIteration as stop:
-            return stop.value
+        splits = [0]
 
-    def test_six_stalled_splits_stop_the_row(self):
+        def scripted(f, lo, hi):
+            if np.ndim(lo) == 1:  # the row's first panels
+                v, e = panels[(0.0, 1.0)]
+                return np.array([v]), np.array([e])
+            (a, mid), (_, b) = lo.tolist()[0], hi.tolist()[0]
+            v, e = panels.pop((a, b))
+            gain, rise = halves(splits[0])
+            splits[0] += 1
+            panels[(a, mid)] = panels[(mid, b)] = (v * gain / 2, e * rise / 2)
+            return np.array([[v * gain / 2] * 2]), np.array([[e * rise / 2] * 2])
+
+        monkeypatch.setattr(quadrature_module, "_k15_panels", scripted)
+        ((total, diag),) = quadrature_module._refine_rows(None, [(0.0, 1.0)], [0.0])
+        return total, diag
+
+    def test_six_stalled_splits_stop_the_row(self, monkeypatch):
         # each split keeps the value and the error: dqage's iroff1
-        total, diag = self._drive(lambda i: (1.0, 1.0))
+        total, diag = self._drive(monkeypatch, lambda i: (1.0, 1.0))
         assert (total, diag.panels, diag.converged) == (1.0, 7, False)
         assert diag.notes == ["round-off detected after 7 panels at error 1.002e-10"]
 
-    def test_the_tolerance_test_comes_before_the_counters(self):
+    def test_the_tolerance_test_comes_before_the_counters(self, monkeypatch):
         # the sixth stalled split also brings the error under the tolerance
-        total, diag = self._drive(lambda i: (1.0, 0.99 if i == 5 else 1.0))
+        total, diag = self._drive(monkeypatch, lambda i: (1.0, 0.99 if i == 5 else 1.0))
         assert (total, diag.panels, diag.converged, diag.notes) == (1.0, 7, True, [])
 
-    def test_twenty_rising_errors_past_ten_panels_stop_the_row(self):
+    def test_twenty_rising_errors_past_ten_panels_stop_the_row(self, monkeypatch):
         # the values move, so no split stalls; each error grows: dqage's iroff2
-        _, diag = self._drive(lambda i: (1.0 + 1e-3, 1.01))
+        _, diag = self._drive(monkeypatch, lambda i: (1.0 + 1e-3, 1.01))
         assert (diag.panels, diag.converged) == (30, False)
         assert diag.notes[0].startswith("round-off detected after 30 panels at error ")
+
+
+def _family(funcs):
+    """The row family f(x, rows, of) of ``_refine_rows`` whose row r is funcs[r]."""
+
+    def family(x, rows, of):
+        if x.ndim == 1:
+            return np.stack([funcs[r](x) for r in rows])
+        return np.stack([funcs[r](row) for r, row in zip(rows, _take(x, of))])
+
+    return family
+
+
+def _smooth_row(params, cuts):
+    """A smooth integrand on [a, b] whose edges add the fractions ``cuts``
+    of the range, so rows differ in their panel counts."""
+    a, width, quad2, height, centre, log_w, amp, freq = params
+    m, s = a + centre * width, 10.0**log_w * width
+
+    def f(x):
+        return (
+            1.0 + quad2 * x**2 + height * np.exp(-(((x - m) / s) ** 2))
+            + amp * (1.0 + np.sin(freq * x))
+        )
+
+    return f, tuple(sorted({a, a + width, *(a + c * width for c in cuts)}))
+
+
+def _seeded_row(u, p):
+    """t^4 (|u| / peak)^p past its head, on the panel edges a norm of u on
+    D = 5 starts from: 71 panels, seeded onto the peak at p >= 128."""
+    scan = u.value_peak
+    seeded = norms_module._seeded_edges(scan, p)
+    upper = norms_module._body_upper(u, seeded)
+    eps = quadrature_module._head_eps(upper, seeded)
+    return (
+        lambda t: t**4.0 * (np.abs(u.value(t)) / scan.value) ** p,
+        quadrature_module._panel_edges(eps, upper, seeded),
+    )
+
+
+def _narrow_row(a, ulps, freq):
+    """cos(freq x) on [a, a + ulps ulp]: no panel narrower than two ulp can
+    be split, and the tolerance is far below the panels' errors, so the row
+    ends with its error on panels too narrow to split."""
+    return lambda x: np.cos(freq * x), (a, a + ulps * math.ulp(a))
+
+
+def _noisy_row(a, width, amp, freq):
+    """1 + amp sin(freq x): noise to the K15 rule, which no panel tree
+    certifies to REL_TOL when amp is above it, so the row stops at round-off."""
+    return lambda x: 1.0 + amp * np.sin(freq * x), (a, a + width)
+
+
+_rows = st.one_of(
+    st.builds(_smooth_row, _smooth_integrands, st.lists(st.floats(0.01, 0.99), max_size=5)),
+    st.builds(
+        _seeded_row,
+        st.sampled_from([bump(1.0, 1.5), bump(0.6, 0.5), gaussian(1.0), tent(1.0)]),
+        st.floats(math.log(128.0), math.log(1e8)).map(math.exp),
+    ),
+    st.builds(_narrow_row, st.floats(0.5, 4.0), st.integers(2, 6), st.floats(1e15, 1e16)),
+    st.builds(
+        _noisy_row,
+        st.floats(-1.0, 1.0),
+        st.floats(0.1, 2.0),
+        st.floats(-9.0, -6.0).map(lambda e: 10.0**e),
+        st.floats(9.0, 12.0).map(lambda e: 10.0**e),
+    ),
+)
+
+
+def _with_partners(rows, partners, bases):
+    """(funcs, edge rows, base values) of ``rows``, each followed by the
+    partner it draws on its own edges: 2 f at twice the base, whose panel
+    tree coincides with f's, or f + 1, which shares only the first panels."""
+    funcs, edge_rows, base_values = [], [], []
+    for (f, edges), partner, base in zip(rows, partners, bases):
+        funcs.append(f)
+        edge_rows.append(edges)
+        base_values.append(base)
+        if partner == "double":
+            funcs.append(lambda x, f=f: 2.0 * f(x))
+            base_values.append(2.0 * base)
+        elif partner == "shift":
+            funcs.append(lambda x, f=f: f(x) + 1.0)
+            base_values.append(base)
+        if partner != "none":
+            edge_rows.append(edges)
+    return funcs, edge_rows, base_values
+
+
+def _equals_the_generator_row_by_row(funcs, edge_rows, base_values):
+    """Assert that ``_refine_rows`` gives each row the value repr and the
+    diagnostics of ``_refinement`` run on that row alone; returns the rows."""
+    family = _family(funcs)
+    batched = quadrature_module._refine_rows(family, edge_rows, base_values)
+    alone = _rows_one_by_one(_refinement)(family, edge_rows, base_values)
+    for r, ((value, diag), (want, want_diag)) in enumerate(zip(batched, alone)):
+        assert (repr(value), diag.to_dict()) == (repr(want), want_diag.to_dict()), r
+    return batched
+
+
+class TestHeapLoopInPlace:
+    """``_refine_rows`` keeps each row's heap loop in place; every row has
+    the bits, the diagnostics and the neval of the generator it replaced,
+    driven on that row alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(_rows, st.sampled_from(["none", "double", "shift"]),
+                           st.sampled_from([0.0, 0.5, -3.0, 1e6])),
+                 min_size=1, max_size=5),
+    )
+    def test_each_row_equals_its_generator(self, rows):
+        drawn, partners, bases = zip(*rows)
+        _equals_the_generator_row_by_row(*_with_partners(drawn, partners, bases))
+
+    def test_a_batch_of_every_kind(self):
+        smooth = (0.0, 2.0, 1.0, 50.0, 0.3, -2.0, 0.5, 20.0)
+        rows = [
+            _smooth_row(smooth, []),
+            _smooth_row(smooth, [0.25, 0.5]),
+            _seeded_row(bump(1.0, 1.5), 1e8),
+            _seeded_row(gaussian(1.0), 300.0),
+            _narrow_row(1.0, 4, 1e16),
+            _noisy_row(0.0, 1.0, 1e-7, 1e10),
+        ]
+        partners = ["double", "none", "shift", "none", "none", "double"]
+        funcs, edge_rows, bases = _with_partners(rows, partners, [0.0] * len(rows))
+        out = _equals_the_generator_row_by_row(funcs, edge_rows, bases)
+        seeded, narrow, noisy = out[3][1], out[6][1], out[7][1]
+        assert len(edge_rows[3]) == len(edge_rows[5]) == 72  # 71 seeded panels
+        assert seeded.panels > 71
+        # the narrow row's error sits on panels it cannot split
+        assert (narrow.panels, narrow.converged) == (4, False)
+        assert noisy.notes[0].startswith("round-off detected after ")
