@@ -36,8 +36,9 @@ the embedding theorem takes the normalized form ||u||_{G(zeta)} <=
 ||grad u||_{G(psi)}.  ``morrey_transform`` builds the companion weight
 c2 * p / (p - D) * psi(p) used for the continuity-modulus bound.
 
-scipy.interpolate is imported inside ``tabulated_psi``, its one user, so
-that only a tabulated psi pays for loading it.
+``tabulated_psi`` interpolates its table with the monotone cubic of
+Fritsch and Carlson (PCHIP) in numpy, in the same floating-point operations
+as scipy's PchipInterpolator, so a tabulated psi loads no scipy.
 """
 
 from __future__ import annotations
@@ -151,19 +152,28 @@ def power_endpoint_psi(a: float, b: float, alpha: float, beta: float) -> PsiFunc
 
 
 def tabulated_psi(exponents, values) -> PsiFunction:
-    """Monotone cubic interpolation through (p_i, psi_i), normalized to min 1."""
+    """Monotone cubic interpolation through (p_i, psi_i), normalized to min 1.
+
+    The cubic is Fritsch and Carlson's PCHIP (SIAM J. Numer. Anal. 17, 1980):
+    an interior node takes the weighted harmonic mean of its two secant
+    slopes, or 0 where they differ in sign or one is 0; an end node takes
+    Moler's one-sided three-point slope (pchiptx), limited to keep the
+    shape; two nodes give a straight line.  Its values are bitwise those of
+    scipy's ``PchipInterpolator(ps, vs, extrapolate=False)``.  Outside
+    [p_0, p_n], and at a nan exponent, the weight is +inf.
+    """
     ps = np.asarray(exponents, dtype=float)
     vs = np.asarray(values, dtype=float)
     if ps.ndim != 1 or ps.shape != vs.shape or ps.size < 2:
         raise InputError("need matching 1-d arrays with at least 2 nodes")
+    if not np.all(np.isfinite(ps)):
+        raise InputError(f"exponent nodes must be finite, got {ps.tolist()}")
     if np.any(np.diff(ps) <= 0.0):
         raise InputError("exponent nodes must be strictly increasing")
     if np.any(~np.isfinite(vs) | (vs <= 0.0)):
         raise InputError("tabulated psi values must be positive and finite")
     vs = vs / np.min(vs)
-    from scipy.interpolate import PchipInterpolator
-
-    interp = PchipInterpolator(ps, vs, extrapolate=False)
+    interp = _pchip(ps, vs)
 
     def func(p):
         out = interp(np.asarray(p, dtype=float))
@@ -176,6 +186,52 @@ def tabulated_psi(exponents, values) -> PsiFunction:
         family="tabulated",
         params=(("nodes", tuple(float(x) for x in ps)), ("values", tuple(float(x) for x in vs))),
     )
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """Moler's one-sided three-point slope at an end node, shape-limited."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip(x, y):
+    """The PCHIP cubic through (x, y), as a function that is nan off [x_0, x_n].
+
+    Each step is the floating-point operation of scipy's PchipInterpolator
+    (its node derivatives, its Hermite coefficients and its evaluation
+    c3 + c2 s + c1 s^2 + c0 s^3 in s = p - x_k), in the same order, so the
+    values agree bit for bit.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.empty_like(y)
+    if y.size == 2:
+        d[:] = m[0]
+    else:
+        sm = np.sign(m)
+        flat = (sm[1:] != sm[:-1]) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+        w1 = 2.0 * h[1:] + h[:-1]
+        w2 = h[1:] + 2.0 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    c0, c1, c2, c3 = t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]
+
+    def evaluate(p):
+        inside = (p >= x[0]) & (p <= x[-1])  # nan is outside too
+        k = np.minimum(np.searchsorted(x, p, side="right") - 1, x.size - 2)
+        s = np.where(inside, p - x[k], 0.0)
+        ss = s * s
+        value = ((c3[k] + c2[k] * s) + c1[k] * ss) + c0[k] * (ss * s)
+        return np.where(inside, value, np.nan)
+
+    return evaluate
 
 
 # the keys each psi family's config dict may hold besides "family"

@@ -66,7 +66,8 @@ round-off.  (|u| / peak)^p at p ~ 1e8 raises the 1e-16 noise of u to about
 1e-8 relative, and such rows stop after about 85 panels instead of 4096.
 A row that stops at a non-finite error estimate is unconverged with a note
 that names it; a nan estimate (an integrand that is inf or nan at a node)
-stops the row at once.
+stops the row at once.  So is a row whose every panel is too narrow to
+split (its ends adjacent floats) before the tolerance or the budget is met.
 
 Integrand callables must accept a 1-d ndarray and return a same-length
 ndarray.  The public entries refuse an infinite or nan limit, tail start
@@ -271,6 +272,9 @@ def _finished(total, err, tol, panels, n0, roundoff, base_value) -> tuple:
             else f"non-finite error estimate {err:.3e} after {panels} panels"
             if not math.isfinite(err)
             else f"panel budget {MAX_PANELS} exhausted at error {err:.3e}"
+            if panels >= MAX_PANELS
+            # short of the budget, only an empty heap stops a row
+            else f"no panel left to split after {panels} panels at error {err:.3e}"
         )
     return total, diag
 

@@ -81,7 +81,8 @@ def test_import_loads_no_scipy():
     ["constants", "--A", "1,2", "--p", "2", "--B", "1,1", "--r", "2"],
     ["zeta", "--psi", "constant:1.5,2.5", "--A", "1,2", "--q", "3"],
     ["fundamental", "--psi", "power:1.5,2.5,0.4,0.4", "--delta", "0.5,1"],
-], ids=lambda argv: argv[0])
+    ["fundamental", "--psi", "table:1.5=2,4=1,10=1.5", "--delta", "0.5"],
+], ids=["constants", "zeta", "fundamental", "fundamental-table"])
 def test_closed_form_command_loads_no_scipy(argv):
     code = (
         "import contextlib, io\n"
@@ -111,9 +112,9 @@ def test_first_integral_loads_only_scipy_special():
     assert "scipy.interpolate" not in loaded
 
 
-def test_tabulated_psi_loads_scipy_interpolate():
+def test_tabulated_psi_loads_no_scipy():
     loaded = _scipy_modules(
         "import glsobolev as gl\n"
-        "gl.tabulated_psi([1.5, 2.0, 3.0], [2.0, 1.0, 4.0])\n"
+        "gl.tabulated_psi([1.5, 2.0, 3.0], [2.0, 1.0, 4.0])(2.5)\n"
     )
-    assert "scipy.interpolate" in loaded
+    assert loaded == []

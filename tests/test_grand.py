@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 from scipy.optimize import minimize_scalar
 
 import glsobolev.grand as grand_module
@@ -100,6 +101,43 @@ class TestPsiFamilies:
             tabulated_psi([1.5, 2.0], [1.0, -1.0])
         with pytest.raises(InputError):
             tabulated_psi([1.5], [1.0])
+
+    @pytest.mark.parametrize("node", [math.inf, math.nan, -math.inf])
+    def test_tabulated_rejects_a_non_finite_node(self, node):
+        with pytest.raises(InputError, match="exponent nodes must be finite"):
+            tabulated_psi([1.5, 3.0, node], [1.0, 2.0, 1.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(st.floats(1e-3, 5.0), min_size=1, max_size=7).map(
+                lambda gaps: np.cumsum([1.01, *gaps])),
+            # far tables, like the bench's, reaching p = 1e8 and beyond
+            st.lists(st.floats(0.01, 6.0), min_size=1, max_size=7).map(
+                lambda log_gaps: 1.5 * np.exp(np.cumsum([0.0, *log_gaps]))),
+        ),
+        st.one_of(
+            st.lists(st.floats(0.5, 5.0), min_size=8, max_size=8),
+            # plateaus and sign changes of the secant slopes
+            st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=8, max_size=8),
+        ),
+        st.lists(st.floats(-0.1, 1.1), max_size=40),
+    )
+    @example([1.5, 4.0, 1e8], [1.0, 1.0, 1000.0] + [1.0] * 5, [1e-8, 1e-6, 0.5])
+    @example([1.5, 10.0], [2.0, 1.0] + [1.0] * 6, [0.25, 0.5])
+    def test_tabulated_is_scipy_pchip_bit_for_bit(self, nodes, values, fractions):
+        ps = np.asarray(nodes, dtype=float)
+        vs = np.array(values[: ps.size])
+        a, b = ps[0], ps[-1]
+        points = np.concatenate([
+            a + (b - a) * np.array(fractions),
+            ps,
+            [np.nextafter(a, -np.inf), np.nextafter(b, np.inf), 0.5 * a, 2.0 * b],
+            [np.nan, np.inf, -np.inf],
+        ])
+        oracle = PchipInterpolator(ps, vs / np.min(vs), extrapolate=False)(points)
+        got = tabulated_psi(ps, vs).func(points)
+        assert np.array_equal(got, np.nan_to_num(oracle, nan=np.inf), equal_nan=True)
 
     def test_support_validation(self):
         with pytest.raises(InputError):

@@ -91,6 +91,12 @@ class TestAdaptiveQuadrature:
         assert not diag.converged
         assert diag.notes
 
+    def test_a_row_with_no_panel_left_to_split_says_so(self):
+        # four panels one ulp wide: none can be split, far short of the budget
+        _, diag = adaptive_quadrature(lambda x: np.cos(1e16 * x), 1.0, 1.0 + 4 * math.ulp(1.0))
+        assert (diag.panels, diag.converged) == (4, False)
+        assert re.fullmatch(r"no panel left to split after 4 panels at error \S+", diag.notes[0])
+
     def test_notes_reach_to_dict(self, monkeypatch):
         monkeypatch.setattr(quadrature_module, "MAX_PANELS", 4)
         _, diag = adaptive_quadrature(lambda x: np.sin(1e4 * x), 0.0, 1.0)
@@ -425,8 +431,9 @@ def _refinement(lo, hi, vals, errs, base_value):
     """The heap loop of one row as a generator, as ``_refine_rows`` ran it
     before it kept each row's state in place: it yields each split
     (a, mid, b) and is sent back the halves' (values, errors) as
-    two-element lists.  Its unconverged note names round-off or the panel
-    budget, so it is no reference for a non-finite error estimate."""
+    two-element lists.  Its unconverged note names round-off, an empty heap
+    or the panel budget, so it is no reference for a non-finite error
+    estimate."""
     REL_TOL, ABS_FLOOR = quadrature_module.REL_TOL, quadrature_module.ABS_FLOOR
     MAX_PANELS = quadrature_module.MAX_PANELS
     total = float(np.add.reduce(vals))
@@ -480,6 +487,8 @@ def _refinement(lo, hi, vals, errs, base_value):
         diag.notes.append(
             f"round-off detected after {panels} panels at error {err:.3e}"
             if roundoff
+            else f"no panel left to split after {panels} panels at error {err:.3e}"
+            if not heap
             else f"panel budget {MAX_PANELS} exhausted at error {err:.3e}"
         )
     return total, diag
