@@ -2,12 +2,13 @@
 
 ``build_parser`` gives each subcommand its handler, which calls one library
 entry point and serializes the result; no numerics happen here.  In the
-``constants`` output, C, q or K is null where its own guard rejects p.
-A handler imports the numeric layers it calls when it runs, so
-``constants``, ``--help`` and ``--version`` load neither numpy nor scipy.
-Exit codes: 0 success, 1 an inequality check failed, 2 bad input, 3 the
-numerics could not certify an answer (unconverged quadrature or a divergent
-norm).  A grand norm with a divergent slice is certified as inf and exits 0.
+``constants`` output, C, q or K is null where its own guard rejects p.  A
+handler imports the numeric layers it calls when it runs, so ``constants``,
+``--help`` and ``--version`` load neither numpy nor scipy.  Exit codes: 0
+success, 1 an inequality check failed, 2 bad input (inputs too large for
+float arithmetic included), 3 the numerics could not certify an answer
+(unconverged quadrature or a divergent norm).  A grand norm with a
+divergent slice is certified as inf and exits 0.
 """
 
 from __future__ import annotations
@@ -415,6 +416,9 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, OSError) as exc:  # DomainError, InputError, JSONDecodeError too
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: input too large for float arithmetic: {exc}", file=sys.stderr)
         return 2
     if payload is not None:
         _emit(payload, args.output)

@@ -107,8 +107,10 @@ def monomial_weight(A, x):
 
 def _whole_number(key: str, value) -> int:
     """``value`` as an int; InputError unless it is a whole number (int()
-    would truncate 2.5 to 2)."""
-    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+    would truncate 2.5 to 2), a bool not included."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Real) and float(value).is_integer()
+    ):
         raise InputError(f"'{key}' must be a whole number, got {value!r}")
     return int(value)
 

@@ -17,18 +17,18 @@ of that slice.  The 64-point grid is one call, whose slices the slice table
 computes in one lockstep batch (norms._slice_rows), each p keeping its own
 refinement tree, diagnostics and every bit of a standalone norm; psi is
 evaluated once on the whole grid.  The golden-section probes are computed
-ahead in batches too: a probe not yet computed goes in one call with the
-next SUP_LOOKAHEAD points that the golden loop takes on a model of the
-objective, which are bitwise the points it asks for whenever the objective
-orders its probes as the model does.  The model peaks at the vertex of a
-parabola through the best values (Brent's model step) or, with no concave
-one and the grid's best point at an end of the grid, at that end, toward
-which the objective of a supremum at the edge of its window often rises
-monotonically.  A batch of several slices
-is again one _slice_rows batch; a lone slice goes through this module's
-weighted_lp_norm / weighted_gradient_norm.  A slice's diagnostics merge
-once, when it is computed, so they count the work of computed points the
-loop never probes.
+ahead in batches too: the scan and its lookahead iterate one loop, _golden,
+and a probe not yet computed goes in one call with the next SUP_LOOKAHEAD
+points that _golden values when run on a model of the objective, which are
+bitwise the points the scan asks for whenever the objective orders its
+probes as the model does.  The model peaks at the vertex of a parabola
+through the best values (Brent's model step) or, with no concave one and
+the grid's best point at an end of the grid, at that end, toward which the
+objective of a supremum at the edge of its window often rises
+monotonically.  A batch of several slices is again one _slice_rows batch;
+a lone slice goes through this module's weighted_lp_norm /
+weighted_gradient_norm.  A slice's diagnostics merge once, when it is
+computed, so they count the work of computed points the loop never probes.
 
 ``zeta_transform`` pushes a gradient-side weight forward through the
 exponent law q = D p / (D - p) and multiplies in the sharp constant, so
@@ -291,20 +291,24 @@ class SupremumResult:
     quadrature: QuadratureDiagnostics = field(default_factory=QuadratureDiagnostics)
 
 
-def _bracketed(lo: float, hi: float) -> bool:
-    """Whether the golden bracket [lo, hi] has reached SUP_REL_TOL."""
-    return hi - lo <= SUP_REL_TOL * max(abs(lo), abs(hi))
-
-
-def _golden_step(lo, hi, x1, x2, f1, f2):
-    """One golden-section step from the bracket [lo, hi] with inner points
-    x1 < x2 of values f1, f2: the next such state, with None as the value
-    of its one new point."""
-    if f1 >= f2:
-        hi, x2, f2 = x2, x1, f1
-        return lo, hi, hi - _INVPHI * (hi - lo), x2, None, f2
-    lo, x1, f1 = x1, x2, f2
-    return lo, hi, x1, lo + _INVPHI * (hi - lo), f1, None
+def _golden(state, value):
+    """Golden-section search from ``state`` (lo, hi, x1, x2, f1, f2): bracket,
+    inner points x1 < x2 and their values, None where unvalued.  Yields each
+    state once ``value(x, state)`` has valued its unvalued points, x1 first;
+    stops after the first whose bracket has reached SUP_REL_TOL."""
+    while True:
+        lo, hi, x1, x2, f1, f2 = state
+        if f1 is None:
+            f1 = value(x1, state)
+        if f2 is None:
+            f2 = value(x2, (lo, hi, x1, x2, f1, f2))
+        yield lo, hi, x1, x2, f1, f2
+        if hi - lo <= SUP_REL_TOL * max(abs(lo), abs(hi)):
+            return
+        if f1 >= f2:  # keep [lo, x2], whose upper inner point is x1
+            state = lo, x2, x2 - _INVPHI * (x2 - lo), x1, None, f1
+        else:  # keep [x1, hi], whose lower inner point is x2
+            state = x1, hi, x2, x1 + _INVPHI * (hi - x1), f2, None
 
 
 def _vertex(points) -> float | None:
@@ -322,20 +326,21 @@ def _vertex(points) -> float | None:
 
 
 def _golden_path(state, peak: float) -> list:
-    """The points the golden loop probes from ``state`` on, its unprobed
-    points first, when the objective is the model -|x - peak|: up to
-    SUP_LOOKAHEAD after the first, fewer where the bracket closes."""
+    """The points ``_golden`` values from ``state`` on, its unvalued points
+    first, when the objective is the model -|x - peak|: up to SUP_LOOKAHEAD
+    after the first, fewer where the bracket closes."""
+    path = []
+
+    def model(x, _state) -> float:
+        path.append(x)
+        return -abs(x - peak)
+
     lo, hi, x1, x2, f1, f2 = state
-    path = [x for x, f in ((x1, f1), (x2, f2)) if f is None]
-    f1, f2 = -abs(x1 - peak), -abs(x2 - peak)
-    while len(path) <= SUP_LOOKAHEAD and not _bracketed(lo, hi):
-        lo, hi, x1, x2, f1, f2 = _golden_step(lo, hi, x1, x2, f1, f2)
-        if f1 is None:
-            f1 = -abs(x1 - peak)
-            path.append(x1)
-        else:
-            f2 = -abs(x2 - peak)
-            path.append(x2)
+    f1 = None if f1 is None else -abs(x1 - peak)
+    f2 = None if f2 is None else -abs(x2 - peak)
+    for _ in _golden((lo, hi, x1, x2, f1, f2), model):
+        if len(path) > SUP_LOOKAHEAD:
+            break
     return path
 
 
@@ -344,19 +349,20 @@ def _scan_sup(objective, a: float, b: float) -> SupremumResult:
 
     ``objective`` maps a 1-d float array of exponents to one outcome per
     exponent: its value, or the QuadratureError its slice raised.  The
-    64-point grid is one call.  A golden probe not yet computed is the first
-    point of a call that also holds the points the loop would take next if
-    the objective ordered them as -|x - x^|, x^ the vertex of the parabola
-    through the three best finite values settled so far.  With fewer than
-    three, or a parabola that is not concave, x^ is the grid's best point
-    when that point is the first or last of the grid (the end cell, where
-    an objective monotone toward the window's edge takes exactly that
-    path), and otherwise the probe goes alone.  ``settle``
-    turns an outcome into a number when the loop probes it, never before:
-    a DivergentIntegralError makes the supremum +inf.  A slice that merely
-    fails certification is tolerated only if some other slice proved
-    divergence; otherwise the error is re-raised once the scan finishes,
-    since an uncertified slice could hide the true supremum.
+    64-point grid is one call; the refinement iterates ``_golden`` with
+    ``probe`` valuing its points, for at most 200 states.  A golden probe not
+    yet computed is the first point of a call that also holds the points
+    ``_golden`` values next when run on the model -|x - x^| (``_golden_path``),
+    x^ the vertex of the parabola through the three best finite values
+    settled so far.  With fewer than three, or a parabola that is not
+    concave, x^ is the grid's best point when that point is the first or
+    last of the grid (the end cell, where an objective monotone toward the
+    window's edge takes exactly that path), and otherwise the probe goes
+    alone.  ``settle`` turns an outcome into a number when the loop probes
+    it, never before: a DivergentIntegralError makes the supremum +inf.  A
+    slice that merely fails certification is tolerated only if some other
+    slice proved divergence; otherwise the error is re-raised once the scan
+    finishes, since an uncertified slice could hide the true supremum.
     """
     pending: list[QuadratureError] = []
 
@@ -396,39 +402,19 @@ def _scan_sup(objective, a: float, b: float) -> SupremumResult:
             seen.append((v, x))
         return v
 
-    def filled(state):
-        """``state`` with its unprobed points probed, x1 first."""
-        lo, hi, x1, x2, f1, f2 = state
-        if f1 is None:
-            f1 = probe(x1, state)
-        if f2 is None:
-            f2 = probe(x2, (lo, hi, x1, x2, f1, f2))
-        return lo, hi, x1, x2, f1, f2
-
     lo = float(grid[max(i - 1, 0)])
     hi = float(grid[min(i + 1, len(grid) - 1)])
     best_x, best_v = float(grid[i]), float(vals[i])
-    state = filled((lo, hi, hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo), None, None))
-    for _ in range(200):
-        lo, hi, x1, x2, f1, f2 = state
+    start = (lo, hi, hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo), None, None)
+    for _, (_, _, x1, x2, f1, f2) in zip(range(200), _golden(start, probe)):
         for x, v in ((x1, f1), (x2, f2)):
             if math.isinf(v) and v > 0:
                 return SupremumResult(math.inf, x, False, diverged=True)
             if v > best_v:
                 best_x, best_v = x, v
-        if _bracketed(lo, hi):
-            break
-        state = filled(_golden_step(*state))
     if pending:
-        raise QuadratureError(
-            f"refinement hit an uncertified slice (first: {pending[0]})"
-        )
-    return SupremumResult(
-        value=best_v,
-        argmax=best_x,
-        at_boundary=at_boundary,
-        diverged=False,
-    )
+        raise QuadratureError(f"refinement hit an uncertified slice (first: {pending[0]})")
+    return SupremumResult(best_v, best_x, at_boundary)
 
 
 class _SliceTable:

@@ -172,11 +172,18 @@ class RadialProfile:
         )
 
 
+def _positive_finite(generator: str, **params) -> tuple[float, ...]:
+    """The values of ``params`` as floats; InputError naming the first
+    that is not positive and finite."""
+    for key, value in params.items():
+        if not (value > 0.0 and math.isfinite(value)):
+            raise InputError(f"{generator} {key} must be positive and finite, got {value}")
+    return tuple(float(value) for value in params.values())
+
+
 def bump(radius: float = 1.0, sharpness: float = 1.0) -> RadialProfile:
     """Smooth compactly supported bump exp(k (1 - 1/(1 - t^2))), t = rho/R."""
-    if radius <= 0.0 or sharpness <= 0.0:
-        raise InputError("bump radius and sharpness must be positive")
-    R, k = float(radius), float(sharpness)
+    R, k = _positive_finite("bump", radius=radius, sharpness=sharpness)
 
     def u(r):
         t = r / R
@@ -204,9 +211,7 @@ def bump(radius: float = 1.0, sharpness: float = 1.0) -> RadialProfile:
 
 def gaussian(scale: float = 1.0) -> RadialProfile:
     """exp(-(rho/s)^2); decays faster than any declared power tail."""
-    if scale <= 0.0:
-        raise InputError("gaussian scale must be positive")
-    s = float(scale)
+    (s,) = _positive_finite("gaussian", scale=scale)
 
     def u(r):
         return np.exp(-((r / s) ** 2))
@@ -224,9 +229,7 @@ def gaussian(scale: float = 1.0) -> RadialProfile:
 
 def tent(radius: float = 1.0) -> RadialProfile:
     """Piecewise linear max(1 - rho/R, 0); kink at R, so no derivative check."""
-    if radius <= 0.0:
-        raise InputError("tent radius must be positive")
-    R = float(radius)
+    (R,) = _positive_finite("tent", radius=radius)
 
     def u(r):
         return np.maximum(1.0 - r / R, 0.0)
@@ -245,9 +248,7 @@ def tent(radius: float = 1.0) -> RadialProfile:
 
 def step(radius: float = 1.0) -> RadialProfile:
     """Indicator of the ball; derivative identically 0 away from the jump."""
-    if radius <= 0.0:
-        raise InputError("step radius must be positive")
-    R = float(radius)
+    (R,) = _positive_finite("step", radius=radius)
 
     def u(r):
         return np.where(r < R, 1.0, 0.0)
@@ -266,9 +267,9 @@ def step(radius: float = 1.0) -> RadialProfile:
 
 def smoothed_step(radius: float = 1.0, width: float = 0.25) -> RadialProfile:
     """1 on [0, R - w], cosine ramp down to 0 at R; C^1 everywhere."""
-    if radius <= 0.0 or not (0.0 < width <= radius):
-        raise InputError("need radius > 0 and 0 < width <= radius")
-    R, w = float(radius), float(width)
+    R, w = _positive_finite("smoothed_step", radius=radius, width=width)
+    if w > R:
+        raise InputError(f"smoothed_step width {w} must not exceed its radius {R}")
 
     def u(r):
         out = np.ones_like(r)
@@ -297,9 +298,7 @@ def power_tail(exponent: float = 3.0, scale: float = 1.0) -> RadialProfile:
     Useful for exercising tail truncation and divergence detection: the
     weighted p-norm with effective dimension D is finite iff exponent * p > D.
     """
-    if exponent <= 0.0 or scale <= 0.0:
-        raise InputError("power_tail exponent and scale must be positive")
-    s, e = float(scale), float(exponent)
+    e, s = _positive_finite("power_tail", exponent=exponent, scale=scale)
 
     def u(r):
         return (1.0 + (r / s) ** 2) ** (-e / 2.0)
@@ -324,6 +323,7 @@ def extremal_profile(D: float = 5.0, p: float = 2.0) -> RadialProfile:
     """
     if not (1.0 < p < D):
         raise DomainError(f"need 1 < p < D = {D}, got p = {p}")
+    D, p = _positive_finite("extremal", D=D, p=p)
     pp = p / (p - 1.0)
     expo = (p - D) / p
 

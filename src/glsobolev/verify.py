@@ -420,7 +420,7 @@ def _read_check(idx: int, check, seed: int, variant: str, slack: float):
         # an empty list would run no call, so no law would check the rest
         value = check[key]
         if isinstance(value, (list, tuple)) and value and all(
-            isinstance(x, numbers.Real) for x in value
+            isinstance(x, numbers.Real) and not isinstance(x, bool) for x in value
         ):
             return value
         raise InputError(f"'{key}' must be a list of numbers, at least one, got {value!r}")
@@ -473,6 +473,8 @@ def _read_check(idx: int, check, seed: int, variant: str, slack: float):
         raise InputError(f"{where} is malformed: {exc}") from exc
     except ValueError as exc:  # DomainError and InputError too
         raise InputError(f"{where}: {exc}") from exc
+    except OverflowError as exc:
+        raise InputError(f"{where}: input too large for float arithmetic: {exc}") from exc
 
 
 def run_campaign(config: dict | None = None, *, jsonl_path=None, csv_path=None) -> list:

@@ -777,3 +777,57 @@ class TestNumberLists:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"expected comma-separated numbers, got '{text}'" in captured.err
+
+
+class TestBadInputExitsTwo:
+    # each once ended in an OverflowError traceback with exit 1 (which means
+    # a failed check), in a norm of 0 with exit 3, or ran with true as 1
+    @pytest.mark.parametrize(
+        "profile, message",
+        [
+            ("gaussian:1e200", "input too large for float arithmetic"),
+            ("power_tail:3,1e300", "input too large for float arithmetic"),
+            ("bump:1e300,1", "input too large for float arithmetic"),
+            ("power_tail:inf,1", "power_tail exponent must be positive and finite, got inf"),
+            ("extremal:inf,2", "extremal D must be positive and finite, got inf"),
+            ("bump:1,inf", "bump sharpness must be positive and finite, got inf"),
+            ("bump:1,nan", "bump sharpness must be positive and finite, got nan"),
+        ],
+    )
+    def test_norm_of_a_bad_profile(self, capsys, profile, message):
+        assert main(["norm", "--profile", profile, "--A", "1,2", "--p", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert message in captured.err
+
+    @pytest.mark.parametrize(
+        "family, message",
+        [
+            ({"generator": "gaussian", "box": [[1e200, 1e201]], "count": 1},
+             "input too large for float arithmetic"),
+            ({"generator": "bump", "count": True}, "'count' must be a whole number, got True"),
+        ],
+    )
+    def test_campaign_config(self, capsys, tmp_path, family, message):
+        check = {"kind": "sobolev", "A": [1, 2], "p-values": [2], "family": family}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"checks": [check]}))
+        assert main(["campaign", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: campaign check 0 (kind 'sobolev'): ")
+        assert captured.err.count("\n") == 1
+        assert message in captured.err
+
+    def test_no_traceback_through_the_console(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "glsobolev", "norm", "--profile", "gaussian:1e200",
+             "--A", "1,2", "--p", "2"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: input too large for float arithmetic")

@@ -159,3 +159,31 @@ class TestDilation:
             bump().dilated(0.0)
         with pytest.raises(InputError):
             bump().dilated(math.inf)
+
+
+class TestParametersArePositiveAndFinite:
+    # an infinite exponent once built power_tail(e=inf) and extremal(D=inf),
+    # whose norms read 0; an infinite or nan sharpness failed only later, on
+    # the profile's values, without naming the parameter
+    @pytest.mark.parametrize(
+        "generator, params, key",
+        [
+            ("power_tail", (math.inf, 1.0), "exponent"),
+            ("power_tail", (3.0, math.nan), "scale"),
+            ("extremal", (math.inf, 2.0), "D"),
+            ("bump", (1.0, math.inf), "sharpness"),
+            ("bump", (1.0, math.nan), "sharpness"),
+            ("bump", (-1.0, 1.0), "radius"),
+            ("gaussian", (math.inf,), "scale"),
+            ("tent", (math.nan,), "radius"),
+            ("step", (0.0,), "radius"),
+            ("smoothed_step", (1.0, math.inf), "width"),
+        ],
+    )
+    def test_parameter_is_named(self, generator, params, key):
+        with pytest.raises(InputError, match=f"^{generator} {key} must be positive and finite"):
+            make_profile(generator, *params)
+
+    def test_smoothed_step_width_still_bounded_by_its_radius(self):
+        with pytest.raises(InputError, match="width 2.0 must not exceed its radius 1.0"):
+            smoothed_step(1.0, 2.0)

@@ -881,3 +881,45 @@ class TestCampaign:
         assert len(reports) == 4  # two profiles, two deltas
         assert len(sampled) == len({(name, delta) for name, delta, _ in sampled}) == 4
         assert sorted(report.lhs for report in reports) == sorted(v for _, _, v in sampled)
+
+
+class TestCampaignNumbers:
+    # a JSON boolean is a numbers.Real, so true once ran as 1 and false as 0;
+    # a gaussian scale of 1e200 once overflowed in a traceback
+    @pytest.mark.parametrize(
+        "check, message",
+        [
+            (
+                {"kind": "sobolev", "A": [True, 2], "p-values": [2],
+                 "family": {"generator": "bump", "count": 1}},
+                r"campaign check 0 \(kind 'sobolev'\): 'A' must be a list of numbers",
+            ),
+            (
+                {"kind": "sobolev", "A": [1, 2], "p-values": [2],
+                 "family": {"generator": "bump", "count": True}},
+                r"campaign check 0 \(kind 'sobolev'\): 'count' must be a whole number, got True",
+            ),
+            (
+                {"kind": "sobolev", "A": [1, 2], "p-values": [2],
+                 "family": {"generator": "bump", "count": 1, "seed": False}},
+                r"campaign check 0 \(kind 'sobolev'\): 'seed' must be a whole number, got False",
+            ),
+            (
+                {"kind": "trace", "A": [1, 1], "B": [1], "r": True, "p-values": [2],
+                 "family": {"generator": "bump", "count": 1}},
+                r"campaign check 0 \(kind 'trace'\): 'r' must be a whole number, got True",
+            ),
+            (
+                {"kind": "sobolev", "A": [1, 2], "p-values": [2],
+                 "family": {"generator": "gaussian", "box": [[1e200, 1e201]], "count": 1}},
+                r"campaign check 0 \(kind 'sobolev'\): input too large for float arithmetic",
+            ),
+        ],
+    )
+    def test_check_and_key_are_named(self, check, message):
+        with pytest.raises(InputError, match=message):
+            run_campaign({"checks": [check]})
+
+    def test_a_boolean_seed_is_refused(self):
+        with pytest.raises(InputError, match="'seed' must be a whole number, got False"):
+            run_campaign({"seed": False, "checks": []})
