@@ -4,7 +4,8 @@ profiles.
 
 Each public name is read off the submodule that defines it, which is
 imported on first access (PEP 562).  ``import glsobolev`` therefore loads
-neither numpy nor scipy; the first numeric call does.
+no numpy; the first numeric call does.  numpy is the only runtime
+dependency: no library path imports scipy.
 """
 
 import importlib

@@ -4,10 +4,10 @@
 entry point and serializes the result; no numerics happen here.  In the
 ``constants`` output, C, q or K is null where its own guard rejects p.  A
 handler imports the numeric layers it calls when it runs, so ``constants``,
-``--help`` and ``--version`` load neither numpy nor scipy.  Exit codes: 0
-success, 1 an inequality check failed, 2 bad input (inputs too large for
-float arithmetic included), 3 the numerics could not certify an answer
-(unconverged quadrature or a divergent norm).  A grand norm with a
+``--help`` and ``--version`` load no numpy, and no command loads scipy.
+Exit codes: 0 success, 1 an inequality check failed, 2 bad input (inputs
+too large for float arithmetic included), 3 the numerics could not certify
+an answer (unconverged quadrature or a divergent norm).  A grand norm with a
 divergent slice is certified as inf and exits 0.
 """
 

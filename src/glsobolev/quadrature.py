@@ -74,9 +74,10 @@ ndarray.  The public entries refuse an infinite or nan limit, tail start
 or weight exponent with a QuadratureError that names it; an empty range
 (b == a, or upper <= 0) is 0 before that test.
 
-scipy.special is imported inside ``_jacobi_rule``, on a miss of the cached
-``_head_rules``, so that importing the package and the closed-form commands
-load no scipy.
+The head rules are built in numpy (``_jacobi_rule``): Golub-Welsch nodes,
+one Newton step each, and Christoffel weights, from a chain-sequence form of
+the Jacobi recurrence that keeps both ends of [0, 2] to relative accuracy.
+They are built once per exponent and process; the library imports no scipy.
 """
 
 from __future__ import annotations
@@ -431,10 +432,72 @@ def adaptive_quadrature(
     return total, diag
 
 
-def _jacobi_rule(n: int, gamma_exp: float):
-    from scipy.special import roots_jacobi
+def _chain_sweep(t, q, e):
+    """pi_n(t), pi_n'(t) and sum_{k<n} p_k(t)^2 at each point of t, for the
+    monic orthogonal polynomials pi_k (n = len(q)) of a mass-1 measure on
+    [0, inf) whose Jacobi matrix has alpha_k = q_{k+1} + e_k and
+    beta_k = q_k e_k, and the orthonormal p_k = pi_k / sqrt(beta_1 ... beta_k).
 
-    return roots_jacobi(n, 0.0, gamma_exp)
+    The three-term step (t - alpha_k) pi_k - beta_k pi_{k-1} splits in two
+    through the kernel polynomials pi*_k: pi_{k+1} = t pi*_k - q_{k+1} pi_k
+    and pi*_k = pi_k - e_k pi*_{k-1}.  Near t = 0 the q and e terms lead
+    each step, so a small t keeps its relative accuracy, which t - alpha_k
+    rounds away.
+    """
+    pi, dpi = np.ones_like(t), np.zeros_like(t)
+    kernel, dkernel = np.ones_like(t), np.zeros_like(t)
+    squares, beta = np.ones_like(t), 1.0
+    for k in range(len(q)):
+        pi, dpi = t * kernel - q[k] * pi, kernel + t * dkernel - q[k] * dpi
+        if k + 1 < len(q):
+            kernel, dkernel = pi - e[k] * kernel, dpi - e[k] * dkernel
+            beta *= q[k] * e[k]
+            squares += pi * pi / beta
+    return pi, dpi, squares
+
+
+def _jacobi_rule(n: int, gamma_exp: float):
+    """Nodes 1 + x, ascending, and weights of the n-point Gauss-Jacobi rule
+    for the weight (1 + x)^gamma_exp on [-1, 1] (Golub and Welsch, Math.
+    Comp. 23, 1969).
+
+    In y = 1 + x the weight is y^g on [0, 2] (g = gamma_exp), and its
+    Jacobi matrix has the chain sequence q_k = 2 (k + g)^2 / ((s - 1) s),
+    e_k = 2 k^2 / (s (s + 1)) with s = 2k + g; in z = 2 - y the weight is
+    (2 - z)^g, with q_k = 2 k (k + g) / ((s - 1) s) and
+    e_k = 2 k (k + g) / (s (s + 1)).  The nodes are the eigenvalues of the
+    Jacobi matrix, each refined by one Newton step on pi_n, in y below 1
+    and in z above, and the weights are the Christoffel numbers
+    mu0 / sum_{k<n} p_k^2 there, with mu0 = 2^(g+1) / (g + 1) the mass of
+    the weight (``_chain_sweep``).  So nodes near either end keep their
+    relative accuracy: against a 40-digit rule, for g in [-0.9, 100] and
+    n = 24 and 48, nodes are within 2e-15 and weights within 2e-14.
+    Raises QuadratureError naming gamma_exp when mu0 is beyond float range.
+    """
+    try:
+        mass = 2.0 ** (gamma_exp + 1.0) / (gamma_exp + 1.0)
+    except OverflowError:
+        raise QuadratureError(
+            f"weight exponent {gamma_exp}: the mass 2^(gamma+1)/(gamma+1) of its "
+            "Gauss-Jacobi head rule is beyond float range"
+        ) from None
+    k = np.arange(1.0, n + 1.0)
+    s = 2.0 * k + gamma_exp
+    lo, hi = (s - 1.0) * s, s * (s + 1.0)
+    q, e = 2.0 * (k + gamma_exp) ** 2 / lo, 2.0 * k * k / hi
+    off = np.sqrt(q[:-1] * e[:-1])
+    y = np.linalg.eigvalsh(np.diag(q + np.r_[0.0, e[:-1]]) + np.diag(off, 1) + np.diag(off, -1))
+
+    def refined(t, q, e):
+        pi, dpi, _ = _chain_sweep(t, q, e)
+        t = t - pi / dpi
+        return t, mass / _chain_sweep(t, q, e)[2]
+
+    near = y < 1.0
+    low, w_low = refined(y[near], q, e)
+    mirrored = 2.0 * k * (k + gamma_exp)
+    high, w_high = refined(2.0 - y[~near], mirrored / lo, mirrored / hi)
+    return np.concatenate([low, 2.0 - high]), np.concatenate([w_low, w_high])
 
 
 def _power_weighted(g, gamma_exp: float):
@@ -467,9 +530,9 @@ def _head_eps(upper: float, initial_edges) -> float:
 def _head_rules(gamma_exp: float):
     """The nodes 1 + x of the 24- and 48-point Gauss-Jacobi rules side by
     side, and the two weight vectors."""
-    x24, w24 = _jacobi_rule(24, gamma_exp)
-    x48, w48 = _jacobi_rule(48, gamma_exp)
-    return np.concatenate([1.0 + x24, 1.0 + x48]), w24, w48
+    y24, w24 = _jacobi_rule(24, gamma_exp)
+    y48, w48 = _jacobi_rule(48, gamma_exp)
+    return np.concatenate([y24, y48]), w24, w48
 
 
 def _jacobi_heads(f, gamma_exp: float, eps) -> list:
@@ -482,9 +545,12 @@ def _jacobi_heads(f, gamma_exp: float, eps) -> list:
     evaluates both rules of every unsettled row in one call of f, on one
     point row per distinct eps, ``of`` mapping each row to its eps's.
     Returns (head, eps, neval) per row, or the QuadratureError of a row
-    whose head never settled.
+    whose head never settled, or of every row when gamma_exp has no rule.
     """
-    nodes, w24, w48 = _head_rules(gamma_exp)
+    try:
+        nodes, w24, w48 = _head_rules(gamma_exp)
+    except QuadratureError as exc:
+        return [exc] * len(eps)
     eps = list(eps)
     out: list = [None] * len(eps)
     live = list(range(len(eps)))

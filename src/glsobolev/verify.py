@@ -403,6 +403,10 @@ def _morrey_reports(profiles, psi, A, deltas, c2, slack) -> list:
     ]
 
 
+def _where(idx: int, check: dict) -> str:
+    return f"campaign check {idx} (kind {check.get('kind')!r})"
+
+
 def _read_check(idx: int, check, seed: int, variant: str, slack: float):
     """Campaign check ``idx`` as a function of no arguments giving its reports.
 
@@ -414,7 +418,7 @@ def _read_check(idx: int, check, seed: int, variant: str, slack: float):
     if not isinstance(check, dict):
         raise InputError(f"campaign check {idx} must be an object, got {check!r}")
     kind = check.get("kind")
-    where = f"campaign check {idx} (kind {kind!r})"
+    where = _where(idx, check)
 
     def numbers_at(key):
         # an empty list would run no call, so no law would check the rest
@@ -484,7 +488,9 @@ def run_campaign(config: dict | None = None, *, jsonl_path=None, csv_path=None) 
     read before any check runs, and each input passes the law of the check
     that uses it (see ``_read_check``); a malformed entry raises InputError
     naming the check, as do a slack outside [0, inf), an unknown variant
-    and a fractional seed.  Reports are sorted by input digest; with a
+    and a fractional seed.  An input too large for float arithmetic raises
+    InputError naming its check, whether it overflows as the check is read
+    or only once it runs.  Reports are sorted by input digest; with a
     fixed seed the written artifacts are byte-identical across runs.
     """
     cfg = config if config is not None else default_campaign_config()
@@ -500,7 +506,15 @@ def run_campaign(config: dict | None = None, *, jsonl_path=None, csv_path=None) 
     if not isinstance(checks, (list, tuple)):
         raise InputError(f"campaign config 'checks' must be a list, got {checks!r}")
     plan = [_read_check(idx, check, seed, variant, slack) for idx, check in enumerate(checks)]
-    reports = sort_reports([report for run in plan for report in run()])
+    reports = []
+    for idx, (check, run) in enumerate(zip(checks, plan)):
+        try:
+            reports += run()
+        except OverflowError as exc:  # an input that overflows only once its check runs
+            raise InputError(
+                f"{_where(idx, check)}: input too large for float arithmetic: {exc}"
+            ) from exc
+    reports = sort_reports(reports)
     if jsonl_path is not None:
         write_jsonl(reports, jsonl_path)
     if csv_path is not None:

@@ -808,6 +808,9 @@ class TestBadInputExitsTwo:
             ({"generator": "gaussian", "box": [[1e200, 1e201]], "count": 1},
              "input too large for float arithmetic"),
             ({"generator": "bump", "count": True}, "'count' must be a whole number, got True"),
+            # read without error; the overflow comes once the check runs
+            ({"generator": "bump", "box": [[1e300, 1e301], [1, 2]], "count": 1},
+             "input too large for float arithmetic"),
         ],
     )
     def test_campaign_config(self, capsys, tmp_path, family, message):

@@ -1,7 +1,10 @@
 import heapq
 import math
 import re
+import warnings
+from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from glsobolev.norms import weighted_lp_norm
 from glsobolev.profiles import bump, gaussian, power_tail, smoothed_step, tent
 from glsobolev.quadrature import (
     QuadratureDiagnostics,
+    _head_rules,
     _jacobi_rule,
     _k15_panels,
     _one_row,
@@ -158,11 +162,105 @@ class TestPowerWeighted:
     def test_head_rule_is_keyed_on_the_exact_exponent(self):
         # two exponents that agree to 12 decimals still get their own rule
         near = 0.5 + 1e-13
-        _jacobi_rule(24, 0.5)
-        x, w = _jacobi_rule(24, near)
-        x_exact, w_exact = roots_jacobi(24, 0.0, near)
-        assert np.array_equal(x, x_exact) and np.array_equal(w, w_exact)
-        assert not np.array_equal(w, _jacobi_rule(24, 0.5)[1])
+        _head_rules(0.5)
+        nodes, w24, w48 = _head_rules(near)
+        (y24, fresh24), (y48, fresh48) = _jacobi_rule(24, near), _jacobi_rule(48, near)
+        assert np.array_equal(nodes, np.concatenate([y24, y48]))
+        assert np.array_equal(w24, fresh24) and np.array_equal(w48, fresh48)
+        assert not np.array_equal(w24, _head_rules(0.5)[1])
+
+    def test_a_mass_beyond_float_range_is_a_quadrature_error_naming_gamma(self):
+        # bump at A = (500, 600) weighs its head by t^1101, whose rule has
+        # mass 2^1102 / 1102; no OverflowError, no RuntimeWarning
+        for details in (False, True):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(QuadratureError, match=r"weight exponent 1101\.0: "):
+                    weighted_lp_norm(bump(1.0, 1.0), (500.0, 600.0), 2.0, details=details)
+
+
+@lru_cache(maxsize=None)
+def _golub_welsch_40_digits(n: int, gamma_exp: float):
+    """Nodes 1 + x and weights of the n-point Gauss-Jacobi rule for the
+    weight (1 + x)^gamma_exp, to 40 digits: the eigenvalues of the Jacobi
+    matrix in mpmath, and the Christoffel numbers of its three-term
+    recurrence there."""
+    with mpmath.workdps(40):
+        g = mpmath.mpf(gamma_exp)
+        diag = [2 * (g + 1) / (g + 2)]
+        off = []
+        for k in range(1, n):
+            s = 2 * k + g
+            diag.append(1 + g * g / (s * (s + 2)))
+            off.append(2 * k * (k + g) / (s * mpmath.sqrt((s + 1) * (s - 1))))
+        jacobi = mpmath.diag(diag)
+        for k, b in enumerate(off):
+            jacobi[k, k + 1] = jacobi[k + 1, k] = b
+        nodes = sorted(mpmath.eigsy(jacobi, eigvals_only=True))
+        weights = []
+        for y in nodes:
+            before, p, squares = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(1)
+            for k in range(n - 1):
+                before, p = p, ((y - diag[k]) * p - (off[k - 1] * before if k else 0)) / off[k]
+                squares += p * p
+            weights.append(2 ** (g + 1) / (g + 1) / squares)
+        return nodes, weights
+
+
+def _worst_relative_error(values, exact) -> float:
+    with mpmath.workdps(40):
+        return float(max(abs((mpmath.mpf(float(v)) - e) / e) for v, e in zip(values, exact)))
+
+
+_RULE_EXPONENTS = [-0.9, -0.5, 0.3, 1.2345, 1.5, 2.0, 4.0, 30.0, 100.0]
+
+
+class TestJacobiRule:
+    @pytest.mark.parametrize("n", [24, 48])
+    @pytest.mark.parametrize("gamma_exp", _RULE_EXPONENTS)
+    def test_matches_a_40_digit_rule_at_least_as_well_as_scipy(self, gamma_exp, n):
+        exact_nodes, exact_weights = _golub_welsch_40_digits(n, gamma_exp)
+        y, w = _jacobi_rule(n, gamma_exp)
+        x_scipy, w_scipy = roots_jacobi(n, 0.0, gamma_exp)
+        node_error = _worst_relative_error(y, exact_nodes)
+        weight_error = _worst_relative_error(w, exact_weights)
+        assert node_error <= 2e-15
+        assert weight_error <= 2e-14
+        # a node one ulp from the exact one (2^-52 relative) is as close as
+        # floats are faithful; at gamma = 100 both rules are within that
+        assert node_error <= max(_worst_relative_error(1.0 + x_scipy, exact_nodes), 2.0**-52)
+        assert weight_error <= _worst_relative_error(w_scipy, exact_weights)
+
+    @pytest.mark.parametrize("n", [24, 48])
+    @pytest.mark.parametrize("gamma_exp", _RULE_EXPONENTS)
+    def test_nodes_ascend_inside_the_interval_and_weights_are_positive(self, gamma_exp, n):
+        y, w = _jacobi_rule(n, gamma_exp)
+        assert y.shape == w.shape == (n,)
+        assert 0.0 < y[0] and y[-1] < 2.0  # x = y - 1 inside (-1, 1)
+        assert np.all(np.diff(y) > 0.0)
+        assert np.all(w > 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(-0.95, 100.0),
+        st.sampled_from([24, 48]).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 2 * n - 1))),
+    )
+    def test_integrates_every_monomial_of_degree_below_2n(self, gamma_exp, n_and_k):
+        # int_{-1}^{1} (1 + x)^g x^k dx = sum_j C(k, j) (-1)^(k-j) 2^(g+j+1) / (g+j+1),
+        # summed at 120 digits past its cancellation; the rule's sum and the
+        # scale sum w |x|^k are taken exactly from its float nodes and weights
+        n, k = n_and_k
+        y, w = _jacobi_rule(n, gamma_exp)
+        with mpmath.workdps(120):
+            g = mpmath.mpf(gamma_exp)
+            exact = mpmath.fsum(
+                mpmath.binomial(k, j) * (-1) ** (k - j) * 2 ** (g + j + 1) / (g + j + 1)
+                for j in range(k + 1)
+            )
+            x = [mpmath.mpf(float(t)) - 1 for t in y]
+            rule = mpmath.fsum(mpmath.mpf(float(wi)) * xi**k for wi, xi in zip(w, x))
+            scale = mpmath.fsum(mpmath.mpf(float(wi)) * abs(xi) ** k for wi, xi in zip(w, x))
+            assert abs(rule - exact) <= 1e-13 * scale
 
 
 class TestTailExtension:

@@ -923,3 +923,18 @@ class TestCampaignNumbers:
     def test_a_boolean_seed_is_refused(self):
         with pytest.raises(InputError, match="'seed' must be a whole number, got False"):
             run_campaign({"seed": False, "checks": []})
+
+
+class TestCampaignRunTimeOverflow:
+    # bump(1e300, k) is built at read time, but its head's (eps / 2)^(gamma + 1)
+    # overflows once the check runs
+    def test_an_overflow_while_a_check_runs_is_an_input_error_naming_it(self):
+        huge = {"kind": "sobolev", "A": [1, 2], "p-values": [2],
+                "family": {"generator": "bump", "box": [[1e300, 1e301], [1, 2]], "count": 1}}
+        fine = {"kind": "sobolev", "A": [1, 2], "p-values": [2],
+                "family": {"generator": "bump", "count": 1}}
+        with pytest.raises(
+            InputError,
+            match=r"^campaign check 1 \(kind 'sobolev'\): input too large for float arithmetic: ",
+        ):
+            run_campaign({"checks": [fine, huge]})
