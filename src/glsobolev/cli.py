@@ -7,8 +7,10 @@ handler imports the numeric layers it calls when it runs, so ``constants``,
 ``--help`` and ``--version`` load no numpy, and no command loads scipy.
 Exit codes: 0 success, 1 an inequality check failed, 2 bad input (inputs
 too large for float arithmetic included), 3 the numerics could not certify
-an answer (unconverged quadrature or a divergent norm).  A grand norm with a
-divergent slice is certified as inf and exits 0.
+an answer (unconverged quadrature or a divergent norm).  Exits 2 and 3 give
+their reason in one stderr line.  A grand norm with a slice whose tail was
+proven divergent is certified as inf and exits 0; any other non-finite
+slice exits 3, not certified.
 """
 
 from __future__ import annotations
@@ -422,6 +424,9 @@ def main(argv=None) -> int:
         return 2
     if payload is not None:
         _emit(payload, args.output)
+    if code == 3:  # every exit 3 gives its reason in one stderr line
+        print("not certified: the printed result is flagged unconverged or inconclusive",
+              file=sys.stderr)
     return code
 
 

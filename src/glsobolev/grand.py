@@ -7,9 +7,12 @@ interval (a, b) of Lebesgue exponents; the norm is
 
 and its fundamental function is phi(delta) = sup_p delta^(1/p) / psi(p).
 The supremum is located on a 64-point geometric grid (in 1/p when b is
-infinite) and refined by golden section; a divergent slice norm makes the
-whole supremum +inf, which is reported as a first-class value rather than
-an error.
+infinite) and refined by golden section.  A slice whose tail was proven
+divergent (a DivergentIntegralError) makes the whole supremum +inf, which
+is reported as a first-class value rather than an error; that is the one
+way to +inf.  Any other non-finite slice value, such as the inf of a
+power that overflowed, proves nothing: it is an uncertified slice, like
+one that raised a QuadratureError.
 
 Every scan runs one protocol from slice to supremum: its objective maps a
 1-d array of exponents to one outcome each, a value or the QuadratureError
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -81,12 +85,16 @@ class PsiFunction:
     params: tuple = ()
 
     def __post_init__(self):
-        if not (self.a > 0.0 and math.isfinite(self.a)):
-            raise InputError(f"left endpoint must be positive and finite, got {self.a}")
+        # a subnormal a would overflow the 1/p grid of an infinite window
+        if not (self.a >= sys.float_info.min and math.isfinite(self.a)):
+            raise InputError(
+                f"left endpoint must be positive, finite and not subnormal, got {self.a}"
+            )
         if not (self.b > self.a):
             raise InputError(f"need a < b, got a = {self.a}, b = {self.b}")
         probe = _exponent_grid(self.a, self.b, 33)
-        vals = np.asarray(self.func(probe), dtype=float)
+        with np.errstate(all="ignore"):  # the isfinite test below judges every value
+            vals = np.asarray(self.func(probe), dtype=float)
         if not np.all(np.isfinite(vals) & (vals > 0.0)):
             raise InputError(
                 f"psi ({self.family}) must be positive and finite on ({self.a}, {self.b})"
@@ -359,21 +367,23 @@ def _scan_sup(objective, a: float, b: float) -> SupremumResult:
     last of the grid (the end cell, where an objective monotone toward the
     window's edge takes exactly that path), and otherwise the probe goes
     alone.  ``settle`` turns an outcome into a number when the loop probes
-    it, never before: a DivergentIntegralError makes the supremum +inf.  A
-    slice that merely fails certification is tolerated only if some other
-    slice proved divergence; otherwise the error is re-raised once the scan
-    finishes, since an uncertified slice could hide the true supremum.
+    it, never before: only a DivergentIntegralError makes the supremum +inf.
+    A slice that fails certification (a QuadratureError or a non-finite
+    value) is tolerated only if another slice proved divergence; otherwise
+    the error is re-raised once the scan finishes, since an uncertified
+    slice could hide the true supremum.
     """
     pending: list[QuadratureError] = []
 
     def settle(v) -> float:
         if isinstance(v, DivergentIntegralError):
             return math.inf
-        if isinstance(v, QuadratureError):
-            pending.append(v)
-            return -math.inf
-        v = float(v)
-        return v if not math.isnan(v) else -math.inf
+        if not isinstance(v, QuadratureError):
+            if math.isfinite(v := float(v)):
+                return v
+            v = QuadratureError(f"value {v} is not finite and proves no divergence")
+        pending.append(v)
+        return -math.inf
 
     grid = _exponent_grid(a, b, SUP_GRID_POINTS)
     vals = np.array([settle(v) for v in objective(grid)])
@@ -485,9 +495,9 @@ def gls_norm(
 ):
     """Grand norm sup_p ||u||_{p, A} / psi(p) over the support of psi.
 
-    Returns +inf (flagged in the SupremumResult) when some slice norm
-    diverges.  With ``details`` the SupremumResult carries the quadrature
-    diagnostics merged over every slice.
+    Returns +inf (flagged in the SupremumResult) when the tail of some
+    slice norm was proven divergent.  With ``details`` the SupremumResult
+    carries the quadrature diagnostics merged over every slice.
     """
     return _gls(False, u, psi, A, details)
 

@@ -18,6 +18,7 @@ scanned once per profile object, on first use, and kept on it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Union
@@ -174,10 +175,13 @@ class RadialProfile:
 
 def _positive_finite(generator: str, **params) -> tuple[float, ...]:
     """The values of ``params`` as floats; InputError naming the first
-    that is not positive and finite."""
+    that is not positive and finite, or is subnormal (below
+    sys.float_info.min, where 1/value overflows)."""
     for key, value in params.items():
         if not (value > 0.0 and math.isfinite(value)):
             raise InputError(f"{generator} {key} must be positive and finite, got {value}")
+        if value < sys.float_info.min:
+            raise InputError(f"{generator} {key} must not be subnormal, got {value}")
     return tuple(float(value) for value in params.values())
 
 

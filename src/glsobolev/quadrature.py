@@ -64,6 +64,9 @@ tolerance test comes first, so a row within tolerance is converged whatever
 these counts say; a stopped row is unconverged, with a note that names
 round-off.  (|u| / peak)^p at p ~ 1e8 raises the 1e-16 noise of u to about
 1e-8 relative, and such rows stop after about 85 panels instead of 4096.
+A sampled peak below the true sup makes |u| / peak > 1 near the argmax, so
+the power overflows once p passes about 709 / log(sup / peak); that row's
+estimate is nan, and its note names the non-finite error estimate.
 A row that stops at a non-finite error estimate is unconverged with a note
 that names it; a nan estimate (an integrand that is inf or nan at a node)
 stops the row at once.  So is a row whose every panel is too narrow to
@@ -280,6 +283,14 @@ def _finished(total, err, tol, panels, n0, roundoff, base_value) -> tuple:
     return total, diag
 
 
+# An integrand may overflow where its value is already judged: (|u| / peak)^p
+# where a sampled peak sits below the true sup, t^gamma far out in a tail.
+# Its inf, or the nan of inf - inf in a K15 reduction, makes the row's error
+# estimate non-finite, which _finished's "non-finite error estimate" note
+# and the head's failure to settle (_jacobi_heads) judge; so neither loop
+# warns of it.  One guard per call of a loop costs far less than one per
+# K15 reduction.
+@np.errstate(over="ignore", invalid="ignore")
 def _refine_rows(f, edge_rows, base_values):
     """Adaptive G7/K15 quadrature of a family of integrands in lockstep.
 
@@ -535,6 +546,7 @@ def _head_rules(gamma_exp: float):
     return np.concatenate([y24, y48]), w24, w48
 
 
+@np.errstate(over="ignore", invalid="ignore")  # judged overflow, as in _refine_rows
 def _jacobi_heads(f, gamma_exp: float, eps) -> list:
     """int_0^eps t^gamma f(t) dt by Gauss-Jacobi (exact in the weight) for
     each row of the family ``f(x, rows, of)`` of ``_refine_rows``, starting

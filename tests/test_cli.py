@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -6,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import glsobolev.grand as grand_module
 from glsobolev import __version__
@@ -14,7 +17,7 @@ from glsobolev.constants import sharp_constant
 from glsobolev.exponents import sobolev_exponent
 from glsobolev.grand import constant_psi, fundamental_function, gls_norm, zeta_transform
 from glsobolev.norms import weighted_gradient_norm, weighted_lp_norm
-from glsobolev.profiles import bump
+from glsobolev.profiles import bump, generator_names
 from glsobolev.reports import INEQUALITY_IDS
 from glsobolev.verify import default_campaign_config, run_campaign
 
@@ -386,6 +389,30 @@ class TestUnconvergedExitCodes:
         assert len(notes) <= 9
         assert notes[0].startswith("round-off detected after")
         assert notes[-1] == "and 30 more notes"
+
+    @pytest.mark.parametrize(
+        "profile",
+        ["smoothed_step:0.5,0.05", "smoothed_step:1,0.1", "smoothed_step:2,0.2",
+         "smoothed_step:3,0.3", "smoothed_step:3"],
+    )
+    def test_gls_norm_whose_slices_overflow_is_not_certified(self, capsys, profile):
+        # the sampled peak of |u'| sits just below its sup, so (|u'| / peak)^p
+        # overflows past p ~ 3.8e7: once a certified inf with exit 0
+        argv = ["gls-norm", "--profile", profile, "--psi", "constant:10", "--A", "1",
+                "--gradient"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("not certified: 4 of 64 slices could not be certified")
+        assert captured.err.count("\n") == 1
+
+    def test_a_flagged_payload_says_so_in_one_stderr_line(self, capsys):
+        assert main(["norm", "--profile", "bump:1,1", "--A", "1,2", "--p", "1e20"]) == 3
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["diagnostics"]["converged"] is False
+        assert captured.err == (
+            "not certified: the printed result is flagged unconverged or inconclusive\n"
+        )
 
     def test_morrey(self, capsys, unconverged_grand_slices):
         unconverged_grand_slices(gradient=True)
@@ -792,6 +819,8 @@ class TestBadInputExitsTwo:
             ("extremal:inf,2", "extremal D must be positive and finite, got inf"),
             ("bump:1,inf", "bump sharpness must be positive and finite, got inf"),
             ("bump:1,nan", "bump sharpness must be positive and finite, got nan"),
+            # 1 / R overflows: once two numpy warnings and a norm of 0 with exit 3
+            ("bump:1e-320,2", "bump radius must not be subnormal, got 1e-320"),
         ],
     )
     def test_norm_of_a_bad_profile(self, capsys, profile, message):
@@ -824,6 +853,22 @@ class TestBadInputExitsTwo:
         assert captured.err.count("\n") == 1
         assert message in captured.err
 
+    @pytest.mark.parametrize(
+        "psi, message",
+        [
+            # its probe overflowed exp with a warning before this error
+            ("power:0.5,1e300,1e8,1e-8", "psi (power-endpoint) must be positive and finite"),
+            # 1 / a overflows the grid of (a, inf)
+            ("constant:1e-320", "left endpoint must be positive, finite and not subnormal"),
+        ],
+    )
+    def test_fundamental_of_a_bad_psi(self, capsys, psi, message):
+        assert main(["fundamental", "--psi", psi, "--delta", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
+
     def test_no_traceback_through_the_console(self):
         proc = subprocess.run(
             [sys.executable, "-m", "glsobolev", "norm", "--profile", "gaussian:1e200",
@@ -834,3 +879,97 @@ class TestBadInputExitsTwo:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: input too large for float arithmetic")
+
+
+# the argv of every numeric command, its numbers drawn from ordinary values
+# and from the tokens that broke one input path after another: nan, +-inf, a
+# subnormal, an overflow, an empty token, 0 and -1.  Options go as
+# --name=value, so argparse reads "-inf" as a value, and an option that
+# argparse types as a number gets no empty token, which argparse refuses
+# with its usage message before any handler runs.
+_ORDINARY = ("0.25", "0.5", "1", "1.5", "2", "3", "4", "7", "10", "100")
+_EDGES = ("nan", "inf", "-inf", "1e-320", "2e308", "0", "-1")
+_ordinary = st.sampled_from(_ORDINARY)
+_number = _ordinary | st.sampled_from(_EDGES)
+_token = _number | st.just("")
+
+
+def _listed(min_size=1, max_size=4):
+    """A comma-separated list: all ordinary numbers, or any tokens."""
+    return st.one_of(
+        st.lists(_ordinary, min_size=min_size, max_size=max_size),
+        st.lists(_token, min_size=min_size, max_size=max_size),
+    ).map(",".join)
+
+
+_profile = st.builds(
+    lambda name, params: f"{name}:{params}" if params else name,
+    st.sampled_from(generator_names()),
+    _listed(0, 2),
+)
+_psi = st.one_of(
+    _listed(1, 2).map("constant:".__add__),
+    _listed(4, 4).map("power:".__add__),
+    st.lists(st.tuples(_number, _token), min_size=2, max_size=4).map(
+        lambda pairs: "table:" + ",".join(f"{p}={v}" for p, v in pairs)
+    ),
+)
+_OPTIONS = {
+    "constants": {"A": _listed(), "p": _number},
+    "norm": {"profile": _profile, "A": _listed(), "p": _number},
+    "gls-norm": {"profile": _profile, "psi": _psi, "A": _listed()},
+    "morrey": {"profile": _profile, "psi": _psi, "A": _listed(), "delta": _listed()},
+    "scaling": {"profile": _profile, "A": _listed(), "p": _number},
+    "trace": {
+        "profile": _profile, "A": _listed(), "B": _listed(),
+        "r": st.sampled_from(("1", "2", "0", "-1")), "p": _number,
+    },
+    "fundamental": {"psi": _psi, "delta": _listed()},
+    "zeta": {"psi": _psi, "A": _listed(), "q": _listed()},
+}
+_OPTIONAL = {
+    "constants": {"variant": st.sampled_from(("corrected", "literal"))},
+    "morrey": {"c2": _number},
+    "scaling": {"B": _listed(), "q": _number},
+    "trace": {"slack": _number},
+    "zeta": {"variant": st.sampled_from(("corrected", "literal"))},
+}
+_FLAGS = {"norm": ("--gradient",), "gls-norm": ("--gradient",), "morrey": ("--measure",)}
+# profiles whose every p-norm is finite: bounded, compactly supported or gaussian
+_BOUNDED = ("bump", "gaussian", "smoothed_step", "step", "tent")
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command]
+    for name, values in _OPTIONS[command].items():
+        argv.append(f"--{name}={draw(values)}")
+    for name, values in _OPTIONAL.get(command, {}).items():
+        if draw(st.booleans()):
+            argv.append(f"--{name}={draw(values)}")
+    argv.extend(flag for flag in _FLAGS.get(command, ()) if draw(st.booleans()))
+    return argv
+
+
+class TestArgvContract:
+    # a smoothed_step's sampled peak sits just below sup|u'|, so its gradient
+    # slices overflow past p ~ 3.8e7; they once made a finite norm a
+    # certified inf with exit 0
+    @example(["gls-norm", "--profile=smoothed_step:1,0.1", "--psi=constant:10", "--A=1",
+              "--gradient"])
+    @settings(max_examples=120, deadline=None)
+    @given(argv=_argv())
+    def test_every_run_exits_with_a_code_and_one_line_of_reason(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)  # an exception here is a traceback at the console
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2, 3)
+        if code in (2, 3):
+            assert err.count("\n") == 1 and err.endswith("\n"), err
+        else:
+            assert err == ""
+        profile = next((a for a in argv if a.startswith("--profile=")), "")
+        if profile[len("--profile="):].partition(":")[0] in _BOUNDED:
+            assert '"diverged":true' not in out

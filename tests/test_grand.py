@@ -243,6 +243,38 @@ class TestGlsNorm:
         with pytest.raises(InputError):
             gls_norm(gaussian(), constant_psi(0.5, 2.0), [1.0, 1.0])
 
+    # bounded profiles, compactly supported or gaussian, have every slice
+    # norm finite, so no scan of theirs may report a divergence; the example
+    # is a smoothed_step whose sampled sup|u'| sits just below the true one,
+    # so its gradient slices overflow to inf past p ~ 3.8e7
+    @example(u=smoothed_step(1.0, 0.1), gradient=True, psi=constant_psi(10.0, math.inf),
+             A=(1.0,))
+    @settings(max_examples=40, deadline=None)
+    @given(
+        u=st.one_of(
+            st.builds(bump, st.floats(0.3, 3.0), st.floats(0.3, 3.0)),
+            st.builds(gaussian, st.floats(0.3, 3.0)),
+            st.builds(lambda R, f: smoothed_step(R, f * R), st.floats(0.3, 3.0),
+                      st.floats(0.05, 1.0)),
+            st.builds(tent, st.floats(0.3, 3.0)),
+        ),
+        gradient=st.booleans(),
+        psi=st.one_of(
+            st.builds(constant_psi, st.floats(1.0, 20.0), st.just(math.inf)),
+            st.builds(lambda a, w: constant_psi(a, a + w), st.floats(1.0, 20.0),
+                      st.floats(0.5, 50.0)),
+        ),
+        A=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=3).map(tuple),
+    )
+    def test_a_bounded_profile_is_finite_or_uncertified(self, u, gradient, psi, A):
+        norm_fn = gls_gradient_norm if gradient else gls_norm
+        try:
+            value, res = norm_fn(u, psi, A, details=True)
+        except QuadratureError as exc:
+            assert not isinstance(exc, DivergentIntegralError)
+            return
+        assert math.isfinite(value) and not res.diverged
+
     def test_gradient_variant(self):
         A = [1.0, 1.0]
         psi = constant_psi(1.5, 2.5)
@@ -652,6 +684,19 @@ class TestScanProtocol:
             return [QuadratureError(f"at {p:.3f}") if p < 2.0 else -p for p in ps]
 
         expected = r"of 64 slices could not be certified \(first: at 1.5"
+        with pytest.raises(QuadratureError, match=expected):
+            grand_module._scan_sup(objective, 1.5, 3.0)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_a_non_finite_grid_value_is_uncertified_not_divergent(self, value):
+        # only a DivergentIntegralError proves a divergence; a value of inf
+        # (an overflow) once made the supremum a certified inf
+        def objective(ps):
+            out = [-((p - 2.0) ** 2) for p in ps]
+            out[10] = value
+            return out
+
+        expected = rf"1 of 64 slices could not be certified \(first: value {value} is not finite"
         with pytest.raises(QuadratureError, match=expected):
             grand_module._scan_sup(objective, 1.5, 3.0)
 

@@ -184,6 +184,15 @@ class TestParametersArePositiveAndFinite:
         with pytest.raises(InputError, match=f"^{generator} {key} must be positive and finite"):
             make_profile(generator, *params)
 
+    @pytest.mark.parametrize(
+        "generator, params, key",
+        [("bump", (5e-324, 1.0), "radius"), ("gaussian", (1e-310,), "scale"),
+         ("smoothed_step", (1.0, 1e-320), "width")],
+    )
+    def test_a_subnormal_parameter_is_named(self, generator, params, key):
+        with pytest.raises(InputError, match=f"^{generator} {key} must not be subnormal"):
+            make_profile(generator, *params)
+
     def test_smoothed_step_width_still_bounded_by_its_radius(self):
         with pytest.raises(InputError, match="width 2.0 must not exceed its radius 1.0"):
             smoothed_step(1.0, 2.0)
