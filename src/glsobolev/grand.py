@@ -133,6 +133,8 @@ def power_endpoint_psi(a: float, b: float, alpha: float, beta: float) -> PsiFunc
     alpha, beta = float(alpha), float(beta)
     if not math.isfinite(b):
         raise InputError("power-endpoint weight needs a finite right endpoint")
+    if not b > a:  # before the logs of p_star - a and b - p_star below
+        raise InputError(f"need a < b, got a = {a}, b = {b}")
     if alpha < 0.0 or beta < 0.0:
         raise InputError("endpoint exponents must be nonnegative")
     if alpha == 0.0 and beta == 0.0:
@@ -663,20 +665,30 @@ def modulus_of_continuity(u: RadialProfile, delta: float) -> float:
 
     For radial u every achievable value pair occurs along a single ray, so
     the scan runs over a 4096-point radial grid shifted by the 16 offsets
-    delta * j / 16, j = 1, ..., 16.
+    delta * j / 16, j = 1, ..., 16.  By the ``Compact`` contract (u is 0
+    beyond the radius) a compact u is evaluated only on its support: a pair
+    whose shifted point lies past it contributes |u| at the grid point, so
+    the value keeps every bit of the full scan.
     """
     _check_delta(delta)
     if isinstance(u.support, Compact):
-        r_hi = u.support.radius + delta
+        end = u.support.radius
+        r_hi = end + delta
     else:
+        end = math.inf
         r_hi = 32.0 * u.support.radius + delta
     grid = np.linspace(0.0, r_hi, 4096)
-    base = np.asarray(u.value(grid), dtype=float)
+    n = int(np.searchsorted(grid, end, side="right"))
+    base = np.zeros_like(grid)
+    base[:n] = u.value(grid[:n])
+    # beyond_max[i]: max |u| over grid points from index i on, 0 past the grid
+    beyond_max = np.append(np.maximum.accumulate(np.abs(base)[::-1])[::-1], 0.0)
     best = 0.0
     for j in range(1, 17):
-        h = delta * j / 16
-        shifted = np.asarray(u.value(grid + h), dtype=float)
-        best = max(best, float(np.max(np.abs(shifted - base))))
+        shifted = grid + delta * j / 16
+        m = int(np.searchsorted(shifted, end, side="right"))
+        near = np.abs(np.asarray(u.value(shifted[:m]), dtype=float) - base[:m])
+        best = max(best, float(np.max(near, initial=beyond_max[m])))
     return best
 
 

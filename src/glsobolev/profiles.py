@@ -8,7 +8,11 @@ owns its ``scan_radius``, the end of the window [0, scan_radius] sampled
 for peaks and derivative checks: the radius itself for ``Compact``, four
 radii for ``Decaying``.  On construction the derivative is spot-checked
 against central differences at 32 points of that window so a mistyped
-formula fails loudly instead of skewing every norm downstream.
+formula fails loudly instead of skewing every norm downstream; the
+difference step at rho is 1e-6 (radius + rho), so the check reads every
+dilation of a profile alike.  Callers rely on the ``Compact`` contract:
+``grand.modulus_of_continuity`` evaluates a compact u only on its support
+and takes it to be 0 beyond the radius.
 
 The peaks of |u| and |u'| on a 2,049-point grid over the same window are
 profile properties, ``value_peak`` and ``derivative_peak``: each is
@@ -136,7 +140,7 @@ class RadialProfile:
     def _check_derivative(self):
         r_hi = self.support.scan_radius
         rho = np.linspace(r_hi / _FD_POINTS, r_hi * (1.0 - 1.0 / (2 * _FD_POINTS)), _FD_POINTS)
-        h = 1e-6 * (1.0 + rho)
+        h = 1e-6 * (self.support.radius + rho)
         fd = (self.value(rho + h) - self.value(rho - h)) / (2.0 * h)
         dv = self.derivative(rho)
         scale = np.maximum(np.abs(dv), 1e-3 * np.max(np.abs(dv)) + 1e-12)
@@ -175,13 +179,21 @@ class RadialProfile:
 
 def _positive_finite(generator: str, **params) -> tuple[float, ...]:
     """The values of ``params`` as floats; InputError naming the first
-    that is not positive and finite, or is subnormal (below
-    sys.float_info.min, where 1/value overflows)."""
+    that is not positive and finite, is subnormal (below
+    sys.float_info.min, where 1/value overflows) or has a square below
+    sys.float_info.min (where s**2 is 0 and 1/s**2 overflows), and
+    OverflowError naming the first whose square overflows."""
     for key, value in params.items():
         if not (value > 0.0 and math.isfinite(value)):
             raise InputError(f"{generator} {key} must be positive and finite, got {value}")
         if value < sys.float_info.min:
             raise InputError(f"{generator} {key} must not be subnormal, got {value}")
+        square = float(value) * float(value)
+        if square < sys.float_info.min:
+            raise InputError(f"{generator} {key} must have a normal square, got {value}, "
+                             "whose square underflows")
+        if square == math.inf:
+            raise OverflowError(f"{generator} {key} = {value}: its square overflows")
     return tuple(float(value) for value in params.values())
 
 

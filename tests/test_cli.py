@@ -821,6 +821,8 @@ class TestBadInputExitsTwo:
             ("bump:1,nan", "bump sharpness must be positive and finite, got nan"),
             # 1 / R overflows: once two numpy warnings and a norm of 0 with exit 3
             ("bump:1e-320,2", "bump radius must not be subnormal, got 1e-320"),
+            # s**2 underflows to 0: once two numpy warnings and a norm of 0 with exit 3
+            ("gaussian:1e-200", "gaussian scale must have a normal square, got 1e-200"),
         ],
     )
     def test_norm_of_a_bad_profile(self, capsys, profile, message):
@@ -860,6 +862,8 @@ class TestBadInputExitsTwo:
             ("power:0.5,1e300,1e8,1e-8", "psi (power-endpoint) must be positive and finite"),
             # 1 / a overflows the grid of (a, inf)
             ("constant:1e-320", "left endpoint must be positive, finite and not subnormal"),
+            # once the bare "math domain error", from the log of p_star - a
+            ("power:1.5,0.5,4,2", "need a < b, got a = 1.5, b = 0.5"),
         ],
     )
     def test_fundamental_of_a_bad_psi(self, capsys, psi, message):

@@ -37,6 +37,9 @@ from glsobolev.norms import (
 )
 from glsobolev.profiles import (
     _SCAN_POINTS,
+    Compact,
+    RadialProfile,
+    _as_radial,
     bump,
     gaussian,
     power_tail,
@@ -86,6 +89,12 @@ class TestPsiFamilies:
             power_endpoint_psi(1.5, math.inf, 0.5, 0.5)
         with pytest.raises(InputError):
             power_endpoint_psi(1.5, 3.0, -0.1, 0.5)
+
+    @pytest.mark.parametrize("a, b", [(1.5, 0.5), (2.0, 2.0)])
+    def test_power_endpoint_needs_a_below_b(self, a, b):
+        # the log of p_star - a once raised a bare "math domain error" first
+        with pytest.raises(InputError, match=f"^need a < b, got a = {a}, b = {b}$"):
+            power_endpoint_psi(a, b, 4.0, 2.0)
 
     def test_tabulated_hits_nodes(self):
         psi = tabulated_psi([1.5, 2.0, 3.0], [2.0, 1.0, 4.0])
@@ -409,6 +418,64 @@ class TestMorreyTransform:
         assert info["fundamental-value"] > 0.0
 
 
+def _full_grid_modulus(u, delta):
+    """The modulus scan with u evaluated at every grid and shifted point."""
+    if isinstance(u.support, Compact):
+        r_hi = u.support.radius + delta
+    else:
+        r_hi = 32.0 * u.support.radius + delta
+    grid = np.linspace(0.0, r_hi, 4096)
+    base = np.asarray(u.value(grid), dtype=float)
+    best = 0.0
+    for j in range(1, 17):
+        h = delta * j / 16
+        shifted = np.asarray(u.value(grid + h), dtype=float)
+        best = max(best, float(np.max(np.abs(shifted - base))))
+    return best
+
+
+def _cut_off(u, R):
+    """u - u(R) on [0, R) and 0 beyond: a hand-built Compact profile."""
+    c = float(u.value(R))
+
+    def value(r):
+        r = np.asarray(r, dtype=float)
+        return np.where(r < R, np.asarray(u.value(r), dtype=float) - c, 0.0)
+
+    def derivative(r):
+        r = np.asarray(r, dtype=float)
+        return np.where(r < R, np.asarray(u.derivative(r), dtype=float), 0.0)
+
+    return RadialProfile(
+        value=_as_radial(value), derivative=_as_radial(derivative),
+        support=Compact(R), name=f"cut-{u.name}", check=False,
+    )
+
+
+def _recording(u, points):
+    """u whose value callable appends each array it is called on to points."""
+    value = u.value
+
+    def recorded(r):
+        points.append(np.array(r, dtype=float))
+        return value(r)
+
+    return dataclasses.replace(u, value=recorded, check=False)
+
+
+# (scale, shape in [0, 1]) -> profile, for the modulus property below
+_MODULUS_PROFILES = {
+    "bump": lambda s, x: bump(s, 5.0 ** (2.0 * x - 1.0)),
+    "tent": lambda s, x: tent(s),
+    "step": lambda s, x: step(s),
+    "smoothed_step": lambda s, x: smoothed_step(s, s * (0.05 + 0.95 * x)),
+    "gaussian": lambda s, x: gaussian(s),
+    "power_tail": lambda s, x: power_tail(0.5 + 5.5 * x, s),
+    "extremal": lambda s, x: extremal_profile(2.0 + 6.0 * x, 1.5 + 0.5 * x),
+    "cut-extremal": lambda s, x: _cut_off(extremal_profile(5.0, 2.0), s * (1.0 + 3.0 * x)),
+}
+
+
 class TestModulusOfContinuity:
     def test_tent_closed_form(self):
         # slope 1/R everywhere on the support: omega(delta) = delta / R
@@ -433,6 +500,37 @@ class TestModulusOfContinuity:
     def test_invalid_delta(self):
         with pytest.raises(DomainError):
             modulus_of_continuity(tent(1.0), 0.0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        case=st.tuples(
+            st.sampled_from(sorted(_MODULUS_PROFILES)),
+            st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+            st.floats(0.0, 1.0),
+        ),
+        ratio=st.floats(-6.0, math.log10(20.0)).map(lambda e: 10.0**e),
+    )
+    @example(case=("bump", 1.0, 0.5), ratio=0.5)  # bump(1, 1) at delta = 0.5
+    def test_equals_the_full_grid_scan(self, case, ratio):
+        # a compact u is evaluated only on its support; every bit is kept
+        name, scale, shape = case
+        u = _MODULUS_PROFILES[name](scale, shape)
+        delta = u.support.radius * ratio
+        assert modulus_of_continuity(u, delta).hex() == _full_grid_modulus(u, delta).hex()
+
+    def test_a_compact_profile_is_evaluated_only_on_its_support(self):
+        points = []
+        assert modulus_of_continuity(_recording(bump(1.0, 1.0), points), 0.5) == 0.81363696359566373
+        seen = np.concatenate(points)
+        assert seen.max() <= 1.0
+        grid = np.linspace(0.0, 1.5, 4096)
+        inside = sum(int(np.sum(grid + 0.5 * j / 16 <= 1.0)) for j in range(17))
+        assert seen.size == inside < 17 * 4096
+
+    def test_a_decaying_profile_is_evaluated_on_the_whole_grid(self):
+        points = []
+        modulus_of_continuity(_recording(gaussian(1.0), points), 0.5)
+        assert [p.size for p in points] == [4096] * 17
 
 
 class TestCalibration:

@@ -37,6 +37,33 @@ class TestDerivativeCheck:
                 support=Decaying(tail_exponent=4.0, radius=1.0),
             )
 
+    @pytest.mark.parametrize(
+        "generator, params",
+        [
+            ("bump", (0.007, 0.5)),
+            ("bump", (1e-150, 0.5)),
+            ("gaussian", (1e-5,)),
+            ("power_tail", (3.0, 1e-5)),
+            ("smoothed_step", (1e-5, 2.5e-6)),
+            ("bump", (1e100, 0.5)),
+        ],
+    )
+    def test_a_valid_profile_passes_at_any_scale(self, generator, params):
+        # the step once was 1e-6 (1 + rho), huge next to a small support
+        make_profile(generator, *params)
+
+    @pytest.mark.parametrize("s", [1e-4, 1.0, 1e4])
+    def test_a_derivative_off_by_a_thousandth_is_caught_at_any_scale(self, s):
+        def value(r):
+            return np.exp(-((np.asarray(r) / s) ** 2))
+
+        with pytest.raises(InputError, match="disagrees"):
+            RadialProfile(
+                value=value,
+                derivative=lambda r: -2.002 * np.asarray(r) / s**2 * value(r),  # 0.1% off
+                support=Decaying(tail_exponent=16.0, radius=3.0 * s),
+            )
+
     def test_check_can_be_disabled(self):
         p = RadialProfile(
             value=lambda r: np.ones_like(np.asarray(r, dtype=float)),
@@ -191,6 +218,26 @@ class TestParametersArePositiveAndFinite:
     )
     def test_a_subnormal_parameter_is_named(self, generator, params, key):
         with pytest.raises(InputError, match=f"^{generator} {key} must not be subnormal"):
+            make_profile(generator, *params)
+
+    @pytest.mark.parametrize(
+        "generator, params, key",
+        [("gaussian", (1e-200,), "scale"), ("power_tail", (3.0, 1e-160), "scale"),
+         ("bump", (1e-300, 2.0), "radius")],
+    )
+    def test_a_parameter_whose_square_underflows_is_named(self, generator, params, key):
+        # s**2 was 0: numpy warned and the norm read 0
+        with pytest.raises(
+            InputError, match=f"^{generator} {key} must have a normal square, .* underflows$"
+        ):
+            make_profile(generator, *params)
+
+    @pytest.mark.parametrize(
+        "generator, params, key",
+        [("gaussian", (1e160,), "scale"), ("bump", (1.0, 1e200), "sharpness")],
+    )
+    def test_a_parameter_whose_square_overflows_is_named(self, generator, params, key):
+        with pytest.raises(OverflowError, match=f"^{generator} {key} = .*: its square overflows$"):
             make_profile(generator, *params)
 
     def test_smoothed_step_width_still_bounded_by_its_radius(self):

@@ -938,3 +938,15 @@ class TestCampaignRunTimeOverflow:
             match=r"^campaign check 1 \(kind 'sobolev'\): input too large for float arithmetic: ",
         ):
             run_campaign({"checks": [fine, huge]})
+
+    def test_a_profile_that_passes_its_parameter_rules_can_still_overflow_as_it_runs(self):
+        # a radius of 1e300 is refused as its check is read (its square
+        # overflows); 1e100 is built, and its head overflows once it runs
+        huge = {"kind": "sobolev", "A": [1, 2], "p-values": [2],
+                "family": {"generator": "bump", "box": [[1e100, 1e101], [1, 2]], "count": 1}}
+        verify_module._read_check(0, huge, 0, "corrected", 0.0)
+        with pytest.raises(
+            InputError,
+            match=r"^campaign check 0 \(kind 'sobolev'\): input too large for float arithmetic: ",
+        ):
+            run_campaign({"checks": [huge]})
