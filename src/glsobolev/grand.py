@@ -668,7 +668,8 @@ def modulus_of_continuity(u: RadialProfile, delta: float) -> float:
     delta * j / 16, j = 1, ..., 16.  By the ``Compact`` contract (u is 0
     beyond the radius) a compact u is evaluated only on its support: a pair
     whose shifted point lies past it contributes |u| at the grid point, so
-    the value keeps every bit of the full scan.
+    the value keeps every bit of the full scan.  For a ``nonincreasing`` u,
+    omega(delta) = sup_r u(r) - u(r + delta), so only the shift j = 16 runs.
     """
     _check_delta(delta)
     if isinstance(u.support, Compact):
@@ -684,7 +685,7 @@ def modulus_of_continuity(u: RadialProfile, delta: float) -> float:
     # beyond_max[i]: max |u| over grid points from index i on, 0 past the grid
     beyond_max = np.append(np.maximum.accumulate(np.abs(base)[::-1])[::-1], 0.0)
     best = 0.0
-    for j in range(1, 17):
+    for j in (16,) if u.nonincreasing else range(1, 17):
         shifted = grid + delta * j / 16
         m = int(np.searchsorted(shifted, end, side="right"))
         near = np.abs(np.asarray(u.value(shifted[:m]), dtype=float) - base[:m])

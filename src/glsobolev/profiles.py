@@ -14,6 +14,14 @@ dilation of a profile alike.  Callers rely on the ``Compact`` contract:
 ``grand.modulus_of_continuity`` evaluates a compact u only on its support
 and takes it to be 0 beyond the radius.
 
+A profile may also declare ``nonincreasing``: u(a) >= u(b) whenever
+a <= b.  Like the support it is a fact about u, not a tuning option; every
+registered generator declares it, ``dilated()`` and
+``dataclasses.replace`` carry it over, and a hand-built profile leaves it
+False.  With the derivative check on, a declaration is refused when any of
+the 32 sampled derivatives is above 0.  ``grand.modulus_of_continuity``
+relies on it to scan a declared u at the full shift only.
+
 The peaks of |u| and |u'| on a 2,049-point grid over the same window are
 profile properties, ``value_peak`` and ``derivative_peak``: each is
 scanned once per profile object, on first use, and kept on it.
@@ -122,6 +130,10 @@ def _as_radial(fn: Callable) -> Callable:
 class RadialProfile:
     """u(rho) and u'(rho) on [0, inf) with a declared support.
 
+    ``nonincreasing`` declares that u never increases in rho; when
+    ``check`` is on, a sampled u' above 0 refuses the declaration with an
+    InputError.  ``dilated()`` and ``dataclasses.replace`` keep it.
+
     ``value_peak`` and ``derivative_peak`` are scanned on first use and
     kept on this object; ``dilated()`` and ``dataclasses.replace`` build
     new objects, which scan afresh.
@@ -132,6 +144,7 @@ class RadialProfile:
     support: Support
     name: str = "profile"
     check: bool = field(default=True, repr=False, compare=False)
+    nonincreasing: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.check:
@@ -151,6 +164,12 @@ class RadialProfile:
                 f"derivative of profile '{self.name}' disagrees with central "
                 f"differences at rho = {rho[i]:.6g}: analytic {dv[i]:.6g}, "
                 f"numeric {fd[i]:.6g}"
+            )
+        if self.nonincreasing and np.any(dv > 0.0):
+            i = int(np.argmax(dv > 0.0))
+            raise InputError(
+                f"profile '{self.name}' is declared non-increasing but "
+                f"u'({rho[i]:.6g}) = {dv[i]:.6g} > 0"
             )
 
     @cached_property
@@ -174,6 +193,7 @@ class RadialProfile:
             support=replace(self.support, radius=self.support.radius / lam),
             name=f"{self.name}|dilate({lam:g})",
             check=False,
+            nonincreasing=self.nonincreasing,
         )
 
 
@@ -222,6 +242,7 @@ def bump(radius: float = 1.0, sharpness: float = 1.0) -> RadialProfile:
         derivative=_as_radial(du),
         support=Compact(R),
         name=f"bump(R={R:g},k={k:g})",
+        nonincreasing=True,
     )
 
 
@@ -240,6 +261,7 @@ def gaussian(scale: float = 1.0) -> RadialProfile:
         derivative=_as_radial(du),
         support=Decaying(tail_exponent=16.0, radius=3.0 * s),
         name=f"gaussian(s={s:g})",
+        nonincreasing=True,
     )
 
 
@@ -259,6 +281,7 @@ def tent(radius: float = 1.0) -> RadialProfile:
         support=Compact(R),
         name=f"tent(R={R:g})",
         check=False,
+        nonincreasing=True,
     )
 
 
@@ -278,6 +301,7 @@ def step(radius: float = 1.0) -> RadialProfile:
         support=Compact(R),
         name=f"step(R={R:g})",
         check=False,
+        nonincreasing=True,
     )
 
 
@@ -305,6 +329,7 @@ def smoothed_step(radius: float = 1.0, width: float = 0.25) -> RadialProfile:
         derivative=_as_radial(du),
         support=Compact(R),
         name=f"smoothed_step(R={R:g},w={w:g})",
+        nonincreasing=True,
     )
 
 
@@ -327,6 +352,7 @@ def power_tail(exponent: float = 3.0, scale: float = 1.0) -> RadialProfile:
         derivative=_as_radial(du),
         support=Decaying(tail_exponent=e, radius=s),
         name=f"power_tail(e={e:g},s={s:g})",
+        nonincreasing=True,
     )
 
 
@@ -355,6 +381,7 @@ def extremal_profile(D: float = 5.0, p: float = 2.0) -> RadialProfile:
         derivative=_as_radial(du),
         support=Decaying(tail_exponent=tail, radius=1.0),
         name=f"extremal(D={D:g},p={p:g})",
+        nonincreasing=True,
     )
 
 

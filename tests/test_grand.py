@@ -472,6 +472,7 @@ _MODULUS_PROFILES = {
     "gaussian": lambda s, x: gaussian(s),
     "power_tail": lambda s, x: power_tail(0.5 + 5.5 * x, s),
     "extremal": lambda s, x: extremal_profile(2.0 + 6.0 * x, 1.5 + 0.5 * x),
+    "dilated-bump": lambda s, x: bump(1.0, 5.0 ** (2.0 * x - 1.0)).dilated(1.0 / s),
     "cut-extremal": lambda s, x: _cut_off(extremal_profile(5.0, 2.0), s * (1.0 + 3.0 * x)),
 }
 
@@ -519,8 +520,10 @@ class TestModulusOfContinuity:
         assert modulus_of_continuity(u, delta).hex() == _full_grid_modulus(u, delta).hex()
 
     def test_a_compact_profile_is_evaluated_only_on_its_support(self):
+        # undeclared, so all 16 shifts run
         points = []
-        assert modulus_of_continuity(_recording(bump(1.0, 1.0), points), 0.5) == 0.81363696359566373
+        u = dataclasses.replace(bump(1.0, 1.0), nonincreasing=False)
+        assert modulus_of_continuity(_recording(u, points), 0.5) == 0.81363696359566373
         seen = np.concatenate(points)
         assert seen.max() <= 1.0
         grid = np.linspace(0.0, 1.5, 4096)
@@ -529,8 +532,42 @@ class TestModulusOfContinuity:
 
     def test_a_decaying_profile_is_evaluated_on_the_whole_grid(self):
         points = []
-        modulus_of_continuity(_recording(gaussian(1.0), points), 0.5)
+        u = dataclasses.replace(gaussian(1.0), nonincreasing=False)
+        modulus_of_continuity(_recording(u, points), 0.5)
         assert [p.size for p in points] == [4096] * 17
+
+    def test_a_nonincreasing_compact_profile_is_scanned_at_the_full_shift(self):
+        points = []
+        assert modulus_of_continuity(_recording(bump(1.0, 1.0), points), 0.5) == 0.81363696359566373
+        seen = np.concatenate(points)
+        assert seen.size == 4097
+        assert seen.max() <= 1.0
+
+    def test_a_nonincreasing_decaying_profile_is_scanned_at_the_full_shift(self):
+        points = []
+        modulus_of_continuity(_recording(gaussian(1.0), points), 0.5)
+        assert [p.size for p in points] == [4096, 4096]
+
+    def test_an_undeclared_profile_needs_every_shift(self):
+        # (1 - rho/4) sin^2(pi rho) rises and falls; sin^2(pi rho) has
+        # period 1, so the shift delta = 1 alone sees only the factor's
+        # drop of 1/4, not the swing from a peak to the zero half a period on
+        def value(r):
+            r = np.asarray(r, dtype=float)
+            return (1.0 - r / 4.0) * np.sin(np.pi * r) ** 2
+
+        def derivative(r):
+            r = np.asarray(r, dtype=float)
+            s, c = np.sin(np.pi * r), np.cos(np.pi * r)
+            return -(s**2) / 4.0 + (1.0 - r / 4.0) * 2.0 * np.pi * s * c
+
+        u = RadialProfile(
+            value=_as_radial(value), derivative=_as_radial(derivative),
+            support=Compact(4.0), name="waves",
+        )
+        assert modulus_of_continuity(u, 1.0) == pytest.approx(0.8760, abs=5e-5)
+        full_shift_only = dataclasses.replace(u, nonincreasing=True, check=False)
+        assert modulus_of_continuity(full_shift_only, 1.0) == pytest.approx(0.2500, abs=5e-5)
 
 
 class TestCalibration:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -72,6 +73,32 @@ class TestDerivativeCheck:
             check=False,
         )
         assert p.value(0.5) == 1.0
+
+    def test_a_false_nonincreasing_declaration_is_refused(self):
+        # the hump rho (1 - rho)^2 rises on [0, 1/3]
+        with pytest.raises(InputError, match=r"'hump' is declared non-increasing but u'\(0\.03125\) = 0\.8[0-9]* > 0"):
+            RadialProfile(
+                value=lambda r: np.asarray(r) * (1.0 - np.asarray(r)) ** 2,
+                derivative=lambda r: (1.0 - np.asarray(r)) * (1.0 - 3.0 * np.asarray(r)),
+                support=Compact(1.0),
+                name="hump",
+                nonincreasing=True,
+            )
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    def test_every_generator_declares_nonincreasing_and_passes(self, scale):
+        params = {
+            "bump": (scale, 2.0),
+            "gaussian": (scale,),
+            "tent": (scale,),
+            "step": (scale,),
+            "smoothed_step": (scale, 0.3 * scale),
+            "power_tail": (3.0, scale),
+            "extremal": (5.0, 2.0),
+        }
+        assert sorted(params) == sorted(generator_names())
+        for name, args in params.items():
+            assert make_profile(name, *args).nonincreasing, name
 
 
 class TestSupports:
@@ -180,6 +207,15 @@ class TestDilation:
         assert isinstance(v.support, Decaying)
         assert v.support.radius == pytest.approx(6.0)
         assert v.support.tail_exponent == gaussian(1.0).support.tail_exponent
+
+    def test_dilation_and_replace_keep_the_nonincreasing_declaration(self):
+        u = bump(1.0, 1.0)
+        assert u.dilated(3.0).nonincreasing
+        assert dataclasses.replace(u, check=False).nonincreasing
+        assert dataclasses.replace(u.dilated(0.5), check=False).nonincreasing
+        hand = RadialProfile(value=u.value, derivative=u.derivative, support=u.support)
+        assert not hand.nonincreasing
+        assert not hand.dilated(3.0).nonincreasing
 
     def test_bad_factor(self):
         with pytest.raises(InputError):
