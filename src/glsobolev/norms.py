@@ -28,11 +28,12 @@ The seeded edges depend on the peak scan alone, so a batch builds them
 once per scan (once for all its rows at lam = 1) as one tuple that those
 rows share, and ``quadrature._integrate_rows`` builds each distinct head
 width and tuple of panel edges once.
-Rows at lam = 1 whose points coincide in a round (nearby p split the same
-panels and halve their heads to the same eps) send those points to the
-profile once: |u| / peak is taken per distinct point row and expanded to
-the rows before each raises it to its own p.  Dilated rows evaluate at
-lam * x, so they expand their points first and share none.
+Rows at lam = 1 whose points coincide in a call (nearby p start on the
+same edges, split the same panels and halve their heads to the same eps)
+send those points to the profile once: |u| / peak is taken per distinct
+point row and expanded to the rows before each raises it to its own p.
+Dilated rows evaluate at lam * x, so they expand their points first and
+share none, not even two rows at one lam.
 """
 
 from __future__ import annotations
@@ -200,10 +201,10 @@ def _slice_rows(u: RadialProfile, gradient: bool, A, ps, lams=None) -> list:
 
     A row keeps its profile's own peak scan, support radius and seeded
     edges.  The Gauss-Jacobi heads and the adaptive bodies of all rows run
-    in one lockstep batch (``quadrature._integrate_rows``): each round
-    evaluates u (or lam * u') at lam * x for the points x of every live
-    row in one profile call, each distinct point row once when lam = 1,
-    and each row raises |f| / peak to its own power.  The tails of a
+    in one lockstep batch (``quadrature._integrate_rows``): each K15 call
+    or head round evaluates u (or lam * u') at lam * x for the points x of
+    every live row in one profile call, each distinct point row once when
+    lam = 1, and each row raises |f| / peak to its own power.  The tails of a
     decaying profile, for the rows whose head and body succeeded, run in a
     second lockstep batch (``quadrature._extend_tails``) on the same
     integrand family.
@@ -242,11 +243,7 @@ def _slice_rows(u: RadialProfile, gradient: bool, A, ps, lams=None) -> list:
     def g(x, which, of):
         if dilated:  # rows at lam * x expand their point rows first: none share
             lam, peak = lam_peak[which].T[:, :, None]
-            if of is not None:
-                x = x.take(of, 0)
-            elif x.ndim == 1 and np.all(lam == lam[0]):  # shared points, one dilation:
-                lam = lam[:1]  # one evaluation serves every row
-            x, of = lam * x, None
+            x, of = lam * _take(x, of), None
         else:
             lam, peak = 1.0, scans[0].value
         f = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
@@ -255,7 +252,7 @@ def _slice_rows(u: RadialProfile, gradient: bool, A, ps, lams=None) -> list:
         powered = base ** exps[which]
         for k, j in enumerate(which):
             if j in squares:
-                powered[k] = (base if base.ndim == 1 else base[k]) ** 2.0
+                powered[k] = base[k] ** 2.0
         return powered
 
     # the seeded edges and body end of a row depend on its scan (one per

@@ -19,24 +19,25 @@ Heads, bodies and tails also run for a family of integrands at once (the
 slices of one sup-scan grid, one per p, or the norms of one side of a
 scaling fit, one per dilation factor; see ``norms._slice_rows``):
 ``_jacobi_heads`` halves every row's eps in lockstep, ``_refine_rows``
-starts every row's first panels in one K15 call per set of shared edges
-(and one per panel count for rows alone on their edges), then runs every
-row's own heap loop in lockstep, its state kept in place from round to
-round, evaluating the halves of all rows' worst panels in one integrand
-call and one K15 reduction per round, and
+starts every row's first panels in one K15 call per panel count, then
+runs every row's own heap loop in lockstep, its state kept in place from
+round to round, evaluating the halves of all rows' worst panels in one
+integrand call and one K15 reduction per round, and
 ``_extend_tails`` doubles every row's tail radius in lockstep, integrating
 the next block of all live rows in one ``_refine_rows`` batch per round.
 Rows are stacked along a leading axis and never flattened into one 2-d
 product, so each row keeps the bits, diagnostics and neval of a call on
 its own: ``(rows, 2, 15) @ w`` and ``(rows, 1, n) @ w`` reduce each row as
 a lone call would, where ``(rows * 2, 15) @ w`` would not.  A family is
-called as ``f(x, rows, of)`` on the distinct point rows of a round only:
-rows that split the same panel (a, mid, b), or halve their heads to the
-same eps, share one row of ``x``, and the index array ``of``
-(``_distinct``, keys compared exactly) sends each integrand to it.  The
-family evaluates each point row once and expands the result by ``of``
-before anything that depends on the integrand, so the values are those of
-one row of points per integrand; neval still counts each row's own nodes.
+called as ``f(x, rows, of)`` on the distinct point rows of a call only,
+one 2-d form for first panels, splits and heads alike: rows on equal
+first edges, rows that split the same panel (a, mid, b), and rows that
+halve their heads to the same eps share one row of ``x``, and the index
+array ``of`` (``_distinct``, keys compared exactly; None when no row
+repeats) sends each integrand to it.  The family evaluates each point row
+once and expands the result by ``of`` before anything that depends on the
+integrand, so the values are those of one row of points per integrand;
+neval still counts each row's own nodes.
 ``adaptive_quadrature`` is the one-row case of ``_refine_rows``,
 ``extend_tail`` the one-row case of ``_extend_tails``, and
 ``integrate_power_weighted`` the one-row case of ``_integrate_rows``,
@@ -181,25 +182,26 @@ class QuadratureDiagnostics:
         }
 
 
-def _k15_panels(f, lo: np.ndarray, hi: np.ndarray):
+def _k15_panels(f, lo: np.ndarray, hi: np.ndarray, of=None):
     """Evaluate the G7/K15 pair on a batch of panels.
 
-    ``lo`` and ``hi`` may have any (common) shape; the 15 nodes are reduced
-    along a new last axis, so a (k, 2) stack gives each row the bits of a
-    two-panel call.  ``f`` gets the nodes as one flat array and returns one
-    value per node, or one such row per integrand of a family that shares
-    the nodes, which puts that row axis in front of the results.  Returns
-    (values, error_estimates); the error estimate follows the classic
-    (200 |K - G| / resasc)^{3/2} rescaling so non-smooth panels are not
-    trusted prematurely.
+    ``lo`` and ``hi`` hold one row of panels per distinct point row along
+    their leading axis; the 15 nodes are reduced along a new last axis, so
+    a (k, 2) stack gives each row the bits of a two-panel call.  ``f`` gets
+    the nodes as one 2-d point row per row of panels and returns one row of
+    values per integrand, ``of`` sending integrand j to point row ``of[j]``
+    (None: one point row per integrand; ``_distinct``).  Returns (values,
+    error_estimates), one row per integrand; the error estimate follows the
+    classic (200 |K - G| / resasc)^{3/2} rescaling so non-smooth panels are
+    not trusted prematurely.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     pts = c[..., None] + h[..., None] * _NODES
-    fx = np.asarray(f(pts.ravel()), dtype=float)
-    fx = fx.reshape(pts.shape if fx.size == pts.size else (-1,) + pts.shape)
+    fx = np.asarray(f(pts.reshape(len(pts), -1)), dtype=float).reshape((-1,) + pts.shape[1:])
+    h = _take(h, of)
     resk = fx @ _WEIGHTS_K
     resg = fx @ _WEIGHTS_G
     reskh = 0.5 * resk
@@ -296,15 +298,14 @@ def _refine_rows(f, edge_rows, base_values):
 
     ``f(x, rows, of)`` evaluates the integrands ``rows`` (row indices) at
     the points ``x`` and returns one row of values per integrand (a one-row
-    family may return its values flat).  A 1-d ``x`` is shared by all of
-    them; a 2-d ``x`` holds distinct point rows, and ``_take(x, of)[j]``
-    holds the points of integrand ``rows[j]``: ``of`` is an index array
-    into the rows of x, or None when x has one row per integrand (and for a
-    1-d x).  Row r starts from the panels between its sorted edges
-    ``edge_rows[r]``; rows with equal edges share one K15 call on one set
-    of points, and the rows alone on their edges share one K15 call per
-    panel count, their panels stacked one row per integrand.  Each group's
-    sums come from one ``np.add.reduce`` along its rows.
+    family may return its values flat).  ``x`` is 2-d and holds distinct
+    point rows, and ``_take(x, of)[j]`` holds the points of integrand
+    ``rows[j]``: ``of`` is an index array into the rows of x, or None when
+    x has one row per integrand.  Row r starts from the panels between its
+    sorted edges ``edge_rows[r]``; the rows with one panel count share one
+    K15 call, their panels stacked one row per distinct edge tuple, so rows
+    on equal edges share one point row.  Each call's sums come from one
+    ``np.add.reduce`` along its rows.
 
     Every row runs its own heap loop, kept in place: its state travels
     from round to round as one tuple.  A row builds its heap, with one
@@ -318,32 +319,22 @@ def _refine_rows(f, edge_rows, base_values):
     when no panel can be split, so it has the bits, diagnostics and neval
     of a call on its own.  Returns (total, diagnostics) per row.
     """
-    groups: dict = {}  # edges -> the rows on them, then panel count -> lone rows
+    by_count: dict = {}  # panel count -> the rows with that many first panels
     for r, edges in enumerate(edge_rows):
-        groups.setdefault(edges, []).append(r)
-    for edges, members in list(groups.items()) if len(groups) > 1 else ():
-        if len(members) == 1:
-            del groups[edges]
-            groups.setdefault(len(edges), []).append(members[0])
+        by_count.setdefault(len(edges), []).append(r)
     results: list = [None] * len(edge_rows)
     # (row, heap, total, error, floor error, panels, first panels, iroff1,
     # iroff2, round-off) of each row about to pop its next split; the floor
     # error is stuck on panels too narrow to split
     going: list = []
-    for key, members in groups.items():
-        if isinstance(key, tuple) or len(members) == 1:  # one set of points for all
-            edges = edge_rows[members[0]]
-            lo, hi = np.array(edges[:-1]), np.array(edges[1:])
-            vals, errs = _k15_panels(lambda x: f(x, members, None), lo, hi)
-            lo, hi = [lo.tolist()] * len(members), [hi.tolist()] * len(members)
-        else:  # one row of points per member
-            edges = np.array([edge_rows[r] for r in members])
-            lo, hi = edges[:, :-1], edges[:, 1:]
-            vals, errs = _k15_panels(
-                lambda x: f(x.reshape(len(members), -1), members, None), lo, hi
-            )
-            lo, hi = lo.tolist(), hi.tolist()
-        vals, errs = vals.reshape(len(members), -1), errs.reshape(len(members), -1)
+    for members in by_count.values():
+        firsts = [edge_rows[r] for r in members]
+        pick, of = _distinct(firsts)  # rows on equal edges share their points
+        edges = np.array(firsts if pick is None else [firsts[j] for j in pick])
+        lo, hi = edges[:, :-1], edges[:, 1:]
+        vals, errs = _k15_panels(lambda x: f(x, members, of), lo, hi, of)
+        lo, hi = lo.tolist(), hi.tolist()  # one list per distinct edge tuple
+        row_of = range(len(members)) if of is None else of.tolist()
         totals = np.add.reduce(vals, axis=1).tolist()
         total_errs = np.add.reduce(errs, axis=1).tolist()
         vals, errs = vals.tolist(), errs.tolist()
@@ -354,7 +345,8 @@ def _refine_rows(f, edge_rows, base_values):
             if not (err > tol and n0 < MAX_PANELS):  # done on its first panels
                 results[r] = _finished(total, err, tol, n0, n0, False, base_value)
                 continue
-            heap = list(zip([-e for e in errs[j]], range(n0), lo[j], hi[j], vals[j], errs[j]))
+            k = row_of[j]
+            heap = list(zip([-e for e in errs[j]], range(n0), lo[k], hi[k], vals[j], errs[j]))
             heapq.heapify(heap)
             going.append((r, heap, total, err, 0.0, n0, n0, 0, 0, False))
     while going:
@@ -382,12 +374,8 @@ def _refine_rows(f, edge_rows, base_values):
         if not live:
             break
         pick, of = _distinct(cuts)  # rows that split the same panel share its points
-        split = _take(np.array(cuts if pick is None else [cuts[j] for j in pick]), of)
-        vals, errs = _k15_panels(
-            lambda x: f(_take(x.reshape(len(live), -1), pick), live, of),
-            split[:, :2],
-            split[:, 1:],
-        )
+        split = np.array(cuts if pick is None else [cuts[j] for j in pick])
+        vals, errs = _k15_panels(lambda x: f(x, live, of), split[:, :2], split[:, 1:], of)
         going = []
         for state, (pa, mid, pb), (v0, v1), (e0, e1) in zip(
             waits, cuts, vals.tolist(), errs.tolist()
@@ -514,8 +502,8 @@ def _jacobi_rule(n: int, gamma_exp: float):
 def _power_weighted(g, gamma_exp: float):
     """The integrand t -> t^gamma_exp g(t), weight folded in; for a family
     ``g(t, rows, of)`` of ``_refine_rows``, the same family weighted, with
-    t^gamma_exp taken once per distinct point row of a 2-d t and expanded
-    by ``of``."""
+    t^gamma_exp taken once per distinct point row of t and expanded by
+    ``of``."""
 
     def weighted(t, *family):
         w = np.asarray(t, dtype=float) ** gamma_exp
@@ -694,7 +682,7 @@ def _extend_tails(f, starts, base_values) -> list:
 
     The rows double their radii in lockstep: each round integrates the next
     block [R_r, 2 R_r] of every live row in one ``_refine_rows`` batch, so
-    rows at the same radius share that block's first K15 call.  A row stops
+    rows at the same radius share that block's first point row.  A row stops
     once its last block contributes less than ``TAIL_REL`` of its running
     total; four non-decreasing blocks make it a DivergentIntegralError, and
     a row still unspent at ``TAIL_CAP`` a QuadratureError.  Returns (tail,

@@ -45,8 +45,9 @@ def test_wrap_points_exist_and_see_library_calls(monkeypatch):
 def test_default_campaign_repeats_no_work(monkeypatch):
     """Every grand slice of the default campaign is distinct, and each
     profile's peaks are scanned once: seed 0 made 4,278,070 profile
-    evaluations when every slice rescanned its profile; the bound is a
-    quarter of that."""
+    evaluations when every slice rescanned its profile, and it makes
+    123,387; the ceiling is that count plus 5%, the benchmark's own bound
+    on profile_evals."""
     monkeypatch.syspath_prepend(str(BENCH_DIR))
     import tracing
 
@@ -58,7 +59,7 @@ def test_default_campaign_repeats_no_work(monkeypatch):
         tracer.uninstall()
     m = tracer.metrics()
     assert m["grand.slice_unique_frac"] == 1.0
-    assert m["profiles.evals"] <= 1_069_517
+    assert m["profiles.evals"] <= 129_556
 
 
 def test_default_campaign_keeps_the_recorded_item_keys(monkeypatch, tmp_path):

@@ -368,8 +368,6 @@ class TestTailRows:
     @staticmethod
     def _family(x, rows, of):
         funcs = [f for f, _, _ in TestTailRows.ROWS]
-        if x.ndim == 1:
-            return np.stack([funcs[r](x) for r in rows])
         return np.stack([funcs[r](row) for r, row in zip(rows, _take(x, of))])
 
     def test_each_row_is_its_lone_tail(self):
@@ -388,11 +386,12 @@ class TestTailRows:
         calls = []
 
         def family(x, rows, of):
-            calls.append((x.ndim, list(rows)))
+            calls.append((x.shape, list(rows), None if of is None else of.tolist()))
             return self._family(x, rows, of)
 
         quadrature_module._extend_tails(family, [1.0, 1.0, 2.0], [0.0, 1e12, 0.0])
-        assert calls[:2] == [(1, [0, 1]), (1, [2])]
+        # one K15 call for the three one-panel blocks, one point row per radius
+        assert calls[0] == ((2, 15), [0, 1, 2], [0, 0, 1])
 
 
 class TestDiagnosticsMerge:
@@ -445,13 +444,24 @@ class TestSplitReuse:
             assert errs[i].tobytes() == pair_errs.tobytes()
 
 
+# sorted edges of 2 to 4 panels, each at least 0.05 wide
+_edge_sets = st.tuples(
+    st.floats(-2.0, 2.0), st.lists(st.floats(0.05, 2.0), min_size=2, max_size=4)
+).map(lambda drawn: tuple(np.cumsum([drawn[0], *drawn[1]]).tolist()))
+
+# 1 + a peak of height 1 / width at m, smooth enough that rows converge
+_peaked = st.builds(
+    lambda m, width: lambda x: 1.0 + 1.0 / (width + (x - m) ** 2),
+    st.floats(-2.0, 6.0),
+    st.floats(1e-3, 1.0),
+)
+
+
 class TestRowBatch:
     def test_a_row_whose_head_fails_leaves_the_others_alone(self):
         funcs = (lambda t: np.sin(1.0 / t), lambda t: np.exp(-t))
 
         def family(x, rows, of):
-            if x.ndim == 1:
-                return np.stack([funcs[r](x) for r in rows])
             return np.stack([funcs[r](row) for r, row in zip(rows, _take(x, of))])
 
         failed, (value, diag) = quadrature_module._integrate_rows(
@@ -464,8 +474,9 @@ class TestRowBatch:
         assert diag.to_dict() == alone_diag.to_dict()
 
     def test_rows_alone_on_their_edges_share_one_call_per_panel_count(self):
-        # rows 0 and 1 share their edges, rows 2 and 3 are alone on two
-        # panels each and row 4 alone on three: three first calls
+        # rows 0 to 3 start on two panels, rows 0 and 1 on the same edges,
+        # and row 4 on three: one first call per panel count, one point
+        # row per distinct edge tuple
         funcs = (np.exp, np.sin, np.cos, lambda t: t**2.5, np.sqrt)
         edge_rows = [
             (0.0, 1.0, 2.0), (0.0, 1.0, 2.0), (0.5, 1.0, 3.0), (1.0, 2.0, 4.0),
@@ -474,13 +485,11 @@ class TestRowBatch:
         calls = []
 
         def family(x, rows, of):
-            calls.append((x.shape, list(rows)))
-            if x.ndim == 1:
-                return np.stack([funcs[r](x) for r in rows])
+            calls.append((x.shape, list(rows), None if of is None else of.tolist()))
             return np.stack([funcs[r](row) for r, row in zip(rows, _take(x, of))])
 
         batched = quadrature_module._refine_rows(family, edge_rows, [0.0] * 5)
-        assert calls[:3] == [((30,), [0, 1]), ((2, 30), [2, 3]), ((45,), [4])]
+        assert calls[:2] == [((3, 30), [0, 1, 2, 3], [0, 0, 1, 2]), ((1, 45), [4], None)]
         for f, edges, (value, diag) in zip(funcs, edge_rows, batched):
             alone, alone_diag = adaptive_quadrature(
                 f, edges[0], edges[-1], initial_edges=edges[1:-1]
@@ -489,21 +498,19 @@ class TestRowBatch:
 
     def test_rows_that_split_the_same_panel_share_its_points(self):
         # 2 sqrt(x) doubles every value and error of sqrt(x) exactly, so both
-        # rows grow the same panel tree and each split round has one point row
+        # rows grow the same panel tree: their first panels and each split
+        # round have one point row
         funcs = (np.sqrt, lambda t: 2.0 * np.sqrt(t))
         calls = []
 
         def family(x, rows, of):
             calls.append((x.shape, None if of is None else of.tolist()))
-            if x.ndim == 1:
-                return np.stack([funcs[r](x) for r in rows])
             return np.stack([funcs[r](row) for r, row in zip(rows, _take(x, of))])
 
         edges = (0.0, 1.0, 5.0)
         batched = quadrature_module._refine_rows(family, [edges, edges], [0.0, 0.0])
-        assert calls[0] == ((30,), None)
         assert len(calls) > 1
-        assert calls[1:] == [((1, 30), [0, 0])] * (len(calls) - 1)
+        assert calls == [((1, 30), [0, 0])] * len(calls)
         for f, (value, diag) in zip(funcs, batched):
             alone, alone_diag = adaptive_quadrature(f, 0.0, 5.0, initial_edges=[1.0])
             assert (value, diag.to_dict()) == (alone, alone_diag.to_dict())
@@ -523,6 +530,46 @@ class TestRowBatch:
         for f, head in zip(funcs, heads):
             assert head == quadrature_module._jacobi_heads(_one_row(f), 1.5, [0.25])[0]
             assert head[2] == 72 * len(sizes)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(_edge_sets, min_size=1, max_size=4),
+        st.lists(
+            st.tuples(st.integers(0, 3), _peaked, st.sampled_from([0.0, 0.5, 1e3])),
+            min_size=2,
+            max_size=8,
+        ),
+    )
+    def test_first_panels_take_one_call_per_panel_count(self, pool, drawn):
+        # rows draw their edges from a small pool, so some rows repeat them
+        edge_rows = [pool[k % len(pool)] for k, _, _ in drawn]
+        funcs = [f for _, f, _ in drawn]
+        bases = [base for _, _, base in drawn]
+        family, calls = _family(funcs), []
+
+        def recording(x, rows, of):
+            calls.append((x.copy(), list(rows), of))
+            return family(x, rows, of)
+
+        batched = quadrature_module._refine_rows(recording, edge_rows, bases)
+        counts = {len(edges) for edges in edge_rows}
+        firsts = calls[: len(counts)]
+        assert sorted(r for _, rows, _ in firsts for r in rows) == list(range(len(drawn)))
+        assert {len(edge_rows[rows[0]]) for _, rows, _ in firsts} == counts
+        for x, rows, of in firsts:
+            assert len({len(edge_rows[r]) for r in rows}) == 1
+            # one point row per distinct edge tuple, holding that tuple's nodes
+            assert len(x) == len({edge_rows[r] for r in rows})
+            for j, r in enumerate(rows):
+                edges = np.array(edge_rows[r])
+                c, h = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+                nodes = (c[:, None] + h[:, None] * quadrature_module._NODES).ravel()
+                assert x[j if of is None else of[j]].tobytes() == nodes.tobytes()
+        for f, edges, base, (value, diag) in zip(funcs, edge_rows, bases, batched):
+            alone, alone_diag = adaptive_quadrature(
+                f, edges[0], edges[-1], initial_edges=edges[1:-1], base_value=base
+            )
+            assert (repr(value), diag.to_dict()) == (repr(alone), alone_diag.to_dict())
 
 
 def _refinement(lo, hi, vals, errs, base_value):
@@ -643,20 +690,20 @@ def _heap_loop_without_round_off_stop(lo, hi, vals, errs, base_value):
 def _rows_one_by_one(loop):
     """A stand-in for ``_refine_rows`` that runs the heap-loop generator
     ``loop`` on each row alone, one row after another, with K15 calls
-    shaped as a lone row's: its first panels in one call on a 1-d x and
-    each split as a (1, 2) stack."""
+    shaped as a lone row's: its first panels as a (1, n) stack and each
+    split as a (1, 2) stack."""
 
     def refine_rows(f, edge_rows, base_values):
         out = []
         for r, edges in enumerate(edge_rows):
-            lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+            lo, hi = np.array([edges[:-1]]), np.array([edges[1:]])
             vals, errs = _k15_panels(lambda x: f(x, [r], None), lo, hi)
-            loop_r = loop(lo, hi, vals.reshape(-1), errs.reshape(-1), base_values[r])
+            loop_r = loop(lo[0], hi[0], vals[0], errs[0], base_values[r])
             try:
                 a, mid, b = next(loop_r)
                 while True:
                     vals, errs = _k15_panels(
-                        lambda x: f(x.reshape(1, -1), [r], None),
+                        lambda x: f(x, [r], None),
                         np.array([[a, mid]]),
                         np.array([[mid, b]]),
                     )
@@ -755,11 +802,13 @@ class TestRoundOffStop:
         v * gain / 2 and error e * rise / 2, where (gain, rise) = halves(i)."""
         panels = {(0.0, 1.0): (1.0, 1.002e-10)}
         splits = [0]
+        calls = [0]
 
-        def scripted(f, lo, hi):
-            if np.ndim(lo) == 1:  # the row's first panels
+        def scripted(f, lo, hi, of=None):
+            calls[0] += 1
+            if calls[0] == 1:  # the row's first panels
                 v, e = panels[(0.0, 1.0)]
-                return np.array([v]), np.array([e])
+                return np.array([[v]]), np.array([[e]])
             (a, mid), (_, b) = lo.tolist()[0], hi.tolist()[0]
             v, e = panels.pop((a, b))
             gain, rise = halves(splits[0])
@@ -793,8 +842,6 @@ def _family(funcs):
     """The row family f(x, rows, of) of ``_refine_rows`` whose row r is funcs[r]."""
 
     def family(x, rows, of):
-        if x.ndim == 1:
-            return np.stack([funcs[r](x) for r in rows])
         return np.stack([funcs[r](row) for r, row in zip(rows, _take(x, of))])
 
     return family
